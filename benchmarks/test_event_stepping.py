@@ -133,14 +133,26 @@ def test_bench_profile_emits_schema_valid_json(tmp_path, capsys):
     assert document["total_seconds"] > 0
     assert isinstance(document["engine_stats"], dict)
 
+    # trace, then one simulate:<label> per architecture model (in the
+    # order the spec list first names each model), then assemble.
+    from repro.experiments.report import all_specs
+
+    labels = list(dict.fromkeys(
+        spec.model.label or spec.model.model for spec in all_specs("tiny")
+    ))
     phases = document["phases"]
     names = [phase["phase"] for phase in phases]
-    assert names[0] == "trace"
-    assert names[-1] == "assemble"
-    assert any(name.startswith("simulate:") for name in names)
+    assert names == (["trace"] + [f"simulate:{label}" for label in labels]
+                     + ["assemble"])
+    simulate = [phase for phase in phases
+                if phase["phase"].startswith("simulate:")]
+    assert all(phase["specs"] > 0 for phase in simulate)
+    assert sum(phase["specs"] for phase in simulate) \
+        == document["spec_count"]
     for phase in phases:
         assert phase["seconds"] >= 0
         assert isinstance(phase["stats_delta"], dict)
+        assert set(phase) <= {"phase", "seconds", "stats_delta", "specs"}
     # The cold run computed its traces; the record says so.
     assert phases[0]["stats_delta"].get("traces_computed", 0) > 0
 

@@ -63,7 +63,7 @@ class KernelInstance:
         self.dynamics: Dict[BlockId, LoopDynamics] = loop_dynamics(cdfg, trace)
         self.nests = cdfg.loop_nests()
         self._arm_groups = self._find_arm_groups()
-        self._placement_ii: Dict[Tuple[BlockId, int, int], int] = {}
+        self._placement_ii: Dict[Tuple[BlockId, int, int, int], int] = {}
         self._recurrence: Dict[BlockId, int] = {}
         self._threaded: Dict[BlockId, int] = {}
         self._serial_sibling: Dict[BlockId, bool] = {}
@@ -253,27 +253,14 @@ class KernelInstance:
                 return True
         return False
 
-    def share_placements(self, pool: Dict[Tuple[BlockId, int, int],
-                                          int]) -> None:
-        """Adopt a placement memo shared across batch-compatible kernels.
-
-        Placement quality depends only on a block's DFG and the grid
-        geometry — exactly the ``(block, rows, cols)`` key below — so
-        every :class:`KernelInstance` built from the same (workload,
-        scale) CDFG may share one memo: a seed sweep prices its
-        placements once instead of once per seed (the engine's batch
-        grouping law, :mod:`repro.engine.batching`).  Entries computed
-        before adoption are folded into the pool.
-        """
-        if self._placement_ii:
-            pool.update(self._placement_ii)
-        self._placement_ii = pool
-
     def placement_ii(self, block_id: BlockId, params: ArchParams) -> int:
         """II one block's DFG sustains when spatially mapped on the grid
         (FU sharing + mesh congestion), shared by every execution model so
-        that mapping quality does not skew the architecture comparison."""
-        key = (block_id, params.rows, params.cols)
+        that mapping quality does not skew the architecture comparison.
+
+        The memo key covers every parameter the II reads: the grid
+        geometry and the size of the nonlinear-capable PE pool."""
+        key = (block_id, params.rows, params.cols, params.nonlinear_pes)
         if key not in self._placement_ii:
             from repro.compiler.place import place_block
 

@@ -293,14 +293,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.profile_out and not args.profile:
         print("error: --profile-out requires --profile", file=sys.stderr)
         return 2
-    if args.group_size is not None and args.group_size < 1:
-        print("error: --group-size must be at least 1",
-              file=sys.stderr)
-        return 2
-    if args.no_group and args.group_size is not None:
-        print("error: --group-size bounds the groups that --no-group "
-              "disables — pick one", file=sys.stderr)
-        return 2
     if args.shard and (args.format is not None or args.stats):
         print("error: --format/--stats have no effect with --shard — a "
               "shard run emits a shard export, not a report",
@@ -358,9 +350,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             )
             for package in kernels:
                 register(package)
-        engine = Engine(cache_dir=args.cache_dir, jobs=args.jobs,
-                        grouping=not args.no_group,
-                        group_size=args.group_size)
+        engine = Engine(cache_dir=args.cache_dir, jobs=args.jobs)
         args.engine = engine
         engine.cache.preload(merged["entries"])
         results = run_all(args.scale, args.seed, engine=engine,
@@ -384,9 +374,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         # variant's working set, and a shared memory layer would leak
         # earlier variants' records into later exports.
         engine = (None if args.dispatch or args.shard
-                  else Engine(cache_dir=args.cache_dir, jobs=args.jobs,
-                              grouping=not args.no_group,
-                              group_size=args.group_size))
+                  else Engine(cache_dir=args.cache_dir, jobs=args.jobs))
         for index, (path, desc) in enumerate(variants):
             args.arch_desc = desc
             args.arch_meta = {"name": desc.name, "file": path.name,
@@ -445,9 +433,7 @@ def _bench_variant(args, progress, engine=None) -> int:
         return _run_dispatch(args, progress, params, context, kernels)
 
     if engine is None:
-        engine = Engine(cache_dir=args.cache_dir, jobs=args.jobs,
-                        grouping=not args.no_group,
-                        group_size=args.group_size)
+        engine = Engine(cache_dir=args.cache_dir, jobs=args.jobs)
     args.engine = engine
 
     if args.shard:
@@ -585,8 +571,7 @@ def _run_dispatch(args, progress, params=DEFAULT_PARAMS,
         done = 0
         for index, payload in dispatch_job(
                 client, [spec.to_payload() for spec in specs],
-                scale=args.scale, seed=args.seed,
-                group=not args.no_group, group_size=args.group_size):
+                scale=args.scale, seed=args.seed):
             if not 0 <= index < len(specs):
                 raise DistributedError(
                     f"coordinator returned result index {index} outside "
@@ -689,10 +674,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         if kind == "trace":
             detail = (f"trace {task['workload']}@{task['scale']} "
                       f"seed={task['seed']}")
-        elif "specs" in task:
-            lead = task["specs"][0]
-            detail = (f"sim batch x{len(task['specs'])} "
-                      f"{lead['workload']}@{lead['scale']}")
         else:
             spec = task["spec"]
             model = spec["model"]
@@ -1067,16 +1048,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--profile-out", default=None, metavar="PATH",
                          help="write the --profile document here instead "
                               "of the timestamped default")
-    p_bench.add_argument("--group-size", type=int, default=None,
-                         metavar="N",
-                         help="cap each batch-compatible spec group at N "
-                              "members (default: unbounded); groups share "
-                              "placement pools and schedule tapes, and "
-                              "under --dispatch each group travels as one "
-                              "batch-granular task")
-    p_bench.add_argument("--no-group", action="store_true",
-                         help="disable the grouping law entirely: every "
-                              "spec simulates (and dispatches) alone")
     p_bench.set_defaults(fn=_cmd_bench)
 
     p_serve = sub.add_parser(
@@ -1200,11 +1171,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "description instead of the default "
                             "parameters")
     p_run.add_argument("--strategy", default="event",
-                       choices=("event", "naive", "batch"),
+                       choices=("event", "naive"),
                        help="array simulator scheduling strategy "
-                            "(all produce identical results; batch "
-                            "degenerates to the event schedule for a "
-                            "single run)")
+                            "(both produce identical results)")
     p_run.add_argument("--format", default="ascii",
                        choices=("ascii", "json"))
     p_run.add_argument("--max-cycles", type=int, default=200_000,

@@ -9,9 +9,6 @@ Layers (bottom up):
   functional traces and cycle results, plus the per-run statistics log;
 * :mod:`repro.engine.cache_admin` — cache inventory, statistics, and
   pruning (the ``repro cache`` subcommand);
-* :mod:`repro.engine.batching` — the grouping law: which specs may
-  share batched work (same program + geometry), applied by the
-  executor, the worker pool, and the profiler;
 * :mod:`repro.engine.executor` — the :class:`Engine`: batch execution
   (:meth:`Engine.execute`) and streaming execution (:meth:`Engine.stream`)
   with multiprocessing, deterministic result ordering, and run statistics;
@@ -26,7 +23,6 @@ See ``docs/ENGINE.md`` for the cache layout and the CLI surface, and
 ``docs/DISTRIBUTED.md`` for the multi-machine subsystem.
 """
 
-from repro.engine.batching import SpecBatch, batch_key, group_specs
 from repro.engine.cache import ENGINE_VERSION, TraceCache, fingerprint
 from repro.engine.distributed import (
     CacheBackend,
@@ -80,13 +76,10 @@ __all__ = [
     "ModelSpec",
     "RunResult",
     "RunSpec",
-    "SpecBatch",
     "TraceCache",
     "backend_export_document",
-    "batch_key",
     "default_engine",
     "fingerprint",
-    "group_specs",
     "merge_shard_documents",
     "parse_shard",
     "read_shard_export",

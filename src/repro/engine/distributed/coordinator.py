@@ -106,11 +106,12 @@ DEFAULT_LEASE_TIMEOUT = 60.0
 FINISHED_JOB_RETENTION = 32
 
 #: Version of the queue wire protocol (job-scoped results, batched
-#: leases, batch-granular sim tasks).  Checked alongside
-#: ``ENGINE_VERSION`` at ``/health`` and ``/queue/job`` time so a mixed
-#: fleet of old and new builds fails loudly instead of livelocking on a
-#: wire-format mismatch.
-PROTOCOL_VERSION = 3
+#: leases, one sim task per spec).  Checked alongside ``ENGINE_VERSION``
+#: at ``/health`` and ``/queue/job`` time so a mixed fleet of old and
+#: new builds fails loudly instead of livelocking on a wire-format
+#: mismatch.  Version 3 added grouped ``<job>:gN`` sim tasks; 4 removed
+#: them again, so a v3 fleet or journal is refused rather than replayed.
+PROTOCOL_VERSION = 4
 
 
 def _new_stats() -> Dict[str, int]:
@@ -124,16 +125,7 @@ def _new_stats() -> Dict[str, int]:
 
 @dataclass
 class _Task:
-    """One unit of leasable work (a trace computation or a sim).
-
-    A sim task carries either one spec (``index`` set, the historical
-    ungrouped shape, task id ``<job>:sN``) or a whole grouped cohort
-    (``indices`` set, task id ``<job>:gN`` — the batch-granular wire
-    form).  A grouped task may replay several traces, so readiness is
-    tracked by the ``waiting_on`` set instead of a single trace id; an
-    ungrouped task's set is the singleton of its trace, preserving the
-    historical ready order exactly.
-    """
+    """One unit of leasable work (a trace computation or a sim)."""
 
     id: str
     kind: str                       # "trace" | "sim"
@@ -142,9 +134,8 @@ class _Task:
     lease: Optional[str] = None
     worker: Optional[str] = None
     deadline: float = 0.0
-    index: Optional[int] = None     # ungrouped sims: spec-batch position
-    indices: Optional[List[int]] = None  # grouped sims: member positions
-    waiting_on: set = field(default_factory=set)  # unfinished trace ids
+    trace_id: Optional[str] = None  # sim tasks: the trace they replay
+    index: Optional[int] = None     # sim tasks: position in the spec batch
 
 
 @dataclass
@@ -165,16 +156,6 @@ class _Job:
     # Ids of currently-leased tasks: lease/requeue/status work touches
     # only live leases, not every task of every retained job.
     leased: set = field(default_factory=set)
-    # Batch-granular dispatch: whether sim tasks carry grouped cohorts,
-    # and the submitted spec payloads + settled sim acks — the snapshot
-    # sources (a grouped task's payload is not one spec, so the
-    # journal snapshot cannot reconstruct the submit from task
-    # payloads the way the ungrouped layout allowed).
-    group: bool = False
-    group_size: Optional[int] = None
-    spec_payloads: List[dict] = field(default_factory=list)
-    sim_done: List[Tuple[str, Optional[dict]]] = field(
-        default_factory=list)
 
     @property
     def done(self) -> bool:
@@ -190,18 +171,6 @@ class _Job:
 def _trace_key_of(spec_payload: dict) -> Tuple[str, str, int]:
     return (str(spec_payload["workload"]), str(spec_payload["scale"]),
             int(spec_payload["seed"]))
-
-
-def _batch_key_of(spec_payload: dict) -> tuple:
-    """The grouping-law coordinate of one wire spec (program+geometry).
-
-    Mirrors :func:`repro.engine.batching.batch_key` on the payload
-    form: ``params`` is the spec's params token (a plain dict), so the
-    grid geometry reads directly off it.
-    """
-    params = spec_payload.get("params") or {}
-    return (str(spec_payload["workload"]), str(spec_payload["scale"]),
-            params.get("rows"), params.get("cols"))
 
 
 #: Lease scheduling policies across queued jobs.
@@ -275,25 +244,14 @@ class Coordinator:
 
     # -- job lifecycle -------------------------------------------------
     def _build_job(self, job_id: str, specs: List[dict], scale: str,
-                   seed: int, group: bool = False,
-                   group_size: Optional[int] = None) -> _Job:
+                   seed: int) -> _Job:
         """Derive one job's task graph from its spec batch.
 
         Deterministic in its inputs — the journal replays a ``submit``
         event through this same code, so a restarted coordinator
         rebuilds byte-identical task ids and blocking structure.
-
-        ``group=False`` (the historical default) emits one ``:sN`` sim
-        task per spec.  ``group=True`` emits one ``:gN`` task per
-        grouping-law batch (program + geometry, capped at
-        ``group_size`` members), each carrying its cohort's spec list
-        and blocked until *every* trace it replays is settled.
         """
-        job = _Job(id=job_id, scale=str(scale), seed=int(seed),
-                   group=bool(group),
-                   group_size=None if group_size is None
-                   else int(group_size))
-        job.spec_payloads = [dict(spec) for spec in specs]
+        job = _Job(id=job_id, scale=str(scale), seed=int(seed))
         # External-kernel specs ship their package document; the trace
         # task for such a workload needs it too (the worker cannot
         # resolve a kernel: token it has never seen).  First occurrence
@@ -319,65 +277,29 @@ class Coordinator:
             job.trace_queue.append(task_id)
             job.blocked_sims[task_id] = []
             trace_ids[key] = task_id
-        if not job.group:
-            for index, spec in enumerate(specs):
-                task_id = f"{job.id}:s{index}"
-                trace_id = trace_ids[_trace_key_of(spec)]
-                job.tasks[task_id] = _Task(
-                    id=task_id, kind="sim",
-                    payload={"kind": "sim", "index": index, "spec": spec},
-                    index=index, waiting_on={trace_id},
-                )
-                job.blocked_sims[trace_id].append(task_id)
-        else:
-            # The grouping law over wire specs: first-occurrence batch
-            # order, members in submit order, sealed at group_size —
-            # the same covering permutation ``group_specs`` produces.
-            limit = job.group_size
-            batches: List[List[int]] = []
-            open_batch: Dict[tuple, List[int]] = {}
-            for index, spec in enumerate(specs):
-                key = _batch_key_of(spec)
-                members = open_batch.get(key)
-                if members is None or (limit is not None
-                                       and len(members) >= limit):
-                    members = open_batch[key] = []
-                    batches.append(members)
-                members.append(index)
-            for number, indices in enumerate(batches):
-                task_id = f"{job.id}:g{number}"
-                needed = {trace_ids[_trace_key_of(specs[i])]
-                          for i in indices}
-                job.tasks[task_id] = _Task(
-                    id=task_id, kind="sim",
-                    payload={"kind": "sim", "indices": list(indices),
-                             "specs": [specs[i] for i in indices]},
-                    indices=list(indices), waiting_on=set(needed),
-                )
-                for trace_id in sorted(needed):
-                    job.blocked_sims[trace_id].append(task_id)
+        for index, spec in enumerate(specs):
+            task_id = f"{job.id}:s{index}"
+            trace_id = trace_ids[_trace_key_of(spec)]
+            job.tasks[task_id] = _Task(
+                id=task_id, kind="sim",
+                payload={"kind": "sim", "index": index, "spec": spec},
+                trace_id=trace_id, index=index,
+            )
+            job.blocked_sims[trace_id].append(task_id)
         job.total_sims = len(specs)
         return job
 
-    def submit(self, specs: List[dict], scale: str, seed: int,
-               group: bool = False,
-               group_size: Optional[int] = None) -> dict:
+    def submit(self, specs: List[dict], scale: str, seed: int) -> dict:
         """Queue one spec batch; returns the job id, counts, position.
 
         Always accepted unless the coordinator is draining: several
         drivers share one fleet by queuing jobs FIFO, each scoped by
-        its server-issued id.  ``group=True`` opts the job into
-        batch-granular sim tasks (one lease per grouping-law cohort);
-        per-spec results and their delivery contract are unchanged.
+        its server-issued id.
         """
         with self._lock:
             if self._draining:
                 raise DistributedError(
                     "coordinator is shutting down and accepts no new jobs"
-                )
-            if group_size is not None and int(group_size) < 1:
-                raise DistributedError(
-                    f"group_size must be >= 1, got {group_size}"
                 )
             self._job_counter += 1
             # The id must be unique across server restarts, not just
@@ -386,20 +308,13 @@ class Coordinator:
             # driver's payloads after a serve crash + resubmit.
             job = self._build_job(
                 f"j{self._job_counter}-{uuid.uuid4().hex[:12]}",
-                specs, scale, seed, group=group, group_size=group_size,
+                specs, scale, seed,
             )
             position = sum(1 for other in self._jobs.values()
                            if not other.done)
-            event = {"event": "submit", "job": job.id,
-                     "scale": job.scale, "seed": job.seed,
-                     "specs": [dict(spec) for spec in specs]}
-            if job.group:
-                # Only grouped submits stamp the extra fields, keeping
-                # ungrouped journals byte-identical to protocol 2.
-                event["group"] = True
-                if job.group_size is not None:
-                    event["group_size"] = job.group_size
-            self._record(event)
+            self._record({"event": "submit", "job": job.id,
+                          "scale": job.scale, "seed": job.seed,
+                          "specs": [dict(spec) for spec in specs]})
             self._jobs[job.id] = job
             self._evict_finished()
             self._maybe_compact()
@@ -619,24 +534,9 @@ class Coordinator:
             key = "traces_computed" if computed else "trace_cache_hits"
             job.stats[key] += 1
             for sim_id in job.blocked_sims.pop(task.id, []):
-                sim = job.tasks[sim_id]
-                sim.waiting_on.discard(task.id)
-                # Grouped tasks may replay several traces; they ready
-                # only when the last one settles.  Ungrouped tasks wait
-                # on exactly one, so they ready here immediately — the
-                # historical order, unchanged.
-                if not sim.waiting_on:
-                    job.ready_sims.append(sim_id)
-        elif task.indices is not None:
-            # One grouped ack lands the whole cohort's results as a
-            # contiguous block, so the client cursor walks per-spec
-            # pairs exactly as it does for ungrouped jobs.
-            payloads = (result or {}).get("results", [])
-            job.results.extend(zip(task.indices, payloads))
-            job.sim_done.append((task.id, result))
+                job.ready_sims.append(sim_id)
         else:
             job.results.append((task.index, result))
-            job.sim_done.append((task.id, result))
 
     # -- result delivery ------------------------------------------------
     def results_since(self, job_id: str, cursor: int) -> dict:
@@ -781,9 +681,7 @@ class Coordinator:
         if kind == "submit":
             job_id = str(event["job"])
             job = self._build_job(job_id, event["specs"],
-                                  event["scale"], event["seed"],
-                                  group=bool(event.get("group", False)),
-                                  group_size=event.get("group_size"))
+                                  event["scale"], event["seed"])
             self._jobs[job_id] = job
             # Keep the counter monotonic past every replayed id, so a
             # post-restart submit can never collide with a journaled
@@ -808,12 +706,9 @@ class Coordinator:
                     job.trace_queue.remove(task.id)
                 else:
                     job.ready_sims.remove(task.id)
-            if task.kind == "sim":
-                # It may still be blocked behind trace ids (grouped
-                # tasks behind several); drop it from every list.
-                for blocked in job.blocked_sims.values():
-                    with contextlib.suppress(ValueError):
-                        blocked.remove(task.id)
+            if task.kind == "sim" and task.trace_id in job.blocked_sims:
+                with contextlib.suppress(ValueError):
+                    job.blocked_sims[task.trace_id].remove(task.id)
             self._finish_task(job, task, result=event.get("result"),
                               computed=bool(event.get("computed", False)))
         elif kind == "fail":
@@ -863,25 +758,19 @@ class Coordinator:
             events.append({"event": "evicted_stats",
                            "stats": dict(self._evicted_stats)})
         for job in self._jobs.values():
-            submit: dict = {
+            events.append({
                 "event": "submit", "job": job.id, "scale": job.scale,
                 "seed": job.seed,
-                "specs": [dict(spec) for spec in job.spec_payloads],
-            }
-            if job.group:
-                submit["group"] = True
-                if job.group_size is not None:
-                    submit["group_size"] = job.group_size
-            events.append(submit)
+                "specs": [job.tasks[f"{job.id}:s{index}"].payload["spec"]
+                          for index in range(job.total_sims)],
+            })
             for task in job.tasks.values():
                 if task.kind == "trace" and task.state == "done":
                     events.append({"event": "done", "task": task.id,
                                    "kind": "trace", "computed": False})
-            # Settled sim acks in delivery order: replaying them
-            # re-extends ``results`` identically, so a driver's cursor
-            # means the same thing after a compaction+restart.
-            for task_id, payload in job.sim_done:
-                events.append({"event": "done", "task": task_id,
+            for index, payload in job.results:
+                events.append({"event": "done",
+                               "task": f"{job.id}:s{index}",
                                "kind": "sim", "result": payload})
             if job.failed is not None:
                 events.append({"event": "fail", "job": job.id,

@@ -252,8 +252,6 @@ class _Handler(BaseHTTPRequestHandler):
                 receipt = coordinator.submit(
                     body["specs"], scale=body.get("scale", "small"),
                     seed=body.get("seed", 0),
-                    group=bool(body.get("group", False)),
-                    group_size=body.get("group_size"),
                 )
             except DistributedError as error:
                 self._send_error_json(409, str(error))

@@ -178,21 +178,12 @@ class CoordinatorClient:
             )
         return health
 
-    def submit(self, specs: List[dict], *, scale: str, seed: int,
-               group: bool = False,
-               group_size: Optional[int] = None) -> dict:
-        body = {
+    def submit(self, specs: List[dict], *, scale: str, seed: int) -> dict:
+        return self._post("/queue/job", {
             "specs": specs, "scale": scale, "seed": seed,
             "engine_version": ENGINE_VERSION,
             "protocol_version": PROTOCOL_VERSION,
-        }
-        if group:
-            # Batch-granular dispatch: one sim task per grouping-law
-            # cohort instead of one per spec (protocol v3).
-            body["group"] = True
-            if group_size is not None:
-                body["group_size"] = int(group_size)
-        return self._post("/queue/job", body)
+        })
 
     def lease(self, worker: str, *, max_tasks: int = 1,
               acks: Optional[Sequence[dict]] = None) -> dict:
@@ -319,12 +310,6 @@ def work_loop(url: str, *, poll: float = DEFAULT_POLL,
     lease_batch = max(1, int(lease_batch))
 
     def _make_engine() -> Engine:
-        # A fresh engine starts from a cold schedule-tape memo too —
-        # the memo reset exists to bound a long-lived worker's memory,
-        # and the tape store is the sim layer's equivalent.
-        from repro.sim.batch import default_tape_store
-
-        default_tape_store().clear()
         remote = HTTPBackend(url)
         if cache_dir is not None:
             return Engine(backend=TieredBackend(LocalBackend(cache_dir),
@@ -442,26 +427,6 @@ def work_loop(url: str, *, poll: float = DEFAULT_POLL,
                                     "computed": computed},
                             "_kind": "trace", "_task": task,
                         })
-                    elif "specs" in task:
-                        # Batch-granular task: the whole grouped cohort
-                        # executes through one engine.execute call, so
-                        # the grouping law (shared placement pools,
-                        # adjacent batch members) applies worker-side
-                        # exactly as it does locally; the ack carries
-                        # per-spec payloads in cohort order.
-                        from repro.engine.spec import RunSpec
-
-                        cohort = [RunSpec.from_payload(payload)
-                                  for payload in task["specs"]]
-                        run_results = engine.execute(cohort)
-                        pending.append({
-                            "ack": {"id": task_id, "lease": lease,
-                                    "computed": False,
-                                    "result": {"results": [
-                                        item.result.to_payload()
-                                        for item in run_results]}},
-                            "_kind": "sim", "_task": task,
-                        })
                     else:
                         from repro.engine.spec import RunSpec
 
@@ -522,9 +487,7 @@ def dispatch_job(client: CoordinatorClient, specs: List[dict], *,
                  scale: str, seed: int,
                  poll: float = DEFAULT_POLL,
                  stall_timeout: float = DEFAULT_STALL_TIMEOUT,
-                 reconnect: float = DEFAULT_RECONNECT,
-                 group: bool = False,
-                 group_size: Optional[int] = None
+                 reconnect: float = DEFAULT_RECONNECT
                  ) -> Iterator[Tuple[int, dict]]:
     """Submit a job and yield ``(spec index, cycles payload)`` pairs.
 
@@ -550,13 +513,7 @@ def dispatch_job(client: CoordinatorClient, specs: List[dict], *,
     the "unknown job" rejection — not retryable — surfaces as usual.)
     """
     client.check_version()
-    if group:
-        receipt = client.submit(specs, scale=scale, seed=seed,
-                                group=True, group_size=group_size)
-    else:
-        # Ungrouped dispatch keeps the historical call shape so client
-        # doubles (and older coordinators) never see the group fields.
-        receipt = client.submit(specs, scale=scale, seed=seed)
+    receipt = client.submit(specs, scale=scale, seed=seed)
     job_id = receipt.get("job")
     cursor = 0
     last_progress = time.monotonic()

@@ -46,7 +46,6 @@ from typing import (
 )
 
 from repro.baselines.base import CycleResult, KernelInstance
-from repro.engine.batching import batch_key, group_specs
 from repro.engine.cache import TraceCache
 from repro.engine.spec import (
     ModelSpec,
@@ -103,14 +102,6 @@ class EngineStats:
     simulations: int = 0       # architecture model evaluations performed
     sim_cache_hits: int = 0    # cycle results served from the cache
     sim_memo_hits: int = 0     # re-lookups served from this engine's memo
-    # Batch data-plane counters (repro.sim.batch): accrued when this
-    # stats object is passed to ``simulate_batch(stats=...)`` — e.g. by
-    # array-level harnesses; the engine's analytical models leave them 0.
-    vector_evals: int = 0      # cohort firings priced with one ufunc call
-    scalar_evals: int = 0      # cohort firings priced row-by-row
-    fallback_rows: int = 0     # batch members re-simulated exactly
-    tape_hits: int = 0         # cohorts served from the schedule-tape memo
-    tape_records: int = 0      # schedule tapes recorded
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -119,11 +110,6 @@ class EngineStats:
             "simulations": self.simulations,
             "sim_cache_hits": self.sim_cache_hits,
             "sim_memo_hits": self.sim_memo_hits,
-            "vector_evals": self.vector_evals,
-            "scalar_evals": self.scalar_evals,
-            "fallback_rows": self.fallback_rows,
-            "tape_hits": self.tape_hits,
-            "tape_records": self.tape_records,
         }
 
 
@@ -132,10 +118,6 @@ class EngineStats:
 # ----------------------------------------------------------------------
 _WORKER_TRACES: Dict[TraceKey, dict] = {}
 _WORKER_KERNELS: Dict[TraceKey, KernelInstance] = {}
-#: (workload, scale) -> shared placement memo (the batching law: the
-#: CDFG and therefore every block's placement is seed-independent, so
-#: one worker prices a whole seed sweep against one set of placements).
-_WORKER_PLACEMENTS: Dict[Tuple[str, str], Dict] = {}
 
 
 def _register_kernel_documents(documents) -> None:
@@ -166,44 +148,23 @@ def _trace_job(key: TraceKey) -> Tuple[TraceKey, dict]:
         raise _trace_error(key, error) from error
 
 
-def _reset_tape_store() -> None:
-    """Start pool workers from a cold schedule-tape memo.
-
-    Fork-started workers inherit the parent's process-wide
-    :class:`~repro.sim.batch.TapeStore`; clearing it keeps worker
-    behaviour identical across fork and spawn (and bounds what a
-    long-lived pool pins in memory).  Import is lazy: engines that
-    never simulate arrays never load the sim stack.
-    """
-    from repro.sim.batch import default_tape_store
-
-    default_tape_store().clear()
-
-
 def _init_trace_worker(kernel_documents=None) -> None:
     _register_kernel_documents(kernel_documents)
-    _reset_tape_store()
 
 
 def _init_sim_worker(traces: Dict[TraceKey, dict],
                      kernel_documents=None) -> None:
-    global _WORKER_TRACES, _WORKER_KERNELS, _WORKER_PLACEMENTS
+    global _WORKER_TRACES, _WORKER_KERNELS
     _WORKER_TRACES = traces
     _WORKER_KERNELS = {}
-    _WORKER_PLACEMENTS = {}
     _register_kernel_documents(kernel_documents)
-    _reset_tape_store()
 
 
 def _kernel_from_payload(key: TraceKey, payload: dict) -> KernelInstance:
     short, scale, _seed = key
     workload = get_workload(short)
     cdfg = workload.build(workload.sizes(scale))
-    kernel = KernelInstance(cdfg, DynamicTrace.from_payload(payload))
-    kernel.share_placements(
-        _WORKER_PLACEMENTS.setdefault((short, scale), {})
-    )
-    return kernel
+    return KernelInstance(cdfg, DynamicTrace.from_payload(payload))
 
 
 def _simulate_with_memo(spec: RunSpec, trace_payload: dict) -> dict:
@@ -285,20 +246,8 @@ class Engine:
     """
 
     def __init__(self, cache_dir=None, jobs: int = 1,
-                 backend=None, grouping: bool = True,
-                 group_size: Optional[int] = None) -> None:
+                 backend=None) -> None:
         self.jobs = max(1, int(jobs))
-        #: apply the batch grouping law (repro.engine.batching) when
-        #: executing; off exists for differential testing only — both
-        #: settings produce byte-identical results and records.
-        self.grouping = bool(grouping)
-        if group_size is not None and int(group_size) < 1:
-            raise EngineError(
-                f"group_size must be >= 1, got {group_size}"
-            )
-        #: optional cap on batch size under the grouping law
-        #: (`repro bench --group-size`); None means unbounded.
-        self.group_size = None if group_size is None else int(group_size)
         self.cache = TraceCache(cache_dir, backend=backend)
         self.stats = EngineStats()
         self._trace_payloads: Dict[TraceKey, dict] = {}
@@ -306,9 +255,6 @@ class Engine:
         self._kernels: Dict[TraceKey, KernelInstance] = {}
         self._kernel_runs: Dict[TraceKey, KernelRun] = {}
         self._cycles: Dict[RunSpec, CycleResult] = {}
-        #: (workload, scale) -> placement memo shared across the batch
-        #: (every seed / latency variant of one program + geometry).
-        self._placement_pools: Dict[Tuple[str, str], Dict] = {}
 
     # -- traces ----------------------------------------------------------
     def _compute_trace(self, key: TraceKey) -> None:
@@ -392,15 +338,9 @@ class Engine:
                 short, scale, _seed = key
                 workload = get_workload(short)
                 cdfg = workload.build(workload.sizes(scale))
-            kernel = KernelInstance(
+            self._kernels[key] = KernelInstance(
                 cdfg, DynamicTrace.from_payload(payload)
             )
-            if self.grouping:
-                short, scale, _seed = key
-                kernel.share_placements(
-                    self._placement_pools.setdefault((short, scale), {})
-                )
-            self._kernels[key] = kernel
         return self._kernels[key]
 
     def kernel_run(self, workload: Workload, scale: str = "small",
@@ -455,27 +395,14 @@ class Engine:
 
         if pending:
             order = list(pending)
-            if self.grouping:
-                # Batch-compatible specs (same program + geometry, see
-                # repro.engine.batching) run adjacently so they feed one
-                # shared placement pool / kernel memo back to back.
-                order = [
-                    spec for batch in group_specs(order, self.group_size)
-                    for spec in batch.specs
-                ]
             self._ensure_traces({spec.trace_key() for spec in order})
             if self.jobs > 1 and len(order) > 1:
                 needed = {spec.trace_key() for spec in order}
                 traces = {k: self._trace_payloads[k] for k in needed}
                 # Group a kernel's specs into one chunk so each worker
-                # builds (and analyses) as few kernel instances as
-                # possible — and, under the grouping law, so a batch's
-                # members land on one worker's shared placement pool.
+                # builds (and analyses) as few kernel instances as possible.
                 items = sorted(
-                    enumerate(order),
-                    key=lambda item: (batch_key(item[1]),
-                                      item[1].trace_key())
-                    if self.grouping else item[1].trace_key(),
+                    enumerate(order), key=lambda item: item[1].trace_key()
                 )
                 workers = min(self.jobs, len(order))
                 chunk = -(-len(items) // workers)
@@ -720,25 +647,12 @@ class BenchProfiler:
 
     def phase(self, name: str, fn: Callable[[], object], *,
               specs: Optional[int] = None) -> object:
-        """Run ``fn`` as the named phase; returns its result.
-
-        Alongside the :class:`EngineStats` delta, any batch data-plane
-        activity (``repro.sim.batch`` — schedule-tape record, follower
-        replay, vectorized evaluation) that occurred in-process during
-        the phase is reported as a ``batch_split`` dict of
-        :class:`~repro.sim.batch.BatchStats` deltas, so a
-        ``simulate:batch`` phase splits record vs replay vs vector-eval
-        time.  Phases with no batch activity omit the key.
-        """
-        from repro.sim.batch import batch_stats
-
+        """Run ``fn`` as the named phase; returns its result."""
         before = self.engine.stats.as_dict()
-        batch_before = batch_stats().as_dict()
         start = time.perf_counter()
         result = fn()
         seconds = time.perf_counter() - start
         after = self.engine.stats.as_dict()
-        batch_after = batch_stats().as_dict()
         record: Dict[str, object] = {
             "phase": name,
             "seconds": seconds,
@@ -747,12 +661,6 @@ class BenchProfiler:
                 for key in after if after[key] != before[key]
             },
         }
-        batch_split = {
-            key: batch_after[key] - batch_before[key]
-            for key in batch_after if batch_after[key] != batch_before[key]
-        }
-        if batch_split:
-            record["batch_split"] = batch_split
         if specs is not None:
             record["specs"] = specs
         self.phases.append(record)
@@ -763,39 +671,21 @@ class BenchProfiler:
         """The engine-side phases of a profiled bench run.
 
         One ``trace`` phase ensures every distinct functional trace is
-        resident (the expensive part on a cold cache); then every spec
-        that shares its batch (program + geometry, the grouping law in
-        ``repro.engine.batching``) with at least one other is priced in
-        a single ``simulate:batch`` phase, and the remaining singletons
-        get one ``simulate:<model>`` phase per architecture model.  Each
-        spec is executed exactly once across the partitions, so the
-        reassembled result list is exactly what one ``execute(specs)``
-        batch returns.
+        resident (the expensive part on a cold cache), then one
+        ``simulate:<model>`` phase per architecture model prices that
+        model's specs.  Each spec is executed exactly once across the
+        partitions, so the reassembled result list is exactly what one
+        ``execute(specs)`` batch returns.
         """
         self.phase(
             "trace", lambda: self.engine.prefetch_traces(specs),
             specs=len({spec.trace_key() for spec in specs}),
         )
-        results: List[Optional[RunResult]] = [None] * len(specs)
-        solo: List[Tuple[int, RunSpec]] = []
-        batched: List[Tuple[int, RunSpec]] = []
-        for batch in group_specs(specs, self.engine.group_size):
-            target = batched if self.engine.grouping and len(batch) > 1 \
-                else solo
-            target.extend(zip(batch.indices, batch.specs))
-        if batched:
-            batch_specs = [spec for _index, spec in batched]
-            outcomes = self.phase(
-                "simulate:batch",
-                lambda: self.engine.execute(batch_specs),
-                specs=len(batched),
-            )
-            for (index, _spec), outcome in zip(batched, outcomes):
-                results[index] = outcome
         by_model: Dict[str, List[Tuple[int, RunSpec]]] = {}
-        for index, spec in sorted(solo):
+        for index, spec in enumerate(specs):
             label = spec.model.label or spec.model.model
             by_model.setdefault(label, []).append((index, spec))
+        results: List[Optional[RunResult]] = [None] * len(specs)
         for label, items in by_model.items():
             subspecs = [spec for _index, spec in items]
             outcomes = self.phase(

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -116,25 +115,6 @@ class ArrayProgram:
 
     def total_entries(self) -> int:
         return sum(len(p) for p in self.pe_programs.values())
-
-    def fingerprint(self) -> str:
-        """Content hash of the full array configuration.
-
-        Every structural component (TriggerEntry, DataInstruction,
-        ControlDirective, Operand, Dest) is a frozen dataclass whose
-        repr deterministically covers all fields, so hashing a sorted
-        canonical rendering identifies the program exactly.  Used to
-        key shared schedule tapes across cohorts (sim/batch.py).
-        """
-        parts: List[str] = [f"n_pes={self.n_pes}"]
-        for pe in sorted(self.pe_programs):
-            for entry in self.pe_programs[pe]:
-                parts.append(f"pe{pe}:{entry!r}")
-        parts.append(f"initial={sorted(self.initial_addrs.items())!r}")
-        parts.append(f"arrays={sorted(self.array_table.items())!r}")
-        parts.append(f"reg_init={sorted(self.reg_init.items())!r}")
-        blob = "\n".join(parts).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
 
     def validate(self) -> None:
         """Cross-reference checks: initial addresses exist; sender targets

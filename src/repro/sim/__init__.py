@@ -8,15 +8,12 @@ the CS-Benes control network and the data mesh.  It executes
 validate the mechanisms cycle-by-cycle (configuration hidden behind
 computation, loop pipelining, branch steering).
 
-Three stepping strategies share one behaviour: the default event-driven
-fast path (active-PE scheduling + cycle skipping), the naive
-poll-everything reference kept for differential testing, and the batch
-strategy (:func:`repro.sim.batch.simulate_batch`) that runs N data
-variants of one program in lockstep behind a single instrumented leader
-— see ``docs/ENGINE.md`` ("Performance") and ``tests/test_sim_event.py``.
+Two stepping strategies share one behaviour: the default event-driven
+fast path (active-PE scheduling + cycle skipping) and the naive
+poll-everything reference, kept for differential testing — see
+``docs/ENGINE.md`` ("Performance") and ``tests/test_sim_event.py``.
 """
 
-from repro.sim.batch import BatchRun, simulate_batch
 from repro.sim.fifo import Fifo
 from repro.sim.memory import Scratchpad
 from repro.sim.events import (
@@ -43,6 +40,4 @@ __all__ = [
     "ArraySimulator",
     "SimulationResult",
     "STRATEGIES",
-    "BatchRun",
-    "simulate_batch",
 ]

@@ -29,13 +29,6 @@ Two stepping strategies produce bit-identical results:
   exactly;
 * ``strategy="naive"`` is the reference stepper (every PE, every cycle),
   kept for differential testing — see ``tests/test_sim_event.py``.
-
-A third strategy, ``"batch"``, shares the event stepper's schedule but
-exists for cohorts: :func:`repro.sim.batch.simulate_batch` runs N data
-variants of one program in lockstep (leader + vectorized followers).  A
-single :class:`ArraySimulator` run under ``strategy="batch"`` is a
-cohort of one — the leader alone — so it executes the event loop and
-stays bit-identical to both other strategies.
 """
 
 from __future__ import annotations
@@ -62,7 +55,7 @@ from repro.sim.memory import Scratchpad
 from repro.sim.pe import MarionettePE
 
 #: Stepping strategies accepted by :class:`ArraySimulator`.
-STRATEGIES = ("event", "naive", "batch")
+STRATEGIES = ("event", "naive")
 
 
 @dataclass
@@ -168,8 +161,6 @@ class ArraySimulator:
         if self.strategy == "naive":
             cycle = self._run_naive(max_cycles, halt_messages)
         else:
-            # "event", and "batch" degenerating to its leader-only case
-            # (a cohort of one run; see repro.sim.batch).
             cycle = self._run_event(max_cycles, halt_messages)
         return self._finalize(cycle)
 

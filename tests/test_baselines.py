@@ -5,7 +5,9 @@ built from; the invariant tests sweep every model over every workload.
 """
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.arch.params import ArchParams
@@ -20,6 +22,10 @@ from repro.baselines import (
     VonNeumannModel,
 )
 from repro.baselines.base import KernelInstance
+from repro.compiler.place import place_block
+from repro.ir.builder import KernelBuilder
+from repro.ir.interp import Interpreter
+from repro.ir.ops import OpClass
 from repro.workloads import ALL_WORKLOADS, INTENSIVE_WORKLOADS, get_workload
 
 
@@ -132,6 +138,34 @@ class TestMechanisms:
         merged = branchy.ops_of_blocks(blocks, merge_arms=True)
         full = branchy.ops_of_blocks(blocks, merge_arms=False)
         assert merged < full
+
+    def test_placement_memo_keys_on_the_nonlinear_pool(self):
+        """``placement_ii`` memoises ``place_block``, which also reads
+        ``nonlinear_pes``: four nonlinear ops in one body place at a
+        different II on four nonlinear PEs than on one, and one kernel
+        instance queried both ways must answer both ways."""
+        k = KernelBuilder("nonlinear_body")
+        k.array("x")
+        k.array("o")
+        with k.loop("i", 0, 8) as i:
+            k.store("o", i, k.exp(k.sigmoid(k.log(k.exp(k.load("x", i))))))
+        cdfg = k.build()
+        trace = Interpreter(cdfg).run(
+            {"x": np.ones(8), "o": np.zeros(8)}
+        ).trace
+        kernel = KernelInstance(cdfg, trace)
+        body = next(
+            block for block in cdfg.blocks
+            if any(node.info.op_class is OpClass.NONLINEAR
+                   for node in block.dfg.fu_nodes)
+        )
+        expected = {}
+        for pes in (4, 1, 4, 1):
+            params = replace(ArchParams(), nonlinear_pes=pes)
+            expected[pes] = place_block(body, params).ii
+            assert kernel.placement_ii(body.block_id, params) \
+                == expected[pes]
+        assert expected[1] > expected[4]
 
 
 class TestInvariants:

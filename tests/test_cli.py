@@ -75,32 +75,6 @@ class TestCli:
                      "--format", "json", "--stats"]) == 2
         assert "phased execution would skew" in capsys.readouterr().err
 
-    def test_group_size_must_be_at_least_one(self, capsys):
-        assert main(["bench", "--scale", "tiny",
-                     "--group-size", "0"]) == 2
-        assert "must be at least 1" in capsys.readouterr().err
-        assert main(["bench", "--scale", "tiny",
-                     "--group-size", "-3"]) == 2
-        assert "must be at least 1" in capsys.readouterr().err
-
-    def test_group_size_rejected_with_no_group(self, capsys):
-        # Bounding groups and disabling grouping contradict each other;
-        # refuse rather than pick a winner silently.
-        assert main(["bench", "--scale", "tiny", "--no-group",
-                     "--group-size", "4"]) == 2
-        assert "pick one" in capsys.readouterr().err
-
-    def test_group_flags_leave_report_bytes_unchanged(self, capsys):
-        assert main(["bench", "--scale", "tiny",
-                     "--format", "json"]) == 0
-        baseline = capsys.readouterr().out
-        assert main(["bench", "--scale", "tiny", "--format", "json",
-                     "--group-size", "1"]) == 0
-        assert capsys.readouterr().out == baseline
-        assert main(["bench", "--scale", "tiny", "--format", "json",
-                     "--no-group"]) == 0
-        assert capsys.readouterr().out == baseline
-
     def test_arch_and_arch_sweep_mutually_exclusive(self, capsys):
         assert main(["bench", "--scale", "tiny",
                      "--arch", "examples/arch/marionette_default.json",
@@ -248,6 +222,13 @@ class TestKernelCli:
     def test_run_missing_directory_exits_two(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nowhere")]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_run_batch_strategy_exits_two(self, capsys):
+        # Only the event stepper and its naive reference exist.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "examples/kernels/saxpy", "--strategy", "batch"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_init_scaffold_validates_and_refuses_overwrite(
             self, tmp_path, capsys):

@@ -282,7 +282,7 @@ class TestExportAndDifferential:
         package = package_from_workload(Sigmoid(), "tiny", seed=0)
         reports = {
             strategy: run_kernel(package, strategy=strategy)
-            for strategy in ("event", "naive", "batch")
+            for strategy in ("event", "naive")
         }
         assert all(r.passed for r in reports.values())
         documents = {
@@ -291,7 +291,6 @@ class TestExportAndDifferential:
             for strategy, report in reports.items()
         }
         assert documents["event"] == documents["naive"]
-        assert documents["batch"] == documents["naive"]
 
     def test_failing_package_reports_first_bad_index(self):
         document = _saxpy_document()
@@ -529,7 +528,7 @@ class TestShippedExamples:
         regenerated = package_from_workload(Sigmoid(), "tiny", seed=0)
         assert committed.fingerprint() == regenerated.fingerprint()
 
-    @pytest.mark.parametrize("strategy", ["event", "naive", "batch"])
+    @pytest.mark.parametrize("strategy", ["event", "naive"])
     def test_every_example_passes_on_the_array(self, strategy):
         for _path, package in load_kernel_suite(EXAMPLES_DIR):
             report = run_kernel(package, strategy=strategy)
@@ -540,19 +539,18 @@ class TestShippedExamples:
 
     def test_examples_grade_identically_under_every_strategy(self):
         """Cross-strategy property: each shipped package produces the
-        same graded document (modulo the strategy tag) under the naive,
-        event, and batch steppers, and its engine cache identity is a
-        pure function of content — the strategy never enters the
+        same graded document (modulo the strategy tag) under the naive
+        and event steppers, and its engine cache identity is a pure
+        function of content — the strategy never enters the
         fingerprint-addressed records."""
         for _path, package in load_kernel_suite(EXAMPLES_DIR):
             documents = {}
-            for strategy in ("naive", "event", "batch"):
+            for strategy in ("naive", "event"):
                 report = run_kernel(package, strategy=strategy)
                 document = report.to_document()
                 assert document.pop("strategy") == strategy
                 documents[strategy] = document
             assert documents["event"] == documents["naive"], package.name
-            assert documents["batch"] == documents["naive"], package.name
             # Fingerprint-addressed identity: cache keys name content
             # only, so a record written under one strategy is the same
             # record any other strategy would address.

@@ -1,4 +1,4 @@
-"""Differential tests: all stepping strategies vs the naive reference.
+"""Differential tests: event-driven stepping vs the naive reference.
 
 ``ArraySimulator(strategy="event")`` must be *indistinguishable* from
 ``strategy="naive"`` — identical cycle counts, identical
@@ -9,11 +9,10 @@ randomized timing parameters.  The naive stepper polls every PE every
 cycle, so any event the fast path's scheduler misses shows up here as a
 divergence.
 
-The batch simulator (:func:`repro.sim.batch.simulate_batch`) extends
-the same law to cohorts: every member of a lockstep batch — at sizes
-1, 2, and 8, with per-member data, under truncation, zero-trip loops,
-data-divergent branches (the replay fallback), and randomized timing —
-must be bit-identical to its own standalone naive run.
+The batch classes extend the same law to many members of one compiled
+program: at sizes 1, 2 and 8, with per-member data, every member's
+event run must equal its own naive run while all of the members'
+simulators share the program's PE tables.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from repro.isa.data import DataInstruction
 from repro.isa.operands import Dest, Operand
 from repro.isa.program import ArrayProgram, TriggerEntry
 from repro.sim.array import ArraySimulator
-from repro.sim.batch import BatchRun, simulate_batch
 
 from test_sim_array import branch_program, vec_mul_program
 
@@ -46,46 +44,43 @@ BATCH_SIZES = (1, 2, 8)
 # ----------------------------------------------------------------------
 # Harness
 # ----------------------------------------------------------------------
+def _loaded(params, program, arrays, strategy):
+    sim = ArraySimulator(params, program, strategy=strategy)
+    for name, values in (arrays or {}).items():
+        sim.load_array(name, values)
+    return sim
+
+
 def run_both(params, program, arrays=None, *, halt_messages=999,
              max_cycles=200_000):
     """One naive and one event simulation of the same program."""
     results = {}
     for strategy in ("naive", "event"):
-        sim = ArraySimulator(params, program, strategy=strategy)
-        for name, values in (arrays or {}).items():
-            sim.load_array(name, values)
+        sim = _loaded(params, program, arrays, strategy)
         results[strategy] = sim.run(
             halt_messages=halt_messages, max_cycles=max_cycles
         )
     return results["naive"], results["event"]
 
 
-def run_naive(params, program, arrays=None, *, halt_messages=999,
-              max_cycles=200_000):
-    """One naive simulation (the per-member batch reference)."""
-    sim = ArraySimulator(params, program, strategy="naive")
-    for name, values in (arrays or {}).items():
-        sim.load_array(name, values)
-    return sim.run(halt_messages=halt_messages, max_cycles=max_cycles)
-
-
 def assert_batch_matches_naive(params, program, member_arrays, *,
                                halt_messages=999, max_cycles=200_000):
-    """Simulate the members as one lockstep batch and check each against
-    its own standalone naive run (the three-way law: naive == event is
-    covered elsewhere, so batch == naive closes the triangle)."""
-    batch = simulate_batch(
-        params, program,
-        [BatchRun(arrays=arrays) for arrays in member_arrays],
-        halt_messages=halt_messages, max_cycles=max_cycles,
-    )
-    assert len(batch) == len(member_arrays)
-    for member, arrays in zip(batch, member_arrays):
-        reference = run_naive(
-            params, program, arrays,
-            halt_messages=halt_messages, max_cycles=max_cycles,
-        )
-        assert_identical(reference, member)
+    """Build a naive and an event simulator for every member over the one
+    shared program before any of them runs, then run them all: each
+    member's event run must equal its naive run, so no state leaks
+    between live simulators through the program's PE tables."""
+    members = [
+        (_loaded(params, program, arrays, "naive"),
+         _loaded(params, program, arrays, "event"))
+        for arrays in member_arrays
+    ]
+    assert len(members) == len(member_arrays)
+    for naive_sim, event_sim in members:
+        naive = naive_sim.run(halt_messages=halt_messages,
+                              max_cycles=max_cycles)
+        event = event_sim.run(halt_messages=halt_messages,
+                              max_cycles=max_cycles)
+        assert_identical(naive, event)
 
 
 def assert_identical(naive, event):
@@ -312,10 +307,8 @@ def _member_inputs(name, n, rng, count):
 def data_branch_program(params, n):
     """loop -> load A[i] -> LT-branch on A[i] steering PE3 -> store.
 
-    The branch outcome depends on the *data*, so batch members with
-    different ``A`` images take different control schedules — the
-    lockstep replay must detect the divergence and fall back to exact
-    per-member simulation."""
+    The branch outcome depends on the *data*, so different ``A`` images
+    take different control schedules through the steered PE."""
     program = ArrayProgram(params.n_pes)
     program.declare_array(0, "A", 0, n)
     program.declare_array(1, "OUT", n, n)
@@ -396,6 +389,19 @@ class TestHandwrittenProgramEquivalence:
         naive, event = run_both(params, branch_program(params, n))
         assert_identical(naive, event)
 
+    @pytest.mark.parametrize("seed", [0, 7, 19])
+    def test_data_divergent_branches(self, params, seed):
+        """Data-dependent branch outcomes: each element steers PE3 down
+        either arm, so the control schedule follows the data."""
+        n = 24
+        values = np.random.default_rng(seed).integers(0, 50, n)
+        naive, event = run_both(params, data_branch_program(params, n),
+                                {"A": values})
+        assert_identical(naive, event)
+        out = naive.scratchpad.dump_array(n, n)
+        expected = np.where(values < 25, values * 2, values + 10)
+        assert list(out) == list(expected)
+
     def test_halt_on_first_message(self, params):
         program = vec_mul_program(params, 6)
         arrays = {"A": np.ones(6), "B": np.ones(6)}
@@ -442,8 +448,8 @@ class TestHandwrittenProgramEquivalence:
 
 
 class TestBatchLockstepEquivalence:
-    """batch == naive on every member (naive == event is proved above,
-    so these close the three-way ``naive == event == batch`` matrix)."""
+    """event == naive on every member of a batch that shares one compiled
+    program (per-member data, sizes 1, 2 and 8)."""
 
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
     @pytest.mark.parametrize("name", sorted(WORKLOAD_KERNELS))
@@ -457,8 +463,8 @@ class TestBatchLockstepEquivalence:
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
     @pytest.mark.parametrize("max_cycles", [1, 2, 13, 37, 64])
     def test_truncated_runs(self, params, max_cycles, batch_size):
-        """max-cycles truncation must stop every member at exactly the
-        same state the standalone steppers stop at."""
+        """max-cycles truncation must stop every member's two steppers
+        at exactly the same state."""
         n = 12
         program = vec_mul_program(params, n)
         members = [
@@ -490,20 +496,6 @@ class TestBatchLockstepEquivalence:
         assert_batch_matches_naive(
             params, program, members, halt_messages=1
         )
-
-    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-    def test_divergent_branches_fall_back_exactly(self, params,
-                                                  batch_size):
-        """Members whose data steers different branch arms leave the
-        lockstep schedule — the replay must detect it and re-simulate
-        those members with the exact event stepper."""
-        n = 24
-        program = data_branch_program(params, n)
-        rng = np.random.default_rng(7)
-        members = [
-            {"A": rng.integers(0, 50, n)} for _ in range(batch_size)
-        ]
-        assert_batch_matches_naive(params, program, members)
 
     def test_fifo_pressure(self, params):
         tight = replace(params, control_fifo_depth=1)
@@ -551,9 +543,10 @@ class TestRandomizedParameterEquivalence:
 
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
     def test_batch_latency_sweep_never_diverges(self, batch_size):
-        """The same 25-trial property under lockstep batching: random
-        timing parameters, program shapes, truncation points, and
-        per-member data — every member must match its naive run."""
+        """The same 25-trial property over batches that share one
+        program: random timing parameters, program shapes, truncation
+        points, and per-member data — every member's event run must
+        match its naive run."""
         rng = random.Random(0xB7 + batch_size)
         data_rng = np.random.default_rng(13)
         for _trial in range(25):
@@ -595,9 +588,10 @@ class TestEventStrategySurface:
         assert sim.strategy == "event"
 
     def test_unknown_strategy_rejected(self, params):
-        with pytest.raises(SimulationError, match="strategy"):
-            ArraySimulator(params, vec_mul_program(params, 4),
-                           strategy="turbo")
+        for strategy in ("turbo", "batch"):
+            with pytest.raises(SimulationError, match="strategy"):
+                ArraySimulator(params, vec_mul_program(params, 4),
+                               strategy=strategy)
 
     def test_utilization_counters_account_every_cycle(self, params):
         """Lazily billed idle cycles must still sum to the run length
