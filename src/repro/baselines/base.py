@@ -44,6 +44,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.errors import CompilationError
 from repro.arch.params import ArchParams
+from repro.compiler.place import place_block
 from repro.ir.analysis import LoopDynamics, loop_dynamics
 from repro.ir.cdfg import CDFG, LoopNest
 from repro.ir.cfg import BlockId, BlockRole, Branch
@@ -63,7 +64,6 @@ class KernelInstance:
         self.dynamics: Dict[BlockId, LoopDynamics] = loop_dynamics(cdfg, trace)
         self.nests = cdfg.loop_nests()
         self._arm_groups = self._find_arm_groups()
-        self._placement_ii: Dict[Tuple[BlockId, int, int, int], int] = {}
         self._recurrence: Dict[BlockId, int] = {}
         self._threaded: Dict[BlockId, int] = {}
         self._serial_sibling: Dict[BlockId, bool] = {}
@@ -257,16 +257,8 @@ class KernelInstance:
         """II one block's DFG sustains when spatially mapped on the grid
         (FU sharing + mesh congestion), shared by every execution model so
         that mapping quality does not skew the architecture comparison.
-
-        The memo key covers every parameter the II reads: the grid
-        geometry and the size of the nonlinear-capable PE pool."""
-        key = (block_id, params.rows, params.cols, params.nonlinear_pes)
-        if key not in self._placement_ii:
-            from repro.compiler.place import place_block
-
-            placement = place_block(self.cdfg.block(block_id), params)
-            self._placement_ii[key] = placement.ii
-        return self._placement_ii[key]
+        :func:`~repro.compiler.place.place_block` memoises the placement."""
+        return place_block(self.cdfg.block(block_id), params).ii
 
     # -- loop-carried recurrences -----------------------------------------
     def recurrence_chain(self, nest: LoopNest) -> int:

@@ -11,9 +11,13 @@ from repro.ir.cfg import BlockId
 from repro.ir.dfg import NodeId
 
 
-@dataclass
+@dataclass(frozen=True)
 class BBPlacement:
     """One basic block mapped onto a set of PEs.
+
+    Frozen: the placement memo hands one instance to every caller that
+    places the same block on the same inputs, so nothing may mutate it
+    (reshape and unroll build new placements).
 
     Attributes:
         block: The block being mapped.
@@ -37,11 +41,7 @@ class BBPlacement:
     @property
     def pes(self) -> List[Coord]:
         """Distinct PEs used, in first-use order."""
-        seen: List[Coord] = []
-        for coord in self.assignment.values():
-            if coord not in seen:
-                seen.append(coord)
-        return seen
+        return list(dict.fromkeys(self.assignment.values()))
 
     @property
     def n_pes(self) -> int:

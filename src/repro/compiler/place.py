@@ -6,7 +6,14 @@ Greedy producer-proximity placement with a local-search improvement pass:
    the free PE minimising the Manhattan distance to its producers' PEs
    (falling back to round-robin sharing once PEs run out — resource
    time-multiplexing raises the II).
-2. A bounded pairwise-swap pass reduces total wirelength.
+2. A bounded pairwise-swap pass minimises ``(link congestion,
+   wirelength)``.  The objective is kept incrementally: per-link load
+   counts, a load histogram for the running maximum, and the running
+   wirelength, over integer PE indices and cached XY link lists.  A swap
+   re-routes only the edges incident to the swapped pair, and a rejected
+   swap re-routes them back, so each candidate costs O(its edges) instead
+   of a full re-route while the pass visits the same candidates in the
+   same order as a from-scratch evaluation would.
 3. The placed edges are routed on the mesh (XY); the initiation interval is
    ``max(ops-per-PE, link congestion)`` and the drain is the DFG critical
    path plus the longest routed transfer.
@@ -14,15 +21,23 @@ Greedy producer-proximity placement with a local-search improvement pass:
 Nonlinear operators (LOG/EXP/...) must land on nonlinear-capable PEs — the
 prototype has four (Table 4); placement reserves the last PEs of the region
 for them.
+
+:func:`place_block` is a lookup in one process-wide LRU memo.  The key is
+everything placement reads: the block's structural fingerprint (its id plus
+``(opcode, operands)`` per DFG node), :attr:`ArchParams.placement_inputs`,
+and the region.  A built CDFG is never mutated, so entries need no
+invalidation; a hand-edited block simply fingerprints differently.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import PlacementError
 from repro.arch.network.mesh import DataMesh
-from repro.arch.params import ArchParams
+from repro.arch.params import ArchParams, PlacementInputs
 from repro.arch.topology import Coord, Grid
 from repro.ir.cfg import BasicBlock
 from repro.ir.dfg import NodeId
@@ -32,11 +47,17 @@ from repro.compiler.mapping import BBPlacement
 #: Cap on the pairwise-swap improvement pass.
 _SWAP_ROUNDS = 2
 
+#: Entries kept by the placement memo (least recently used evicted first).
+#: A small-scale arch sweep places about 440 distinct inputs.
+_MEMO_SIZE = 2048
 
-def _nonlinear_capable(grid: Grid, params: ArchParams) -> List[Coord]:
+_MEMO: "OrderedDict[tuple, BBPlacement]" = OrderedDict()
+
+
+def _nonlinear_capable(grid: Grid, nonlinear_pes: int) -> List[Coord]:
     """The nonlinear-fitting PEs: the tail of the row-major order."""
     coords = list(grid)
-    return coords[len(coords) - params.nonlinear_pes:]
+    return coords[len(coords) - nonlinear_pes:]
 
 
 def place_block(
@@ -48,10 +69,34 @@ def place_block(
 
     Returns a :class:`BBPlacement` whose II reflects FU sharing and mesh
     congestion.  Raises :class:`PlacementError` when the region is empty or
-    nonlinear ops cannot be honoured.
+    nonlinear ops cannot be honoured, and
+    :class:`~repro.errors.ConfigurationError` for a region coordinate
+    outside the array.  Equal inputs share one (frozen) placement instance.
     """
-    grid = Grid(params.rows, params.cols)
-    region_list = list(region) if region is not None else list(grid)
+    inputs = params.placement_inputs
+    grid = Grid(inputs.rows, inputs.cols)
+    pes = (tuple(range(grid.size)) if region is None
+           else tuple(grid.index(c) for c in region))
+    key = (
+        block.block_id,
+        tuple((node.opcode, node.operands) for node in block.dfg.nodes),
+        inputs,
+        pes,
+    )
+    placement = _MEMO.get(key)
+    if placement is not None:
+        _MEMO.move_to_end(key)
+        return placement
+    placement = _place(block, inputs, grid, [grid.coord(i) for i in pes])
+    _MEMO[key] = placement
+    if len(_MEMO) > _MEMO_SIZE:
+        _MEMO.popitem(last=False)
+    return placement
+
+
+def _place(block: BasicBlock, inputs: PlacementInputs, grid: Grid,
+           region_list: List[Coord]) -> BBPlacement:
+    """The uncached placement behind :func:`place_block`."""
     if not region_list:
         raise PlacementError(f"block {block.name!r}: empty placement region")
 
@@ -59,8 +104,10 @@ def place_block(
     if not fu_nodes:
         return BBPlacement(block.block_id, {}, ii=1, depth_cycles=0)
 
+    region_set = set(region_list)
     nonlinear_pool = [
-        c for c in _nonlinear_capable(grid, params) if c in set(region_list)
+        c for c in _nonlinear_capable(grid, inputs.nonlinear_pes)
+        if c in region_set
     ]
     needs_nonlinear = [
         n for n in fu_nodes if n.info.op_class is OpClass.NONLINEAR
@@ -93,9 +140,9 @@ def place_block(
         assignment[node.node_id] = best
         load[best] += 1
 
-    _improve(assignment, block, grid, params)
+    _improve(assignment, block, grid)
 
-    mesh = DataMesh(grid, hop_latency=params.mesh_hop_latency)
+    mesh = DataMesh(grid, hop_latency=inputs.mesh_hop_latency)
     longest_transfer = 0
     op_ids = set(assignment)
     for node in fu_nodes:
@@ -116,61 +163,130 @@ def place_block(
     )
 
 
+@lru_cache(maxsize=1 << 14)  # every PE pair of an 8x8 array, four times
+def _xy_links(rows: int, cols: int, src: int, dst: int) -> Tuple[int, ...]:
+    """The links of the XY route between two row-major PE indices.
+
+    A link is ``4 * pe + direction`` (east, west, south, north), which
+    keeps ids of arrays up to 8x8 among Python's shared small ints."""
+    grid = Grid(rows, cols)
+    path = grid.xy_path(grid.coord(src), grid.coord(dst))
+    return tuple(
+        4 * (a.row * cols + a.col)
+        + (0 if b.col > a.col else 1 if b.col < a.col
+           else 2 if b.row > a.row else 3)
+        for a, b in zip(path, path[1:])
+    )
+
+
+class _LinkLoads:
+    """Link loads of a multiset of XY-routed edges between PE indices.
+
+    Tracks what :class:`DataMesh` would report after routing the same
+    edges from scratch — ``congestion_ii`` and the summed hop count — but
+    supports removing an edge, so a swap re-routes only what it moved.
+    """
+
+    def __init__(self, grid: Grid) -> None:
+        self._rows, self._cols = grid.rows, grid.cols
+        self._load = [0] * (4 * grid.size)
+        #: ``_count[k]``: links currently carrying exactly ``k`` edges
+        self._count = [0]
+        self._peak = 0
+        self._wire = 0
+
+    def add(self, src: int, dst: int) -> None:
+        links = _xy_links(self._rows, self._cols, src, dst)
+        self._wire += len(links)
+        load, count = self._load, self._count
+        for link in links:
+            k = load[link] + 1
+            load[link] = k
+            count[k - 1] -= 1
+            if k == len(count):
+                count.append(0)
+            count[k] += 1
+            if k > self._peak:
+                self._peak = k
+
+    def remove(self, src: int, dst: int) -> None:
+        links = _xy_links(self._rows, self._cols, src, dst)
+        self._wire -= len(links)
+        load, count = self._load, self._count
+        for link in links:
+            k = load[link]
+            load[link] = k - 1
+            count[k] -= 1
+            count[k - 1] += 1
+            if k == self._peak and not count[k]:
+                self._peak = k - 1
+
+    def objective(self) -> Tuple[int, int]:
+        """``(congestion II, wirelength)``, as a fresh re-route reports."""
+        return (max(1, self._peak), self._wire)
+
+
 def _improve(assignment: Dict[NodeId, Coord], block: BasicBlock,
-             grid: Grid, params: ArchParams) -> None:
+             grid: Grid) -> None:
     """Bounded pairwise swap pass minimising (link congestion, wirelength).
 
     Congestion is the binding term: a link shared by k routed edges forces
     the initiation interval to k, so trading wirelength for a lower maximum
-    link load is always worth it.
+    link load is always worth it.  Nonlinear ops never swap with ordinary
+    ones, so they stay in the nonlinear pool.
     """
-    edges: List[Tuple[NodeId, NodeId]] = []
-    mapped = set(assignment)
+    nodes = list(assignment)
+    slot = {node_id: i for i, node_id in enumerate(nodes)}
+    edges: List[Tuple[int, int]] = []
     for node in block.dfg.fu_nodes:
         for operand in node.operands:
-            if operand in mapped:
-                edges.append((operand, node.node_id))
+            if operand in slot:
+                edges.append((slot[operand], slot[node.node_id]))
     if not edges:
         return
 
-    def objective() -> Tuple[int, int]:
-        mesh = DataMesh(grid, hop_latency=params.mesh_hop_latency)
-        wire = 0
-        for a, b in edges:
-            src, dst = assignment[a], assignment[b]
-            if src == dst:
-                continue
-            mesh.route(src, dst)
-            wire += src.manhattan(dst)
-        return (mesh.congestion_ii(), wire)
+    cols = grid.cols
+    pe = [c.row * cols + c.col for c in assignment.values()]
+    nonlinear = [
+        block.dfg.node(node_id).info.op_class is OpClass.NONLINEAR
+        for node_id in nodes
+    ]
+    incident: List[List[int]] = [[] for _ in nodes]
+    for index, (a, b) in enumerate(edges):
+        incident[a].append(index)
+        incident[b].append(index)
 
-    nodes = list(assignment)
-    current = objective()
+    book = _LinkLoads(grid)
+    for a, b in edges:
+        book.add(pe[a], pe[b])
+
+    def reroute(i: int, j: int, moved: List[Tuple[int, int]]) -> None:
+        """Swap the PEs of slots ``i`` and ``j``, re-routing ``moved``."""
+        for a, b in moved:
+            book.remove(pe[a], pe[b])
+        pe[i], pe[j] = pe[j], pe[i]
+        for a, b in moved:
+            book.add(pe[a], pe[b])
+
+    current = book.objective()
     for _ in range(_SWAP_ROUNDS):
         improved = False
-        for i, a in enumerate(nodes):
-            for b in nodes[i + 1:]:
-                if assignment[a] == assignment[b]:
+        for i in range(len(nodes)):
+            for j in range(i + 1, len(nodes)):
+                if pe[i] == pe[j] or nonlinear[i] != nonlinear[j]:
                     continue
-                if _swap_illegal(block, a, b):
-                    continue
-                assignment[a], assignment[b] = assignment[b], assignment[a]
-                candidate = objective()
+                moved = [edges[e] for e in
+                         dict.fromkeys(incident[i] + incident[j])]
+                reroute(i, j, moved)
+                candidate = book.objective()
                 if candidate < current:
                     current = candidate
                     improved = True
                 else:
-                    assignment[a], assignment[b] = (
-                        assignment[b], assignment[a]
-                    )
+                    reroute(i, j, moved)
         if not improved:
             break
 
-
-def _swap_illegal(block: BasicBlock, a: NodeId, b: NodeId) -> bool:
-    """Nonlinear ops may not leave the nonlinear pool via swapping."""
-    node_a = block.dfg.node(a)
-    node_b = block.dfg.node(b)
-    a_nl = node_a.info.op_class is OpClass.NONLINEAR
-    b_nl = node_b.info.op_class is OpClass.NONLINEAR
-    return a_nl != b_nl
+    coords = list(grid)
+    for node_id, index in zip(nodes, pe):
+        assignment[node_id] = coords[index]

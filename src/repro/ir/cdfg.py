@@ -8,7 +8,7 @@ basic blocks of each level and time-extending leftovers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import IRError
 from repro.ir.cfg import BasicBlock, BlockId, BlockRole, Branch, CFG, Halt, Jump
@@ -41,7 +41,13 @@ class LoopNest:
 
 
 class CDFG:
-    """A kernel: control flow graph + per-block data flow graphs."""
+    """A kernel: control flow graph + per-block data flow graphs.
+
+    A CDFG is sealed when :meth:`~repro.ir.builder.KernelBuilder.build`
+    returns it: nothing mutates its CFG or DFGs afterwards, so the
+    structural analyses below (loop nests, back edges, under-branch
+    blocks) are computed once and cached without invalidation.
+    """
 
     def __init__(self, name: str, cfg: CFG,
                  params: Sequence[str] = (),
@@ -53,6 +59,8 @@ class CDFG:
         #: scratchpad array names referenced by LOAD/STORE
         self.arrays: Tuple[str, ...] = tuple(arrays)
         self._loop_nests: Optional[Dict[BlockId, LoopNest]] = None
+        self._back_edges: Optional[FrozenSet[Tuple[BlockId, BlockId]]] = None
+        self._under_branch: Optional[FrozenSet[BlockId]] = None
 
     # ------------------------------------------------------------------
     # Convenience accessors
@@ -176,7 +184,7 @@ class CDFG:
                 out.append(block)
         return out
 
-    def under_branch_blocks(self) -> Set[BlockId]:
+    def under_branch_blocks(self) -> FrozenSet[BlockId]:
         """Blocks control-dependent on a non-loop branch (branch arms/merges
         reached before the merge point re-joins).
 
@@ -184,21 +192,27 @@ class CDFG:
         from exactly one of the two arms before reaching a common
         post-dominator are "under" the branch.  Builder roles give the same
         answer for builder-produced CDFGs; this stays correct for hand-built
-        graphs too.
+        graphs too.  Computed once and cached.
         """
-        under: Set[BlockId] = set()
-        for block in self.branch_blocks():
-            term = block.terminator
-            assert isinstance(term, Branch)
-            reach_true = self._forward_region(term.if_true, block.block_id)
-            reach_false = self._forward_region(term.if_false, block.block_id)
-            under |= reach_true.symmetric_difference(reach_false)
-        return under
+        if self._under_branch is None:
+            under: Set[BlockId] = set()
+            for block in self.branch_blocks():
+                term = block.terminator
+                assert isinstance(term, Branch)
+                reach_true = self._forward_region(term.if_true,
+                                                  block.block_id)
+                reach_false = self._forward_region(term.if_false,
+                                                   block.block_id)
+                under |= reach_true.symmetric_difference(reach_false)
+            self._under_branch = frozenset(under)
+        return self._under_branch
 
     def _forward_region(self, start: BlockId, stop: BlockId) -> Set[BlockId]:
         """Blocks reachable from ``start`` without passing through ``stop``
-        or traversing loop back edges."""
-        back = set(self.cfg.back_edges())
+        or traversing loop back edges (the back-edge set is cached)."""
+        if self._back_edges is None:
+            self._back_edges = frozenset(self.cfg.back_edges())
+        back = self._back_edges
         seen: Set[BlockId] = set()
         stack = [start]
         while stack:

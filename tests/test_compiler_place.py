@@ -1,17 +1,31 @@
 """Placement, routing, reshape, and pipeline-arithmetic tests."""
 
+import dataclasses
+import hashlib
+import json
+from contextlib import contextmanager
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import CompilationError, PlacementError
-from repro.arch.params import ArchParams
+from repro.errors import CompilationError, ConfigurationError, PlacementError
+from repro.arch.network.mesh import DataMesh
+from repro.arch.params import CONTROL_TOPOLOGIES, ArchParams, PlacementInputs
+from repro.arch.spec import load_arch_sweep
 from repro.arch.topology import Coord, Grid
+from repro.compiler import place
 from repro.compiler.mapping import BBPlacement
 from repro.compiler.pipeline import pipeline_cycles, serial_cycles, PipelineShape
-from repro.compiler.place import place_block
+from repro.compiler.place import _LinkLoads, place_block
 from repro.compiler.reshape import pe_waste, reshape_placement, unroll_placement
 from repro.compiler.route import route_placement
+from repro.compiler.schedule import MarionetteScheduler
 from repro.ir.builder import KernelBuilder
+from repro.workloads import ALL_WORKLOADS, get_workload
+
+GOLDEN_PLACEMENTS = Path(__file__).parent / "golden" / "placements.json"
+ARCH_DIR = Path(__file__).resolve().parents[1] / "examples" / "arch"
 
 
 def body_block(cdfg, name_fragment="body"):
@@ -44,6 +58,10 @@ class TestPlaceBlock:
     def test_empty_region_rejected(self, mac_block, params):
         with pytest.raises(PlacementError):
             place_block(mac_block, params, region=[])
+
+    def test_region_outside_the_array_rejected(self, mac_block, params):
+        with pytest.raises(ConfigurationError):
+            place_block(mac_block, params, [Coord(0, 0), Coord(0, 4)])
 
     def test_small_region_folds(self, mac_block, params):
         region = [Coord(0, 0), Coord(0, 1)]
@@ -84,6 +102,240 @@ class TestPlaceBlock:
         assert placement.depth_cycles >= (
             mac_block.dfg.critical_path_length()
         )
+
+
+@contextmanager
+def _empty_memo():
+    """Run with an empty placement memo; the memo is restored afterwards."""
+    saved = place._MEMO.copy()
+    place._MEMO.clear()
+    try:
+        yield
+    finally:
+        place._MEMO.clear()
+        place._MEMO.update(saved)
+
+
+def uncached(block, params: ArchParams) -> BBPlacement:
+    """``place_block`` computed from scratch, bypassing the memo."""
+    with _empty_memo():
+        return place_block(block, params)
+
+
+def _one_loop_body(name: str, body):
+    k = KernelBuilder(name)
+    k.array("x")
+    k.array("o")
+    with k.loop("i", 0, 8) as i:
+        k.store("o", i, body(k, k.load("x", i)))
+    return body_block(k.build())
+
+
+def _largest_block(name: str):
+    workload = get_workload(name)
+    cdfg = workload.build(workload.sizes("tiny"))
+    return max(cdfg.blocks, key=lambda block: block.op_count)
+
+
+@pytest.fixture(scope="module")
+def block_sample():
+    """Blocks with nonlinear ops, fan-in, and multi-PE routing."""
+    return [
+        # Four nonlinear ops in one body: its II depends on the pool size.
+        _one_loop_body(
+            "nonlinear_body",
+            lambda k, x: k.exp(k.sigmoid(k.log(k.exp(x)))),
+        ),
+        _one_loop_body("mac", lambda k, x: x * 3 + x * x),
+        _largest_block("fft"),
+        _largest_block("hough"),
+    ]
+
+
+#: The ``ArchParams`` fields placement reads, and all the others.
+KEY_FIELDS = tuple(f.name for f in dataclasses.fields(PlacementInputs))
+OTHER_FIELDS = tuple(
+    f.name for f in dataclasses.fields(ArchParams) if f.name not in KEY_FIELDS
+)
+#: Drawn key values stay small (placement is quadratic in the grid) and
+#: valid (every sampled grid holds four nonlinear PEs).
+KEY_RANGES = {
+    "rows": (2, 6), "cols": (2, 6), "nonlinear_pes": (1, 4),
+    "mesh_hop_latency": (1, 4),
+}
+KEY_VALUES = st.fixed_dictionaries({
+    name: st.integers(low, high) for name, (low, high) in KEY_RANGES.items()
+})
+OTHER_VALUES = st.fixed_dictionaries({
+    name: (st.sampled_from(CONTROL_TOPOLOGIES)
+           if name == "control_topology" else st.integers(1, 64))
+    for name in OTHER_FIELDS
+})
+#: One perturbation of the default per key field that moves a placement.
+KEY_PERTURBATIONS = {
+    "rows": 5, "cols": 5, "nonlinear_pes": 1, "mesh_hop_latency": 3,
+}
+
+
+class TestPlacementMemo:
+    """``place_block`` memoises on the block's structure, the
+    ``PlacementInputs`` projection, and the region: the key changes if and
+    only if the placement may."""
+
+    def test_key_fields_are_arch_fields(self):
+        fields = {f.name for f in dataclasses.fields(ArchParams)}
+        assert set(KEY_FIELDS) <= fields and OTHER_FIELDS
+        assert set(KEY_RANGES) == set(KEY_PERTURBATIONS) == set(KEY_FIELDS)
+
+    @settings(max_examples=25, deadline=None)
+    @given(key=KEY_VALUES, first=OTHER_VALUES, second=OTHER_VALUES)
+    def test_fields_outside_the_key_never_change_a_placement(
+            self, block_sample, key, first, second):
+        arch = ArchParams(**key, **first)
+        twin = ArchParams(**key, **second)
+        assert twin.placement_inputs == arch.placement_inputs
+        for block in block_sample:
+            cached = place_block(block, arch)
+            assert place_block(block, twin) is cached
+            assert uncached(block, twin) == cached
+
+    @pytest.mark.parametrize("field", KEY_FIELDS)
+    def test_every_key_field_changes_a_placement(self, block_sample, field):
+        base = ArchParams()
+        moved = dataclasses.replace(
+            base, **{field: KEY_PERTURBATIONS[field]}
+        )
+        before = [place_block(block, base) for block in block_sample]
+        after = [place_block(block, moved) for block in block_sample]
+        assert after == [uncached(block, moved) for block in block_sample]
+        assert after != before, (
+            f"{field} never changes a placement: a dead key field"
+        )
+
+    def test_equal_block_ids_with_other_opcodes_never_share(self, params):
+        add = _one_loop_body("twin", lambda k, x: x + x)
+        sub = _one_loop_body("twin", lambda k, x: x - x)
+        exp = _one_loop_body("twin", lambda k, x: k.exp(k.absolute(x)))
+        absolute = _one_loop_body("twin", lambda k, x: k.absolute(k.absolute(x)))
+        assert add.block_id == sub.block_id == exp.block_id \
+            == absolute.block_id
+        placements = [place_block(b, params) for b in (add, sub, exp, absolute)]
+        assert len({id(p) for p in placements}) == 4
+        for block, placement in zip((add, sub, exp, absolute), placements):
+            assert uncached(block, params) == placement
+        # A nonlinear op must reach the nonlinear pool: sharing the entry
+        # of the all-ALU twin would have placed it on an ordinary PE.
+        assert placements[2] != placements[3]
+
+    def test_region_order_is_part_of_the_key(self, mac_block, params):
+        region = list(Grid(params.rows, params.cols))
+        forward = place_block(mac_block, params, region)
+        backward = place_block(mac_block, params, region[::-1])
+        assert forward == uncached(mac_block, params)
+        with _empty_memo():
+            assert place_block(mac_block, params, region[::-1]) == backward
+        assert forward != backward
+
+
+class TestLinkLoads:
+    """The swap pass's incremental link book-keeping equals a fresh
+    :class:`DataMesh` re-route of the edges still placed."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(4, 4), (8, 8)]), st.data())
+    def test_matches_a_fresh_reroute(self, shape, data):
+        grid = Grid(*shape)
+        # Endpoints from a corner of the array, so routes overlap.
+        pe = st.integers(0, grid.size - 1).map(
+            lambda i: i if data.draw(st.booleans()) else i % 6
+        )
+        book = _LinkLoads(grid)
+        live = []
+        for _ in range(data.draw(st.integers(1, 40))):
+            if live and data.draw(st.booleans()):
+                book.remove(*live.pop(
+                    data.draw(st.integers(0, len(live) - 1))
+                ))
+            else:
+                edge = (data.draw(pe), data.draw(pe))
+                live.append(edge)
+                book.add(*edge)
+            mesh = DataMesh(grid)
+            wire = sum(
+                mesh.route(grid.coord(src), grid.coord(dst)).hops
+                for src, dst in live
+            )
+            assert book.objective() == (mesh.congestion_ii(), wire)
+
+
+def _placement_doc(placement: BBPlacement) -> dict:
+    return {
+        "block": placement.block,
+        "assignment": sorted(
+            [node, coord.row, coord.col]
+            for node, coord in placement.assignment.items()
+        ),
+        "ii": placement.ii,
+        "depth_cycles": placement.depth_cycles,
+        "unroll": placement.unroll,
+        "time_extended": placement.time_extended,
+    }
+
+
+def placements_digest(cdfg, params: ArchParams, enable_agile: bool) -> str:
+    """sha256 of the canonical JSON of one kernel's placements: the
+    scheduler's per-level and flat mappings (in scheduling order) plus the
+    whole-array placement of every block with ops."""
+    schedule = MarionetteScheduler(
+        params, enable_agile=enable_agile
+    ).schedule(cdfg)
+    document = {
+        "levels": [
+            {
+                "depth": level.depth,
+                "waste": level.waste,
+                "placements": [
+                    _placement_doc(p) for p in level.placements.values()
+                ],
+            }
+            for level in schedule.levels
+        ],
+        "flat": [_placement_doc(p) for p in schedule.flat.values()],
+        "whole_array": [
+            _placement_doc(place_block(block, params))
+            for block in cdfg.blocks if block.op_count > 0
+        ],
+    }
+    canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+class TestPlacementGolden:
+    """Every placement of the built-in workloads at ``small`` scale, on
+    every ``examples/arch`` variant, with and without agile expansion,
+    is locked by digest: the placer must visit the same candidates in the
+    same order.  Regenerate (and review why) with ``--update-golden``."""
+
+    def test_placements_match_golden(self, request):
+        digests = {}
+        for _path, desc in load_arch_sweep(ARCH_DIR):
+            for workload in ALL_WORKLOADS:
+                cdfg = workload.build(workload.sizes("small"))
+                for agile in (True, False):
+                    key = f"{workload.name}/{desc.name}/agile={agile}"
+                    digests[key] = placements_digest(
+                        cdfg, desc.params, agile
+                    )
+        if request.config.getoption("--update-golden"):
+            GOLDEN_PLACEMENTS.write_text(
+                json.dumps(digests, indent=2, sort_keys=True) + "\n",
+                encoding="utf-8",
+            )
+            return
+        golden = json.loads(GOLDEN_PLACEMENTS.read_text(encoding="utf-8"))
+        drifted = sorted(k for k in golden if digests.get(k) != golden[k])
+        assert set(digests) == set(golden)
+        assert not drifted, f"placements drifted: {drifted}"
 
 
 class TestRoutePlacement:
