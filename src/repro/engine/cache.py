@@ -62,7 +62,9 @@ from repro.errors import ConfigurationError
 #: v3: the architecture-description layer added ``control_topology`` to
 #: every params token, so every cycle-record key changed shape; the bump
 #: makes the orphaned v2 records reclaimable instead of invisible.
-ENGINE_VERSION = 3
+#: v4: a trace record holds the entry block and the edge table instead
+#: of the per-step run list, so v3 trace records are never read.
+ENGINE_VERSION = 4
 
 #: Append-only per-run statistics log kept next to the records.
 RUN_LOG_NAME = "runs.jsonl"

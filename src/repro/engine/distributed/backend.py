@@ -180,11 +180,14 @@ def http_json(method: str, url: str, body: Optional[object] = None,
             raw = response.read()
             status = response.status
     except urllib.error.HTTPError as error:
-        raw = error.read()
         status = error.code
         if status == 404:
             return status, None
-        detail = _error_detail(raw) or error.reason
+        try:
+            detail = _error_detail(error.read()) or error.reason
+        except (OSError, http.client.HTTPException):
+            # The server died mid-body; its status line still answers.
+            detail = error.reason
         raise DistributedError(
             f"{method} {url} failed: HTTP {status} ({detail})"
         ) from error

@@ -22,7 +22,7 @@ from repro.ir.cfg import (
 from repro.ir.cdfg import CDFG, LoopNest
 from repro.ir.builder import KernelBuilder, Value
 from repro.ir.interp import ExecutionResult, Interpreter
-from repro.ir.trace import DynamicTrace, Run
+from repro.ir.trace import DynamicTrace
 
 __all__ = [
     "Opcode",
@@ -45,5 +45,4 @@ __all__ = [
     "Interpreter",
     "ExecutionResult",
     "DynamicTrace",
-    "Run",
 ]

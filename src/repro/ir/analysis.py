@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from repro.ir.cdfg import CDFG, LoopNest
-from repro.ir.cfg import BlockId, BlockRole, Branch
+from repro.ir.cfg import BlockId, Branch
 from repro.ir.trace import DynamicTrace
 
 
@@ -37,7 +37,6 @@ class ControlFlowProfile:
     max_branch_nesting: int
     ops_under_branch_pct: float
     innermost_burst_ops_pct: float
-    mean_innermost_run: float
 
     def table1_row(self) -> Dict[str, str]:
         """Qualitative Table 1 style description."""
@@ -120,24 +119,6 @@ def innermost_burst_fraction(cdfg: CDFG, trace: DynamicTrace) -> float:
     return trace.dynamic_ops_in(cdfg, inner) / total
 
 
-def mean_innermost_run_length(cdfg: CDFG, trace: DynamicTrace) -> float:
-    """Average burst length over innermost loop-body blocks."""
-    inner = innermost_loop_blocks(cdfg)
-    body_blocks = [
-        bid for bid in inner
-        if cdfg.block(bid).role is BlockRole.LOOP_BODY
-        or cdfg.block(bid).op_count > 0
-    ]
-    lengths = [
-        trace.mean_run_length(bid)
-        for bid in body_blocks
-        if trace.execs_of(bid) > 0
-    ]
-    if not lengths:
-        return 0.0
-    return sum(lengths) / len(lengths)
-
-
 @dataclass(frozen=True)
 class LoopDynamics:
     """Dynamic behaviour of one natural loop.
@@ -168,9 +149,8 @@ def loop_dynamics(cdfg: CDFG, trace: DynamicTrace) -> Dict[BlockId, LoopDynamics
     """Per-loop entry and iteration counts from the dynamic trace.
 
     Entries are counted as trace edges into the header from outside the loop
-    body; iterations as back edges (latch -> header).  Requires the trace's
-    edge counts, which are complete because the builder never creates
-    single-block self loops.
+    body; iterations as back edges (latch -> header, a self-edge when the
+    loop is a single block).
     """
     out: Dict[BlockId, LoopDynamics] = {}
     for header, nest in cdfg.loop_nests().items():
@@ -209,5 +189,4 @@ def profile(cdfg: CDFG, trace: DynamicTrace) -> ControlFlowProfile:
         max_branch_nesting=branch_nesting_depth(cdfg),
         ops_under_branch_pct=100.0 * ops_under_branch_fraction(cdfg, trace),
         innermost_burst_ops_pct=100.0 * innermost_burst_fraction(cdfg, trace),
-        mean_innermost_run=mean_innermost_run_length(cdfg, trace),
     )

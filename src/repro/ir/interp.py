@@ -11,7 +11,8 @@ Two execution engines share one semantics:
 
 Both engines execute blocks in node-creation order (a topological order that
 equals program order), apply live-out bindings to the environment at block
-end, and follow terminators until ``Halt``.
+end, and follow terminators until ``Halt``, counting every taken transfer
+into the :class:`~repro.ir.trace.DynamicTrace` edge table.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from repro.errors import InterpreterError
 from repro.ir.cdfg import CDFG
-from repro.ir.cfg import BasicBlock, BlockId, Branch, Halt, Jump
+from repro.ir.cfg import BasicBlock, Branch, Jump
 from repro.ir.dfg import DFG
 from repro.ir.ops import Opcode, op_info
 from repro.ir.trace import DynamicTrace
@@ -197,7 +198,6 @@ class Interpreter:
         params: Optional[Mapping[str, float]] = None,
         *,
         max_steps: int = 50_000_000,
-        collect_trace: bool = True,
     ) -> ExecutionResult:
         """Execute the kernel.
 
@@ -205,7 +205,6 @@ class Interpreter:
             memory: array name -> 1-D numpy array; copied before execution.
             params: runtime scalar parameters (must cover ``cdfg.params``).
             max_steps: block-execution budget (guards non-termination).
-            collect_trace: record the dynamic BB trace (small overhead).
 
         Returns:
             :class:`ExecutionResult` with final memory, environment, trace.
@@ -230,21 +229,20 @@ class Interpreter:
             mem[name] = array.copy()
 
         env: Dict[str, float] = dict(params)
-        trace = DynamicTrace(self.cdfg.name)
         steps = 0
-        bid: Optional[BlockId] = self.cdfg.entry
-
         blocks = self.cdfg.blocks
         programs = self._programs
-        while bid is not None:
+        # Taken transfers, flattened: edges[src * n_blocks + dst].
+        n_blocks = len(blocks)
+        edges = [0] * (n_blocks * n_blocks)
+        bid = self.cdfg.entry
+        while True:
             steps += 1
             if steps > max_steps:
                 raise InterpreterError(
                     f"kernel {self.cdfg.name!r} exceeded {max_steps} block "
                     "executions; non-terminating?"
                 )
-            if collect_trace:
-                trace.record(bid)
             block = blocks[bid]
             if programs is not None:
                 try:
@@ -258,12 +256,17 @@ class Interpreter:
                 cond = self._walk_block(block, env, mem)
             term = block.terminator
             if isinstance(term, Jump):
-                bid = term.target
+                succ = term.target
             elif isinstance(term, Branch):
-                bid = term.if_true if cond else term.if_false
+                succ = term.if_true if cond else term.if_false
             else:
-                bid = None
-        trace.finish()
+                break
+            edges[bid * n_blocks + succ] += 1
+            bid = succ
+        trace = DynamicTrace(self.cdfg.name, self.cdfg.entry, {
+            divmod(index, n_blocks): count
+            for index, count in enumerate(edges) if count
+        })
         return ExecutionResult(mem, env, trace, steps)
 
     # ------------------------------------------------------------------

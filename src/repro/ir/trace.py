@@ -1,153 +1,55 @@
 """Dynamic execution traces.
 
-The functional interpreter records the sequence of executed basic blocks as
-**runs** ``(block, count)`` — maximal stretches of consecutive executions of
-the same block.  Runs are exactly the unit the architecture timing models
-price: a run of an innermost loop-body block is one pipelined burst; a
-transition between different blocks is a control flow transfer.
+A kernel execution is recorded as its **edge table**: how many times
+control transferred from block ``src`` to block ``dst`` (a block that
+re-executes itself takes a self-edge), plus the block execution started
+in.  The table is everything the architecture timing models read:
+per-block execution counts are its column sums (plus one for the entry
+block), and a loop's entries and iterations are the edges into its
+header from outside and from inside its body.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Mapping, Set, Tuple
 
 from repro.ir.cdfg import CDFG
 from repro.ir.cfg import BlockId
 
 
-@dataclass(frozen=True)
-class Run:
-    """``count`` consecutive executions of block ``block``."""
-
-    block: BlockId
-    count: int
-
-
 class DynamicTrace:
-    """Aggregated dynamic behaviour of one kernel execution."""
+    """Aggregated dynamic behaviour of one kernel execution.
 
-    def __init__(self, kernel: str) -> None:
+    Args:
+        kernel: name of the executed kernel.
+        entry: the block execution started in.
+        edge_counts: taken control transfers ``(src, dst) -> count``,
+            self-edges included.
+    """
+
+    def __init__(self, kernel: str, entry: BlockId,
+                 edge_counts: Mapping[Tuple[BlockId, BlockId], int]) -> None:
         self.kernel = kernel
-        self.runs: List[Run] = []
-        self.exec_counts: Dict[BlockId, int] = {}
-        self.edge_counts: Dict[Tuple[BlockId, BlockId], int] = {}
-        self._open_block: Optional[BlockId] = None
-        self._open_count = 0
-        # Lazily built per-block query indices.  The timing models walk
-        # ``runs_of``/``mean_run_length`` once per block per model — on
-        # a sweep that is thousands of full-list scans of the same
-        # finished trace, so the first query folds the run list into a
-        # per-block index + closed-form (runs, execs) aggregates, and
-        # later queries are O(1).  Recording invalidates them.
-        self._runs_index: Optional[Dict[BlockId, List[Run]]] = None
-        self._run_aggregates: Optional[
-            Dict[BlockId, Tuple[int, int]]
-        ] = None
-        # id(cdfg) -> (cdfg, total ops); the strong reference pins the
-        # CDFG so its id cannot be recycled under the memo.
-        self._dyn_ops: Dict[int, Tuple[CDFG, int]] = {}
-
-    # ------------------------------------------------------------------
-    # Recording (used by the interpreter)
-    # ------------------------------------------------------------------
-    def record(self, block: BlockId) -> None:
-        """Record one execution of ``block``.
-
-        The common case — another execution of the block already open —
-        is a single integer bump: the run's contribution to
-        ``exec_counts`` is folded in when the run *closes* (a different
-        block arrives, or :meth:`finish`).  The interpreter's inner loop
-        therefore does no dict churn while a block re-executes, and
-        ``exec_counts`` / ``edge_counts`` are complete only once the
-        trace is finished (which is when every consumer reads them —
-        the engine caches finished traces only).  ``execs_of`` and
-        ``total_block_execs`` do account for the still-open run, so
-        those two stay exact even mid-recording.
-        """
-        if block == self._open_block:
-            self._open_count += 1
-            return
-        self._close_open_run(block)
-        self._open_block = block
-        self._open_count = 1
-
-    def _close_open_run(self, successor: Optional[BlockId]) -> None:
-        """Fold the open run into runs/exec_counts (+ the taken edge)."""
-        block = self._open_block
-        if block is None:
-            return
-        self._runs_index = None
-        self._run_aggregates = None
-        self._dyn_ops.clear()
-        self.runs.append(Run(block, self._open_count))
-        self.exec_counts[block] = (
-            self.exec_counts.get(block, 0) + self._open_count
+        self.entry = entry
+        self.edge_counts: Dict[Tuple[BlockId, BlockId], int] = dict(
+            edge_counts
         )
-        if successor is not None:
-            self.edge_counts[(block, successor)] = (
-                self.edge_counts.get((block, successor), 0) + 1
-            )
+        self.exec_counts: Dict[BlockId, int] = {entry: 1}
+        for (_src, dst), count in self.edge_counts.items():
+            self.exec_counts[dst] = self.exec_counts.get(dst, 0) + count
 
-    def finish(self) -> None:
-        """Flush the open run; called once when execution halts."""
-        self._close_open_run(None)
-        self._open_block = None
-        self._open_count = 0
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
     @property
     def total_block_execs(self) -> int:
-        return sum(self.exec_counts.values()) + self._open_count
+        return sum(self.exec_counts.values())
 
     def execs_of(self, block: BlockId) -> int:
-        count = self.exec_counts.get(block, 0)
-        if block == self._open_block:
-            count += self._open_count
-        return count
-
-    def _index_runs(self) -> Dict[BlockId, List[Run]]:
-        if self._runs_index is None:
-            index: Dict[BlockId, List[Run]] = {}
-            aggregates: Dict[BlockId, Tuple[int, int]] = {}
-            for run in self.runs:
-                index.setdefault(run.block, []).append(run)
-                count, total = aggregates.get(run.block, (0, 0))
-                aggregates[run.block] = (count + 1, total + run.count)
-            self._runs_index = index
-            self._run_aggregates = aggregates
-        return self._runs_index
-
-    def runs_of(self, block: BlockId) -> List[Run]:
-        return self._index_runs().get(block, [])
-
-    def run_stats_of(self, block: BlockId) -> Tuple[int, int]:
-        """Closed-form ``(number of runs, total executions)`` of a block.
-
-        The algebraic form of what the analytical models used to derive
-        by walking :attr:`runs` — burst counts and burst volumes fall
-        out of one cached fold instead of a scan per query.
-        """
-        self._index_runs()
-        assert self._run_aggregates is not None
-        return self._run_aggregates.get(block, (0, 0))
-
-    def transitions(self) -> int:
-        """Number of block-to-block control transfers (run boundaries)."""
-        return max(0, len(self.runs) - 1)
+        return self.exec_counts.get(block, 0)
 
     def dynamic_op_count(self, cdfg: CDFG) -> int:
-        """Total FU operations executed (memoised per CDFG)."""
-        memo = self._dyn_ops.get(id(cdfg))
-        if memo is not None and memo[0] is cdfg:
-            return memo[1]
-        total = sum(
+        """Total FU operations executed."""
+        return sum(
             cdfg.block(bid).op_count * n for bid, n in self.exec_counts.items()
         )
-        self._dyn_ops[id(cdfg)] = (cdfg, total)
-        return total
 
     def dynamic_ops_in(self, cdfg: CDFG, blocks: Iterable[BlockId]) -> int:
         """FU operations executed within the given block set."""
@@ -158,24 +60,14 @@ class DynamicTrace:
             if bid in wanted
         )
 
-    def mean_run_length(self, block: BlockId) -> float:
-        """Average burst length of ``block`` (pipeline depth opportunity)."""
-        count, total = self.run_stats_of(block)
-        if not count:
-            return 0.0
-        return total / count
-
     # ------------------------------------------------------------------
     # Serialization (the engine's on-disk trace cache)
     # ------------------------------------------------------------------
     def to_payload(self) -> Dict[str, object]:
-        """JSON-safe image of a *finished* trace."""
+        """JSON-safe image of the trace; its size is O(edges)."""
         return {
             "kernel": self.kernel,
-            "runs": [[r.block, r.count] for r in self.runs],
-            "exec_counts": {
-                str(b): n for b, n in sorted(self.exec_counts.items())
-            },
+            "entry": self.entry,
             "edge_counts": [
                 [src, dst, n]
                 for (src, dst), n in sorted(self.edge_counts.items())
@@ -185,30 +77,15 @@ class DynamicTrace:
     @classmethod
     def from_payload(cls, payload: Dict[str, object]) -> "DynamicTrace":
         """Inverse of :meth:`to_payload`."""
-        trace = cls(str(payload["kernel"]))
-        trace.runs = [
-            Run(int(block), int(count)) for block, count in payload["runs"]
-        ]
-        trace.exec_counts = {
-            int(b): int(n) for b, n in dict(payload["exec_counts"]).items()
-        }
-        trace.edge_counts = {
-            (int(src), int(dst)): int(n)
-            for src, dst, n in payload["edge_counts"]
-        }
-        return trace
-
-    def validate(self) -> None:
-        """Internal consistency: runs must sum to exec counts."""
-        per_block: Dict[BlockId, int] = {}
-        for run in self.runs:
-            per_block[run.block] = per_block.get(run.block, 0) + run.count
-        assert per_block == self.exec_counts, (
-            "trace runs disagree with execution counts"
+        return cls(
+            str(payload["kernel"]),
+            int(payload["entry"]),
+            {(int(src), int(dst)): int(n)
+             for src, dst, n in payload["edge_counts"]},
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"DynamicTrace({self.kernel}: {len(self.runs)} runs, "
+            f"DynamicTrace({self.kernel}: {len(self.edge_counts)} edges, "
             f"{self.total_block_execs} block execs)"
         )

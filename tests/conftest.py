@@ -15,28 +15,6 @@ def pytest_addoption(parser):
         help="regenerate the tests/golden/*.json experiment snapshots "
              "instead of comparing against them",
     )
-    parser.addoption(
-        "--paper-scale", action="store_true", default=False,
-        help="also run the paper-scale golden lane (several minutes; "
-             "see docs/ENGINE.md 'Performance' for the CI recipe)",
-    )
-
-
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers",
-        "paper_scale: slow paper-scale experiment regression "
-        "(deselected unless --paper-scale is given)",
-    )
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--paper-scale"):
-        return
-    skip = pytest.mark.skip(reason="needs --paper-scale")
-    for item in items:
-        if "paper_scale" in item.keywords:
-            item.add_marker(skip)
 
 
 @pytest.fixture

@@ -1532,6 +1532,35 @@ class TestFleetReliability:
             thread.join(timeout=10)
             listener.close()
 
+    def test_server_death_mid_miss_is_still_a_miss(self):
+        # The same death after a 404's headers: a cache miss needs no
+        # body, so the caller gets its miss instead of a raw
+        # IncompleteRead that kills the worker thread.
+        from repro.engine.distributed.backend import http_json
+
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        port = listener.getsockname()[1]
+
+        def half_miss():
+            conn, _addr = listener.accept()
+            conn.recv(65536)
+            conn.sendall(b"HTTP/1.0 404 Not Found\r\n"
+                         b"Content-Type: application/json\r\n"
+                         b"Content-Length: 100\r\n\r\n{\"er")
+            conn.close()
+
+        thread = threading.Thread(target=half_miss, daemon=True)
+        thread.start()
+        try:
+            assert http_json("GET", f"http://127.0.0.1:{port}/cache/ab",
+                             timeout=10.0) == (404, None)
+        finally:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            listener.close()
+
     def test_worker_rides_out_a_transient_outage(self, fast_backoff):
         class FlakyClient:
             base_url = "stub://flaky"

@@ -1,18 +1,14 @@
-"""Paper-scale golden regression lane (slow; opt-in).
+"""Paper-scale golden regression.
 
-The ``small``-scale snapshots in ``test_golden_experiments.py`` catch
-model drift cheaply on every run; this lane replays all nine
-experiments at the paper's own workload sizes and pins them to
-snapshots under ``tests/golden/paper/``.  It takes minutes, so it is
-deselected by default and run as its own CI lane:
-
-    PYTHONPATH=src python -m pytest tests/test_golden_paper.py \
-        --paper-scale -q
+The ``small``-scale snapshots in ``test_golden_experiments.py`` pin the
+models at unit-test sizes; this module replays all nine experiments at
+the paper's own workload sizes and pins them to snapshots under
+``tests/golden/paper/``.  It runs with the rest of the suite.
 
 Regenerating after an intentional change:
 
     PYTHONPATH=src python -m pytest tests/test_golden_paper.py \
-        --paper-scale --update-golden
+        --update-golden
 
 The comparison is exact (JSON round-trip, repr-faithful floats), same
 as the small-scale lane.
@@ -35,8 +31,6 @@ GOLDEN_DIR = Path(__file__).parent / "golden" / "paper"
 SCALE = "paper"
 SEED = 0
 
-pytestmark = pytest.mark.paper_scale
-
 
 @pytest.fixture(scope="module")
 def results() -> Dict[str, object]:
@@ -58,13 +52,12 @@ def test_golden_paper(slug, results, request):
         return
     assert path.exists(), (
         f"missing snapshot {path}; generate it with "
-        f"pytest tests/test_golden_paper.py --paper-scale "
-        f"--update-golden"
+        f"pytest tests/test_golden_paper.py --update-golden"
     )
     golden = json.loads(path.read_text(encoding="utf-8"))
     drift = _first_difference(golden, payload)
     assert payload == golden, (
         f"{slug} drifted from its paper-scale golden snapshot (first "
         f"difference: {drift}); if intentional, regenerate with "
-        f"--paper-scale --update-golden and review the diff"
+        f"--update-golden and review the diff"
     )

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.ir import analysis
+from repro.ir.cdfg import CDFG
+from repro.ir.cfg import BlockRole, Branch, CFG, Halt, Jump
 from repro.ir.interp import Interpreter
+from repro.ir.ops import Opcode
 from repro.workloads import get_workload
 
 
@@ -81,6 +84,30 @@ class TestLoopDynamics:
         dynamics = analysis.loop_dynamics(cdfg, result.trace)
         assert all(d.entries == 0 for d in dynamics.values())
         assert all(d.mean_trip_count == 0.0 for d in dynamics.values())
+
+    def test_single_block_loop_counts_its_self_edges(self):
+        # entry -> spin (re-executes itself while i < n) -> done; the
+        # builder never emits this shape, so the graph is built by hand.
+        cfg = CFG()
+        entry = cfg.new_block("entry")
+        spin = cfg.new_block("spin", BlockRole.LOOP_HEADER)
+        done = cfg.new_block("done", BlockRole.EXIT)
+        entry.outputs["i"] = entry.dfg.const(0)
+        entry.terminator = Jump(spin.block_id)
+        step = spin.dfg.add(
+            Opcode.ADD, (spin.dfg.input("i"), spin.dfg.const(1))
+        )
+        spin.outputs["i"] = step
+        more = spin.dfg.add(Opcode.LT, (step, spin.dfg.input("n")))
+        spin.terminator = Branch(more, spin.block_id, done.block_id,
+                                 is_loop_branch=True)
+        done.terminator = Halt()
+        cdfg = CDFG("spin", cfg, params=("n",))
+        result = _run(cdfg, {}, {"n": 5})
+        assert result.trace.execs_of(spin.block_id) == 5
+        loop = analysis.loop_dynamics(cdfg, result.trace)[spin.block_id]
+        assert loop.entries == 1
+        assert loop.total_iterations == 4        # four back edges
 
 
 class TestProfile:

@@ -66,7 +66,6 @@ class TestTrace:
     def test_trace_counts_match(self, imperfect_kernel, spmv_inputs):
         memory, params, expected = spmv_inputs
         result = Interpreter(imperfect_kernel).run(memory, params)
-        result.trace.validate()
         assert np.array_equal(result.array("out"), expected)
         # Outer loop body executes once per row.
         bodies = [
@@ -75,20 +74,15 @@ class TestTrace:
         ]
         assert result.trace.execs_of(bodies[0]) == 4
 
-    def test_trace_disabled(self, saxpy_kernel):
-        result = Interpreter(saxpy_kernel).run(
-            {"x": np.zeros(2), "y": np.zeros(2)}, {"n": 2},
-            collect_trace=False,
-        )
-        assert result.trace.runs == []
-
     def test_edge_counts_sum_to_transitions(self, branchy_kernel):
         result = Interpreter(branchy_kernel).run(
             {"a": np.arange(8), "b": np.arange(8)[::-1].copy(),
              "o": np.zeros(8)}, {"n": 8},
         )
         trace = result.trace
-        assert sum(trace.edge_counts.values()) == trace.transitions()
+        assert trace.entry == branchy_kernel.entry
+        assert result.steps == trace.total_block_execs \
+            == 1 + sum(trace.edge_counts.values())
 
 
 @st.composite
@@ -139,5 +133,7 @@ class TestEngineEquivalence:
         compiled = Interpreter(cdfg, engine="compiled").run(memory, params)
         walking = Interpreter(cdfg, engine="walking").run(memory, params)
         assert np.array_equal(compiled.array("o"), walking.array("o"))
+        assert compiled.trace.edge_counts == walking.trace.edge_counts
         assert compiled.trace.exec_counts == walking.trace.exec_counts
+        assert compiled.steps == walking.steps
         assert compiled.env == walking.env
