@@ -374,6 +374,7 @@ class _Handler(BaseHTTPRequestHandler):
                     time.sleep(0.05)
                 time.sleep(server.verdict_window)
                 server.shutdown()
+                server.server_close()
 
             threading.Thread(target=_stop_when_drained,
                              daemon=True).start()

@@ -2,12 +2,16 @@
 
 Two execution engines share one semantics:
 
-* the **compiled** engine translates each basic block to a Python function
-  once (a per-block template JIT) — fast enough to run the paper-sized
-  workloads of Table 5;
+* the **compiled** engine translates a whole CDFG into one Python
+  function (cached per CDFG and per tuple of array storage kinds) — fast
+  enough to run the paper-sized workloads of Table 5.  Environment
+  variables are locals, blocks dispatch through a binary tree over block
+  ids inside one loop, edge counts are local counters, and int64/float64
+  arrays run as Python lists that go back to numpy at halt (other dtypes
+  keep numpy storage);
 * the **walking** engine dispatches on :mod:`repro.ir.ops` evaluate
-  functions node by node — slow, but independent, and used by tests to
-  cross-check the compiled engine.
+  functions node by node over numpy memory — slow, but independent, and
+  used by tests as the reference for the compiled engine.
 
 Both engines execute blocks in node-creation order (a topological order that
 equals program order), apply live-out bindings to the environment at block
@@ -17,8 +21,10 @@ into the :class:`~repro.ir.trace.DynamicTrace` edge table.
 
 from __future__ import annotations
 
+import functools
+import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -26,11 +32,10 @@ import numpy as np
 from repro.errors import InterpreterError
 from repro.ir.cdfg import CDFG
 from repro.ir.cfg import BasicBlock, Branch, Jump
-from repro.ir.dfg import DFG
 from repro.ir.ops import Opcode, op_info
 from repro.ir.trace import DynamicTrace
 
-#: opcodes inlined as Python operators by the block compiler
+#: opcodes inlined as Python operators by the kernel compiler
 _INLINE_BINOPS = {
     Opcode.ADD: "+",
     Opcode.SUB: "-",
@@ -66,117 +71,215 @@ def _oob(kernel: str, block: str, array: str, index: int) -> None:
     )
 
 
-class _BlockProgram:
-    """A basic block compiled to a Python callable.
+def _int64_overflow() -> None:
+    # numpy's message for an int64 element assignment out of range
+    raise OverflowError("Python int too large to convert to C long")
 
-    The callable has signature ``fn(env, memory) -> cond`` where ``cond`` is
-    the branch condition value (or ``None`` for jumps/halts); live-out
-    variables are written into ``env`` directly.
+
+#: Array storage kinds of the compiled engine: int64 and float64 arrays
+#: run as Python lists, any other dtype keeps numpy storage.
+_LIST_KINDS = {np.dtype(np.int64): "int", np.dtype(np.float64): "float"}
+
+
+def _compile(cdfg: CDFG, kinds: Tuple[str, ...]) -> Callable:
+    """Translate ``cdfg`` into one Python function over ``kinds`` storage.
+
+    The function has signature ``fn(env, mem, max_steps) -> (steps,
+    edge_counts, env)``: ``env`` holds the parameters on entry and the
+    final environment on return, and ``mem`` maps array name to its
+    storage (a list for the ``"int"``/``"float"`` kinds, else the numpy
+    array), updated in place.  Environment variables are locals, blocks
+    dispatch through a binary tree over block ids inside one loop, and
+    every taken edge ``(src, dst)`` bumps its own local counter.
     """
+    blocks = cdfg.blocks
+    kind_of = dict(zip(cdfg.arrays, kinds))
+    namespace: Dict[str, object] = {"_oob": _oob,
+                                    "_int64_overflow": _int64_overflow}
+    arrays: Dict[str, int] = {}
+    variables: Dict[str, str] = {}
+    edges: Dict[Tuple[int, int], str] = {}
+    #: block id -> its name and its live-in reads, in node order
+    reads: Dict[int, Tuple[str, List[Tuple[str, str]]]] = {}
 
-    def __init__(self, kernel: str, block: BasicBlock) -> None:
-        self.block = block
-        self.fn = self._compile(kernel, block)
+    def var(name: str) -> str:
+        return variables.setdefault(name, f"e{len(variables)}")
 
-    @staticmethod
-    def _compile(kernel: str, block: BasicBlock) -> Callable:
-        dfg = block.dfg
-        lines: List[str] = [f"def _bb(env, memory):"]
-        body: List[str] = []
-        helpers: Dict[str, object] = {"_oob": _oob}
-        array_vars: Dict[str, str] = {}
+    def counter(src: int, dst: int) -> str:
+        return edges.setdefault((src, dst), f"c{src}_{dst}")
 
-        def arr_var(name: str) -> str:
-            if name not in array_vars:
-                array_vars[name] = f"_m{len(array_vars)}"
-            return array_vars[name]
-
-        for node in dfg.nodes:
-            v = f"v{node.node_id}"
-            ops = [f"v{o}" for o in node.operands]
-            opcode = node.opcode
+    def block_source(block: BasicBlock) -> List[str]:
+        where = f"{cdfg.name!r}, {block.name!r}"
+        block_reads: List[Tuple[str, str]] = []
+        reads[block.block_id] = (block.name, block_reads)
+        term = block.terminator
+        nodes = block.dfg.nodes
+        used = {o for node in nodes for o in node.operands}
+        used.update(block.outputs.values())
+        refs: Dict[int, str] = {}
+        lines: List[str] = []
+        for node in nodes:
+            nid, opcode = node.node_id, node.opcode
+            ops = [refs[o] for o in node.operands]
             if opcode is Opcode.CONST:
-                body.append(f"{v} = {node.value!r}")
-            elif opcode is Opcode.INPUT:
-                body.append(f"{v} = env[{node.var!r}]")
-            elif opcode is Opcode.LOAD:
-                m = arr_var(node.array)
-                body.append(f"_i = int({ops[0]})")
-                body.append(
-                    f"if not 0 <= _i < {m}.shape[0]: "
-                    f"_oob({kernel!r}, {block.name!r}, {node.array!r}, _i)"
-                )
-                body.append(f"{v} = {m}[_i].item()")
-            elif opcode is Opcode.STORE:
-                m = arr_var(node.array)
-                body.append(f"_i = int({ops[0]})")
-                body.append(
-                    f"if not 0 <= _i < {m}.shape[0]: "
-                    f"_oob({kernel!r}, {block.name!r}, {node.array!r}, _i)"
-                )
-                body.append(f"{m}[_i] = {ops[1]}")
+                value = node.value
+                if type(value) in (int, bool) or (
+                        type(value) is float and math.isfinite(value)):
+                    refs[nid] = f"({value!r})"
+                else:  # inf, nan, numpy scalars: no literal spelling
+                    refs[nid] = f"_k{len(namespace)}"
+                    namespace[refs[nid]] = value
+                continue
+            refs[nid] = f"v{nid}"
+            if opcode is Opcode.INPUT:
+                expr = var(node.var)
+                block_reads.append((node.var, expr))
+            elif opcode is Opcode.LOAD or opcode is Opcode.STORE:
+                array = node.array
+                if array not in arrays:
+                    arrays[array] = len(arrays)
+                m = f"m{arrays[array]}"
+                lines.append(f"_i = int({ops[0]})")
+                lines.append(f"if not 0 <= _i < n{arrays[array]}: "
+                             f"_oob({where}, {array!r}, _i)")
+                kind = kind_of[array]
+                if opcode is Opcode.LOAD:
+                    expr = f"{m}[_i].item()" if kind == "numpy" \
+                        else f"{m}[_i]"
+                elif kind == "int":
+                    lines.append(f"_v = int({ops[1]})")
+                    lines.append("if not -0x8000000000000000 <= _v <= "
+                                 "0x7fffffffffffffff: _int64_overflow()")
+                    lines.append(f"{m}[_i] = _v")
+                    continue
+                else:
+                    value = f"float({ops[1]})" if kind == "float" \
+                        else ops[1]
+                    lines.append(f"{m}[_i] = {value}")
+                    continue
             elif opcode in _INLINE_BINOPS:
                 expr = f"{ops[0]} {_INLINE_BINOPS[opcode]} {ops[1]}"
                 if opcode in _COMPARE_OPS:
+                    if isinstance(term, Branch) and term.cond == nid \
+                            and nid not in used:
+                        # Only the branch reads it: test the bool directly.
+                        refs[nid] = expr
+                        continue
                     expr = f"int({expr})"
-                body.append(f"{v} = {expr}")
             elif opcode is Opcode.SELECT:
-                body.append(f"{v} = {ops[1]} if {ops[0]} else {ops[2]}")
-            elif opcode is Opcode.MIN:
-                body.append(f"{v} = min({ops[0]}, {ops[1]})")
+                expr = f"{ops[1]} if {ops[0]} else {ops[2]}"
+            elif opcode is Opcode.MIN:  # min(a, b) is b if b < a else a
+                expr = f"{ops[1]} if {ops[1]} < {ops[0]} else {ops[0]}"
             elif opcode is Opcode.MAX:
-                body.append(f"{v} = max({ops[0]}, {ops[1]})")
-            elif opcode is Opcode.ABS:
-                body.append(f"{v} = abs({ops[0]})")
+                expr = f"{ops[1]} if {ops[1]} > {ops[0]} else {ops[0]}"
             elif opcode is Opcode.NEG:
-                body.append(f"{v} = -{ops[0]}")
+                expr = f"-{ops[0]}"
             else:
                 # Delegate to the canonical evaluate function so both
                 # engines share one definition of the tricky semantics
                 # (C-style div/mod, 32-bit logic, nonlinear ops).
-                helper = f"_f{node.node_id}"
-                helpers[helper] = op_info(opcode).evaluate
-                body.append(f"{v} = {helper}({', '.join(ops)})")
-
-        for var, node_id in block.outputs.items():
-            body.append(f"env[{var!r}] = v{node_id}")
-
-        term = block.terminator
-        if isinstance(term, Branch):
-            body.append(f"return v{term.cond}")
+                helper = f"_{opcode.name}"
+                namespace[helper] = op_info(opcode).evaluate
+                expr = f"{helper}({', '.join(ops)})"
+            lines.append(f"v{nid} = {expr}")
+        for name, nid in block.outputs.items():
+            lines.append(f"{var(name)} = {refs[nid]}")
+        bid = block.block_id
+        if isinstance(term, Jump):
+            lines += [f"{counter(bid, term.target)} += 1",
+                      f"bid = {term.target}", "continue"]
+        elif isinstance(term, Branch):
+            t, f = term.if_true, term.if_false
+            lines += [f"if {refs[term.cond]}:",
+                      f"    {counter(bid, t)} += 1", f"    bid = {t}",
+                      "else:",
+                      f"    {counter(bid, f)} += 1", f"    bid = {f}",
+                      "continue"]
         else:
-            body.append("return None")
+            lines.append("break")
+        return lines
 
-        prologue = [
-            f"    {var} = memory[{name!r}]"
-            for name, var in array_vars.items()
-        ]
-        source = "\n".join(
-            lines + prologue + [f"    {line}" for line in body]
-        )
-        namespace: Dict[str, object] = dict(helpers)
-        exec(source, namespace)  # noqa: S102 - generated from trusted IR
-        return namespace["_bb"]
+    def dispatch(lo: int, hi: int, indent: str) -> List[str]:
+        if hi - lo == 1:
+            return [indent + line for line in block_source(blocks[lo])]
+        mid = (lo + hi) // 2
+        return ([f"{indent}if bid < {mid}:"]
+                + dispatch(lo, mid, indent + "    ")
+                + [f"{indent}else:"]
+                + dispatch(mid, hi, indent + "    "))
+
+    body = dispatch(0, len(blocks), " " * 12)
+    edge_keys = sorted(edges)
+    namespace["_EDGES"] = edge_keys
+    namespace["_VARS"] = list(variables.items())
+    # Neither helper may hold the CDFG: the cache's weak key would then
+    # be kept alive by its own value.
+    namespace["_unbound"] = functools.partial(_read_before_assignment,
+                                              cdfg.name, reads)
+    namespace["_exceeded"] = functools.partial(_exceeded, cdfg.name)
+    lines = ["def _kernel(env, mem, max_steps):"]
+    for name, index in arrays.items():
+        lines.append(f"    m{index} = mem[{name!r}]")
+        lines.append(f"    n{index} = len(m{index})")
+    for name, local in variables.items():
+        lines.append(f"    if {name!r} in env: {local} = env[{name!r}]")
+    lines.append(("    " + " = ".join(edges[e] for e in edge_keys) + " = 0")
+                 if edges else "    pass")
+    lines += [
+        "    steps = 0",
+        f"    bid = {cdfg.entry}",
+        "    try:",
+        "        while True:",
+        "            steps += 1",
+        "            if steps > max_steps: _exceeded(max_steps)",
+    ] + body + [
+        "    except UnboundLocalError:",
+        "        _unbound(bid, locals())",
+        "        raise",
+        "    frame = locals()",
+        "    for name, local in _VARS:",
+        "        if local in frame: env[name] = frame[local]",
+        "    counts = (" + "".join(f"{edges[e]}, " for e in edge_keys) + ")",
+        "    return steps, {e: n for e, n in zip(_EDGES, counts) if n}, env",
+    ]
+    exec("\n".join(lines), namespace)  # noqa: S102 - generated from trusted IR
+    return namespace["_kernel"]
 
 
-#: Compiled block programs, cached per CDFG object across Interpreter
-#: instances.  Workload instances, repeated ``run()`` calls, and tests
-#: re-interpret the same (immutable-after-build) CDFG many times; the
-#: template JIT is the dominant setup cost, so pay it once.  Weak keys
-#: let a discarded kernel free its compiled code.
-_COMPILED_CACHE: "weakref.WeakKeyDictionary[CDFG, List[_BlockProgram]]" = (
+def _read_before_assignment(
+        kernel: str, reads: Dict[int, Tuple[str, List[Tuple[str, str]]]],
+        bid: int, frame: Dict[str, object]) -> None:
+    """Name the first live-in of block ``bid`` still unbound in ``frame``."""
+    block, block_reads = reads[bid]
+    for name, local in block_reads:
+        if local not in frame:
+            raise InterpreterError(
+                f"{kernel}/{block}: variable {name!r} read before assignment"
+            ) from None
+
+
+def _exceeded(kernel: str, max_steps: int) -> None:
+    raise InterpreterError(
+        f"kernel {kernel!r} exceeded {max_steps} block "
+        "executions; non-terminating?"
+    )
+
+
+#: Compiled kernels, cached per CDFG object (weakly, so a discarded
+#: kernel frees its code) and per tuple of array storage kinds, the only
+#: other input the generated code depends on.  Workload instances,
+#: repeated ``run()`` calls and tests re-interpret the same sealed CDFG
+#: many times, so pay the compile once.
+_KERNELS: "weakref.WeakKeyDictionary[CDFG, Dict[Tuple[str, ...], Callable]]" = (
     weakref.WeakKeyDictionary()
 )
 
 
-def _compiled_programs(cdfg: CDFG) -> List[_BlockProgram]:
-    programs = _COMPILED_CACHE.get(cdfg)
-    if programs is None or len(programs) != len(cdfg.blocks):
-        programs = [
-            _BlockProgram(cdfg.name, block) for block in cdfg.blocks
-        ]
-        _COMPILED_CACHE[cdfg] = programs
-    return programs
+def _compiled(cdfg: CDFG, kinds: Tuple[str, ...]) -> Callable:
+    by_kinds = _KERNELS.setdefault(cdfg, {})
+    if kinds not in by_kinds:
+        by_kinds[kinds] = _compile(cdfg, kinds)
+    return by_kinds[kinds]
 
 
 class Interpreter:
@@ -187,9 +290,6 @@ class Interpreter:
             raise InterpreterError(f"unknown engine {engine!r}")
         self.cdfg = cdfg
         self.engine = engine
-        self._programs: Optional[List[_BlockProgram]] = None
-        if engine == "compiled":
-            self._programs = _compiled_programs(cdfg)
 
     # ------------------------------------------------------------------
     def run(
@@ -215,7 +315,7 @@ class Interpreter:
             raise InterpreterError(
                 f"kernel {self.cdfg.name!r} missing parameters: {missing}"
             )
-        mem: Dict[str, np.ndarray] = {}
+        arrays: Dict[str, np.ndarray] = {}
         for name in self.cdfg.arrays:
             if name not in memory:
                 raise InterpreterError(
@@ -226,12 +326,27 @@ class Interpreter:
                 raise InterpreterError(
                     f"array {name!r} must be 1-D (got shape {array.shape})"
                 )
-            mem[name] = array.copy()
+            arrays[name] = array
+        if self.engine == "compiled":
+            kinds = tuple(_LIST_KINDS.get(a.dtype, "numpy")
+                          for a in arrays.values())
+            # tolist() copies: no numpy copy stays alive beside a list.
+            storage = {name: a.tolist() if kind != "numpy" else a.copy()
+                       for (name, a), kind in zip(arrays.items(), kinds)}
+            steps, edge_counts, env = _compiled(self.cdfg, kinds)(
+                params, storage, max_steps
+            )
+            mem = {name: np.array(storage[name], dtype=a.dtype)
+                   if kind != "numpy" else storage[name]
+                   for (name, a), kind in zip(arrays.items(), kinds)}
+            trace = DynamicTrace(self.cdfg.name, self.cdfg.entry,
+                                 edge_counts)
+            return ExecutionResult(mem, env, trace, steps)
 
-        env: Dict[str, float] = dict(params)
+        mem = {name: array.copy() for name, array in arrays.items()}
+        env = params
         steps = 0
         blocks = self.cdfg.blocks
-        programs = self._programs
         # Taken transfers, flattened: edges[src * n_blocks + dst].
         n_blocks = len(blocks)
         edges = [0] * (n_blocks * n_blocks)
@@ -239,21 +354,9 @@ class Interpreter:
         while True:
             steps += 1
             if steps > max_steps:
-                raise InterpreterError(
-                    f"kernel {self.cdfg.name!r} exceeded {max_steps} block "
-                    "executions; non-terminating?"
-                )
+                _exceeded(self.cdfg.name, max_steps)
             block = blocks[bid]
-            if programs is not None:
-                try:
-                    cond = programs[bid].fn(env, mem)
-                except KeyError as exc:
-                    raise InterpreterError(
-                        f"{self.cdfg.name}/{block.name}: variable {exc} "
-                        "read before assignment"
-                    )
-            else:
-                cond = self._walk_block(block, env, mem)
+            cond = self._walk_block(block, env, mem)
             term = block.terminator
             if isinstance(term, Jump):
                 succ = term.target

@@ -1,0 +1,224 @@
+"""A shared hypothesis strategy that draws random kernels with inputs.
+
+:func:`kernels` draws ``(cdfg, memory, params)``:
+
+* counted loops nested up to three deep, with statements before and
+  after inner loops (imperfect nests), two-way branches inside them,
+  and accumulators carried across iterations;
+* now and then instead a hand-built single-block self-loop, a shape
+  the builder never emits;
+* expressions over loads, loop variables, accumulators and constants
+  (``inf``, ``-inf`` and ``nan`` included) through every arithmetic,
+  logic, compare, select, DIV/MOD and nonlinear opcode;
+* ``int64``, ``float64``, ``int32`` and ``float32`` arrays.
+
+A drawn kernel may fail when run: an out-of-bounds index, NaN stored
+into an int array, a math domain error, a variable assigned only on one
+branch arm.  A law over this strategy compares outcomes, errors
+included.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import strategies as st
+
+from repro.ir.builder import KernelBuilder
+from repro.ir.cdfg import CDFG
+from repro.ir.cfg import CFG, BlockRole, Branch, Halt, Jump
+from repro.ir.ops import Opcode
+
+ARRAYS = ("a", "b", "o")
+DTYPES = (np.int64, np.float64, np.int32, np.float32)
+ACCUMULATORS = ("acc0", "acc1")
+#: assigned only by drawn statements, so a read may precede every write
+LATE = "late"
+
+#: weighted: the common datapath ops come up more often
+_BINARY = ("ADD", "ADD", "SUB", "SUB", "MUL", "MUL", "MIN", "MAX",
+           "LT", "LE", "GT", "GE", "EQ", "NE",
+           "DIV", "MOD", "AND", "OR", "XOR", "SHL", "SHR")
+_UNARY = ("NEG", "ABS", "NOT", "LOG", "EXP", "SQRT", "SIGMOID", "SIN",
+          "COS")
+_CONSTANTS = st.one_of(
+    st.integers(-9, 9),
+    st.sampled_from([0.5, -2.25, 3.75, 1e18, 2**40,
+                     float("inf"), float("-inf"), float("nan")]),
+)
+
+_BUILDER_OPS = {
+    "ADD": lambda k, a, b: a + b,
+    "SUB": lambda k, a, b: a - b,
+    "MUL": lambda k, a, b: a * b,
+    "DIV": lambda k, a, b: a / b,
+    "MOD": lambda k, a, b: a % b,
+    "MIN": KernelBuilder.minimum,
+    "MAX": KernelBuilder.maximum,
+    "LT": lambda k, a, b: a < b,
+    "LE": lambda k, a, b: a <= b,
+    "GT": lambda k, a, b: a > b,
+    "GE": lambda k, a, b: a >= b,
+    "EQ": lambda k, a, b: a.eq(b),
+    "NE": lambda k, a, b: a.ne(b),
+    "AND": lambda k, a, b: a & b,
+    "OR": lambda k, a, b: a | b,
+    "XOR": lambda k, a, b: a ^ b,
+    "SHL": lambda k, a, b: a << b,
+    "SHR": lambda k, a, b: a >> b,
+    "SELECT": KernelBuilder.select,
+    "NEG": lambda k, a: -a,
+    "ABS": KernelBuilder.absolute,
+    "NOT": lambda k, a: ~a,
+    "LOG": KernelBuilder.log,
+    "EXP": KernelBuilder.exp,
+    "SQRT": KernelBuilder.sqrt,
+    "SIGMOID": KernelBuilder.sigmoid,
+    "SIN": KernelBuilder.sin,
+    "COS": KernelBuilder.cos,
+}
+
+
+# ----------------------------------------------------------------------
+# Expression trees: ("const", v) | ("var", name) | ("load", array, index)
+# | (opcode name, *operands)
+# ----------------------------------------------------------------------
+def _draw_expr(draw, names, indices, depth):
+    choice = draw(st.integers(0, 9)) if depth > 0 else draw(
+        st.integers(0, 4))
+    if choice == 0:
+        return ("const", draw(_CONSTANTS))
+    if choice in (1, 2):
+        return ("var", draw(st.sampled_from(names)))
+    if choice in (3, 4):
+        return ("load", draw(st.sampled_from(ARRAYS)),
+                _draw_index(draw, names, indices, depth))
+    if choice == 5:
+        return (draw(st.sampled_from(_UNARY)),
+                _draw_expr(draw, names, indices, depth - 1))
+    if choice == 6:
+        return ("SELECT",) + tuple(
+            _draw_expr(draw, names, indices, depth - 1) for _ in range(3)
+        )
+    return (draw(st.sampled_from(_BINARY)),
+            _draw_expr(draw, names, indices, depth - 1),
+            _draw_expr(draw, names, indices, depth - 1))
+
+
+def _draw_index(draw, names, indices, depth):
+    """Mostly an in-bounds index; sometimes any expression."""
+    if draw(st.integers(0, 7)) == 0:
+        return _draw_expr(draw, names, indices, depth - 1)
+    return draw(st.sampled_from(indices))
+
+
+def _build_expr(k, tree):
+    op = tree[0]
+    if op == "const":
+        return k.const(tree[1])
+    if op == "var":
+        return k.get(tree[1])
+    if op == "load":
+        return k.load(tree[1], _build_expr(k, tree[2]))
+    return _BUILDER_OPS[op](k, *(_build_expr(k, t) for t in tree[1:]))
+
+
+def _emit_expr(dfg, tree):
+    op = tree[0]
+    if op == "const":
+        return dfg.const(tree[1])
+    if op == "var":
+        return dfg.input(tree[1])
+    if op == "load":
+        return dfg.add(Opcode.LOAD, (_emit_expr(dfg, tree[2]),),
+                       array=tree[1])
+    return dfg.add(Opcode[op], tuple(_emit_expr(dfg, t) for t in tree[1:]))
+
+
+# ----------------------------------------------------------------------
+# Statements, laid out through the builder
+# ----------------------------------------------------------------------
+def _draw_block(draw, k, n, loop_vars, depth):
+    names = ACCUMULATORS + loop_vars + ("n", LATE)
+    indices = [("var", v) for v in loop_vars] or [
+        ("const", c) for c in range(n)]
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(
+            ["set", "set", "store", "store", "loop", "branch"]))
+        if kind == "set":
+            k.set(draw(st.sampled_from(ACCUMULATORS + (LATE,))),
+                  _build_expr(k, _draw_expr(draw, names, indices, 2)))
+        elif kind == "store":
+            index = _draw_index(draw, names, indices, 2)
+            value = _draw_expr(draw, names, indices, 2)
+            k.store(draw(st.sampled_from(ARRAYS)), _build_expr(k, index),
+                    _build_expr(k, value))
+        elif kind == "loop" and depth < 3:
+            var = f"i{depth}"
+            bound = draw(st.one_of(st.just(k.get("n")), st.integers(0, n)))
+            with k.loop(var, 0, bound):
+                _draw_block(draw, k, n, loop_vars + (var,), depth + 1)
+        elif kind == "branch":
+            cond = _build_expr(k, _draw_expr(draw, names, indices, 2))
+            with k.branch(cond) as br:
+                _draw_block(draw, k, n, loop_vars, depth + 1)
+            if draw(st.booleans()):
+                with br.orelse():
+                    _draw_block(draw, k, n, loop_vars, depth + 1)
+
+
+def _structured_kernel(draw, n):
+    k = KernelBuilder("fuzz")
+    k.param("n")
+    for name in ARRAYS:
+        k.array(name)
+    for acc in ACCUMULATORS:
+        k.set(acc, draw(_CONSTANTS))
+    _draw_block(draw, k, n, (), 0)
+    return k.build()
+
+
+def _self_loop_kernel(draw):
+    """``entry -> spin (re-executes itself while i < n) -> done``."""
+    cfg = CFG()
+    entry = cfg.new_block("entry")
+    spin = cfg.new_block("spin", BlockRole.LOOP_HEADER)
+    done = cfg.new_block("done", BlockRole.EXIT)
+    entry.outputs["i"] = entry.dfg.const(0)
+    for acc in ACCUMULATORS:
+        entry.outputs[acc] = entry.dfg.const(draw(_CONSTANTS))
+    entry.terminator = Jump(spin.block_id)
+    names = ACCUMULATORS + ("i", "n")
+    for _ in range(draw(st.integers(1, 3))):
+        value = _emit_expr(spin.dfg, _draw_expr(draw, names, [("var", "i")], 2))
+        if draw(st.booleans()):
+            spin.dfg.add(Opcode.STORE, (spin.dfg.input("i"), value),
+                         array=draw(st.sampled_from(ARRAYS)))
+        else:
+            spin.outputs[draw(st.sampled_from(ACCUMULATORS))] = value
+    step = spin.dfg.add(Opcode.ADD,
+                        (spin.dfg.input("i"), spin.dfg.const(1)))
+    spin.outputs["i"] = step
+    more = spin.dfg.add(Opcode.LT, (step, spin.dfg.input("n")))
+    spin.terminator = Branch(more, spin.block_id, done.block_id,
+                             is_loop_branch=True)
+    done.terminator = Halt()
+    return CDFG("spin", cfg, params=("n",), arrays=ARRAYS)
+
+
+@st.composite
+def kernels(draw):
+    """``(cdfg, memory, params)`` for a random kernel over small arrays."""
+    n = draw(st.integers(1, 5))
+    if draw(st.integers(0, 5)) == 0:
+        cdfg = _self_loop_kernel(draw)
+    else:
+        cdfg = _structured_kernel(draw, n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    memory = {}
+    for name in ARRAYS:
+        dtype = np.dtype(draw(st.sampled_from(DTYPES)))
+        if dtype.kind == "f":
+            memory[name] = (rng.normal(size=n) * 10).astype(dtype)
+        else:
+            memory[name] = rng.integers(-20, 20, n).astype(dtype)
+    return cdfg, memory, {"n": n}

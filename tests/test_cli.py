@@ -1,6 +1,7 @@
 """CLI smoke tests."""
 
 import json
+import shutil
 
 import pytest
 
@@ -218,6 +219,24 @@ class TestKernelCli:
         expected.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert main(["run", str(out)]) == 1
         assert "verdict: FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("token", ["1e999", "Infinity", "-inf", "NaN"])
+    def test_run_non_finite_immediate_is_one_error_line(
+            self, tmp_path, capsys, token):
+        # `kernel validate` accepts a non-finite operand; the functional
+        # run must too, leaving the array's immediate range to refuse it.
+        package = tmp_path / "axpb_inf"
+        shutil.copytree("examples/kernels/axpb", package)
+        shutil.rmtree(package / "expected")
+        (package / "instructions.csv").write_text(
+            "t0,load,x,i\nt1,mul,1.5,t0\n"
+            f"t2,min,t1,{token}\n,store,y,i,t2\n", encoding="utf-8")
+        assert main(["kernel", "validate", str(package)]) == 0
+        capsys.readouterr()
+        assert main(["run", str(package)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "immediate" in err and "out of range" in err
 
     def test_run_missing_directory_exits_two(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nowhere")]) == 2

@@ -1070,7 +1070,9 @@ class TestFailurePaths:
         # Mid-task ack still lands (drain()'s contract) ...
         assert client.ack(leased["id"], leased["lease"], computed=True)
         # ... and the server stops soon after the last lease resolves,
-        # well before the 10s grace cap.
+        # well before the 10s grace cap.  Stopping closes the listening
+        # socket: a connect must be refused, not parked in the backlog
+        # until the client's read timeout.
         deadline = time.monotonic() + 5.0
         while time.monotonic() < deadline:
             try:
@@ -1080,6 +1082,8 @@ class TestFailurePaths:
             time.sleep(0.05)
         else:
             pytest.fail("server kept serving after its leases resolved")
+        assert time.monotonic() < deadline, \
+            "status() hung past the deadline instead of failing fast"
         server.httpd.server_close()
 
     def test_worker_ctrl_c_is_a_clean_one_line_exit(self, capsys,

@@ -1,13 +1,21 @@
 """Unit + property tests for the functional interpreter.
 
-The compiled (per-block template JIT) and walking (op-by-op) engines are
-cross-checked on randomly generated kernels.
+The compiled engine (one generated Python function per kernel, over
+list-backed int64/float64 memory) is cross-checked against the walking
+engine (op by op over numpy memory) on kernels drawn by the shared
+:mod:`kernel_fuzz` strategy, errors included, and on named cases for
+the store, bounds, read-before-assignment and step-budget semantics
+that list-backed memory must keep.
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
+from kernel_fuzz import kernels
 from repro.errors import InterpreterError
 from repro.ir.builder import KernelBuilder
 from repro.ir.interp import Interpreter
@@ -50,6 +58,17 @@ class TestBasics:
         with pytest.raises(InterpreterError, match="exceeded"):
             Interpreter(k.build()).run({}, max_steps=100)
 
+    def test_compiled_kernel_cache_frees_a_discarded_kernel(self):
+        k = KernelBuilder("ephemeral")
+        k.array("o")
+        k.store("o", 0, 1)
+        cdfg = k.build()
+        Interpreter(cdfg).run({"o": np.zeros(1, dtype=np.int64)})
+        alive = weakref.ref(cdfg)
+        del cdfg
+        gc.collect()
+        assert alive() is None
+
     def test_unknown_engine(self, saxpy_kernel):
         with pytest.raises(InterpreterError):
             Interpreter(saxpy_kernel, engine="quantum")
@@ -85,55 +104,187 @@ class TestTrace:
             == 1 + sum(trace.edge_counts.values())
 
 
-@st.composite
-def random_kernel_and_memory(draw):
-    """A random straight-line + loop + branch kernel over small arrays."""
-    n = draw(st.integers(1, 12))
-    seed = draw(st.integers(0, 2**16))
-    k = KernelBuilder("fuzz")
-    size = k.param("n")
-    k.array("a")
-    k.array("o")
-    ops = draw(st.lists(
-        st.sampled_from(["add", "mul", "sub", "min", "branch"]),
-        min_size=1, max_size=5,
-    ))
-    with k.loop("i", 0, size) as i:
-        value = k.load("a", i)
-        for op in ops:
-            if op == "add":
-                value = value + 3
-            elif op == "mul":
-                value = value * 2
-            elif op == "sub":
-                value = value - 1
-            elif op == "min":
-                value = k.minimum(value, 100)
-            else:
-                with k.branch(value > 10) as br:
-                    k.set("t", value - 10)
-                with br.orelse():
-                    k.set("t", value)
-                value = k.get("t")
-        k.store("o", i, value)
-    cdfg = k.build()
-    rng = np.random.default_rng(seed)
-    memory = {
-        "a": rng.integers(-50, 50, n),
-        "o": np.zeros(n, dtype=np.int64),
-    }
-    return cdfg, memory, {"n": n}
+def _outcome(cdfg, memory, params, engine):
+    """Everything a run shows: the result, or the error's type and text."""
+    try:
+        result = Interpreter(cdfg, engine=engine).run(memory, params)
+    except Exception as error:  # the law compares failures too
+        return type(error), str(error)
+    return (
+        result.steps,
+        result.trace.edge_counts,
+        {name: (type(v), repr(v)) for name, v in result.env.items()},
+        {name: (a.dtype, a.tobytes()) for name, a in result.memory.items()},
+    )
+
+
+def _assert_engines_agree(cdfg, memory, params):
+    compiled = _outcome(cdfg, memory, params, "compiled")
+    assert compiled == _outcome(cdfg, memory, params, "walking")
+    return compiled
 
 
 class TestEngineEquivalence:
-    @settings(max_examples=40, deadline=None)
-    @given(random_kernel_and_memory())
+    @settings(max_examples=500, deadline=None)
+    @given(kernels())
     def test_compiled_matches_walking(self, case):
-        cdfg, memory, params = case
-        compiled = Interpreter(cdfg, engine="compiled").run(memory, params)
-        walking = Interpreter(cdfg, engine="walking").run(memory, params)
-        assert np.array_equal(compiled.array("o"), walking.array("o"))
-        assert compiled.trace.edge_counts == walking.trace.edge_counts
-        assert compiled.trace.exec_counts == walking.trace.exec_counts
-        assert compiled.steps == walking.steps
-        assert compiled.env == walking.env
+        _assert_engines_agree(*case)
+
+    def test_non_finite_constants(self):
+        # inf, -inf and nan have no literal spelling in Python source.
+        k = KernelBuilder("nonfinite")
+        k.array("x")
+        k.array("o")
+        with k.loop("i", 0, 2) as i:
+            x = k.load("x", i)
+            k.store("o", i, k.minimum(x, float("inf")))
+            k.store("o", i + 2, k.maximum(x, float("-inf")))
+            k.store("o", i + 4, x + float("nan"))
+        cdfg = k.build()
+        memory = {"x": np.array([1.5, -2.0]), "o": np.zeros(6)}
+        _assert_engines_agree(cdfg, memory, {})
+        result = Interpreter(cdfg).run(memory)
+        assert list(result.array("o")[:4]) == [1.5, -2.0, 1.5, -2.0]
+        assert np.isnan(result.array("o")[4:]).all()
+
+
+def _store_kernel(dtype=np.int64):
+    """``o[i] = v; x = o[i]`` for runtime parameters ``i`` and ``v``."""
+    k = KernelBuilder("poke")
+    k.array("o")
+    i = k.param("i")
+    k.store("o", i, k.param("v"))
+    k.set("x", k.load("o", i))
+    return k.build(), {"o": np.zeros(2, dtype=dtype)}
+
+
+def _load_kernel():
+    """``x = o[i]`` for a runtime parameter ``i``."""
+    k = KernelBuilder("peek")
+    k.array("o")
+    k.set("x", k.load("o", k.param("i")))
+    return k.build(), {"o": np.zeros(2, dtype=np.int64)}
+
+
+class TestListBackedSemantics:
+    """int64/float64 arrays run as lists; numpy's store rules still hold."""
+
+    @pytest.mark.parametrize("value, error", [
+        (2**63, OverflowError),
+        (-2**63 - 1, OverflowError),
+        (1e30, OverflowError),
+        (float("nan"), ValueError),
+        (float("inf"), OverflowError),
+        (float("-inf"), OverflowError),
+    ])
+    def test_int64_store_out_of_range_raises(self, value, error):
+        # The store itself raises, though a later store overwrites it.
+        k = KernelBuilder("poke_twice")
+        k.array("o")
+        i = k.param("i")
+        k.store("o", i, k.param("v"))
+        k.store("o", i, 0)
+        memory = {"o": np.zeros(2, dtype=np.int64)}
+        outcome = _assert_engines_agree(k.build(), memory,
+                                        {"i": 0, "v": value})
+        assert outcome[0] is error
+
+    @pytest.mark.parametrize("value, stored", [
+        (3.7, 3), (-3.7, -3), (True, 1), (2**63 - 1, 2**63 - 1),
+        (-2**63, -2**63), (np.float64(2.5), 2),
+    ])
+    def test_int64_store_converts_like_numpy(self, value, stored):
+        cdfg, memory = _store_kernel()
+        _assert_engines_agree(cdfg, memory, {"i": 1, "v": value})
+        result = Interpreter(cdfg).run(memory, {"i": 1, "v": value})
+        out = result.array("o")
+        assert out.dtype == np.int64 and out[1] == stored
+        assert type(result.env["x"]) is int and result.env["x"] == stored
+
+    @pytest.mark.parametrize("value", [3, True, 2**70, float("nan"),
+                                       float("-inf")])
+    def test_float64_store_converts_like_numpy(self, value):
+        cdfg, memory = _store_kernel(np.float64)
+        _assert_engines_agree(cdfg, memory, {"i": 0, "v": value})
+        result = Interpreter(cdfg).run(memory, {"i": 0, "v": value})
+        out = result.array("o")
+        assert out.dtype == np.float64
+        assert out.tobytes() == np.array([float(value), 0.0]).tobytes()
+        assert type(result.env["x"]) is float
+
+    def test_int32_store_out_of_range_raises(self):
+        cdfg, memory = _store_kernel(np.int32)
+        with pytest.raises(OverflowError):
+            Interpreter(cdfg).run(memory, {"i": 0, "v": 2**31})
+        _assert_engines_agree(cdfg, memory, {"i": 0, "v": 2**31})
+
+    def test_float32_store_rounds(self):
+        cdfg, memory = _store_kernel(np.float32)
+        out = Interpreter(cdfg).run(memory, {"i": 0, "v": 3.7}).array("o")
+        assert out.dtype == np.float32 and out[0] == np.float32(3.7)
+        _assert_engines_agree(cdfg, memory, {"i": 0, "v": 3.7})
+
+    @pytest.mark.parametrize("dtype, kind", [(np.int32, int),
+                                             (np.float32, float)])
+    def test_narrow_dtype_load_yields_a_python_scalar(self, dtype, kind):
+        # Fuzzer counterexample: a load from numpy storage once skipped
+        # .item() and leaked a numpy scalar into the environment.
+        k = KernelBuilder("narrow")
+        k.array("o")
+        k.set("x", k.load("o", 1))
+        cdfg = k.build()
+        memory = {"o": np.array([1, 7], dtype=dtype)}
+        env = Interpreter(cdfg).run(memory).env
+        assert type(env["x"]) is kind and env["x"] == 7
+        _assert_engines_agree(cdfg, memory, {})
+
+    @pytest.mark.parametrize("a, b", [
+        (float("nan"), 1.0), (1.0, float("nan")), (1, 1.0), (1.0, 1),
+        (-0.0, 0.0), (0.0, -0.0),
+    ])
+    def test_min_max_keep_python_semantics(self, a, b):
+        k = KernelBuilder("minmax")
+        x, y = k.param("a"), k.param("b")
+        k.set("lo", k.minimum(x, y))
+        k.set("hi", k.maximum(x, y))
+        cdfg = k.build()
+        env = Interpreter(cdfg).run({}, {"a": a, "b": b}).env
+        for got, want in ((env["lo"], min(a, b)), (env["hi"], max(a, b))):
+            assert (type(got), repr(got)) == (type(want), repr(want))
+        _assert_engines_agree(cdfg, {}, {"a": a, "b": b})
+
+    @pytest.mark.parametrize("index", [-1, 2])
+    @pytest.mark.parametrize("kernel", [_store_kernel, _load_kernel])
+    def test_out_of_bounds_names_kernel_block_and_array(self, kernel,
+                                                         index):
+        cdfg, memory = kernel()
+        params = {"i": index, "v": 1}
+        with pytest.raises(InterpreterError) as excinfo:
+            Interpreter(cdfg).run(memory, params)
+        assert str(excinfo.value) == (
+            f"{cdfg.name}/entry: out-of-bounds access o[{index}]"
+        )
+        _assert_engines_agree(cdfg, memory, params)
+
+    def test_read_before_assignment_names_the_variable(self):
+        k = KernelBuilder("unset")
+        with k.branch(k.param("c")):
+            k.set("x", 1)
+        k.set("y", k.get("x") + 1)
+        cdfg = k.build()
+        assert Interpreter(cdfg).run({}, {"c": 1}).env["y"] == 2
+        with pytest.raises(InterpreterError) as excinfo:
+            Interpreter(cdfg).run({}, {"c": 0})
+        assert str(excinfo.value) == (
+            "unset/br1_merge: variable 'x' read before assignment"
+        )
+        _assert_engines_agree(cdfg, {}, {"c": 0})
+
+    def test_max_steps_boundary_is_exact(self, saxpy_kernel):
+        memory = {"x": np.arange(3), "y": np.zeros(3, dtype=np.int64)}
+        steps = Interpreter(saxpy_kernel).run(memory, {"n": 3}).steps
+        for engine in ("compiled", "walking"):
+            run = Interpreter(saxpy_kernel, engine=engine).run
+            assert run(memory, {"n": 3}, max_steps=steps).steps == steps
+            with pytest.raises(InterpreterError, match="exceeded"):
+                run(memory, {"n": 3}, max_steps=steps - 1)
