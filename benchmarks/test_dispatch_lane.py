@@ -111,94 +111,3 @@ def test_dispatch_lane_matches_golden_and_scales(scale):
         f"({one_worker:.2f}s) by the 10% margin at scale {scale!r}"
     )
 
-
-def _spawn_durable_serve(port: int, state_dir: Path) -> subprocess.Popen:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC_DIR + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", str(port),
-         "--state-dir", str(state_dir / "queue"),
-         "--cache-dir", str(state_dir / "cache")],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    )
-
-
-def test_dispatch_lane_survives_a_server_restart(scale, tmp_path):
-    """The dispatched lane with a serve crash in the middle.
-
-    A durable (``--state-dir``) coordinator is SIGKILLed after the
-    first result lands and restarted on the same port; the worker
-    process and the dispatch client ride the outage out on reconnect
-    backoff, the journal replays the job, and the assembled results
-    are still byte-identical to the unsharded golden run.
-    """
-    import socket
-
-    from repro.engine.distributed.backend import HTTPBackend
-    from repro.errors import DistributedError
-
-    specs = ablations.specs(scale, SEED)
-    golden = [
-        result_payload(result)
-        for result in ablations.run(scale, SEED, engine=Engine(jobs=2))
-    ]
-    probe = socket.socket()
-    probe.bind(("127.0.0.1", 0))
-    port = probe.getsockname()[1]
-    probe.close()
-    url = f"http://127.0.0.1:{port}"
-
-    def wait_healthy():
-        deadline = time.monotonic() + 30.0
-        while True:
-            try:
-                return HTTPBackend(url).health()
-            except DistributedError:
-                if time.monotonic() >= deadline:
-                    raise
-                time.sleep(0.05)
-
-    server = _spawn_durable_serve(port, tmp_path)
-    worker = None
-    client = CoordinatorClient(url)
-    try:
-        wait_healthy()
-        worker = _spawn_worker(url)
-        restarted = False
-        start = time.perf_counter()
-        landed = []
-        for index, payload in dispatch_job(
-                client, [spec.to_payload() for spec in specs],
-                scale=scale, seed=SEED, poll=0.05,
-                stall_timeout=120.0, reconnect=60.0):
-            landed.append((index, payload))
-            if not restarted:
-                restarted = True
-                server.kill()
-                server.wait(timeout=30)
-                server = _spawn_durable_serve(port, tmp_path)
-                wait_healthy()
-        elapsed = time.perf_counter() - start
-        assert sorted(index for index, _payload in landed) \
-            == list(range(len(specs)))
-        # Byte-identical across the crash: replay the report assembly
-        # against the fleet's (disk-backed, restart-surviving) cache.
-        replay = Engine(backend=HTTPBackend(url))
-        results = ablations.run(scale, SEED, engine=replay)
-        assert replay.stats.simulations == 0
-        payloads = [result_payload(result) for result in results]
-        assert json.dumps(payloads, sort_keys=True) \
-            == json.dumps(golden, sort_keys=True)
-        print(f"restart-mid-dispatch lane: {len(specs)} specs across "
-              f"one SIGKILL + journal replay in {elapsed:.2f}s")
-    finally:
-        import contextlib
-
-        with contextlib.suppress(DistributedError):
-            client.shutdown()
-        if worker is not None:
-            worker.wait(timeout=60)
-        server.kill()
-        server.wait(timeout=30)

@@ -22,18 +22,14 @@ Commands:
   ``BENCH_<timestamp>.json`` perf-trajectory record — the report
   itself is unchanged);
 * ``serve [--host H] [--port P] [--cache-dir PATH]
-  [--lease-timeout S] [--schedule fifo|fair]`` — the distributed
-  endpoint: an HTTP cache server (shards and workers share
-  trace/cycle records live) plus the work-stealing multi-job
-  coordinator that hands specs to idle workers (several
-  ``--dispatch`` drivers can share one fleet; jobs queue FIFO under
-  server-issued ids, or round-robin with ``--schedule fair``);
+  [--lease-timeout S]`` — the distributed endpoint: an HTTP cache
+  server (shards and workers share trace/cycle records live) plus the
+  work-stealing coordinator that hands one ``--dispatch`` driver's
+  specs to idle workers (a new submission replaces an unfinished job);
 * ``worker --connect URL [--poll S] [--max-idle S] [--lease-batch N]
-  [--cache-dir PATH]`` — a pull-loop worker: lease up to N specs per
+  [--reconnect S]`` — a pull-loop worker: lease up to N specs per
   round trip from a coordinator (acks piggyback on the next lease),
-  compute against the shared cache — tiered behind a local directory
-  when ``--cache-dir`` is given, the WAN deployment shape — and
-  acknowledge results;
+  compute against the shared cache, and acknowledge results;
 * ``cache stats|prune --cache-dir PATH`` — cache administration: size,
   entry counts, per-run hit rates from the persisted run log; pruning
   by age, stale engine version, or size budget;
@@ -604,34 +600,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.engine.cache import ENGINE_VERSION
     from repro.engine.distributed.backend import LocalBackend, MemoryBackend
     from repro.engine.distributed.coordinator import Coordinator
-    from repro.engine.distributed.journal import JobJournal
     from repro.engine.distributed.server import DistributedServer
 
     from repro.errors import DistributedError
 
     backend = (LocalBackend(args.cache_dir) if args.cache_dir
                else MemoryBackend())
-    if args.state_dir:
-        # Durable mode: replay the write-ahead journal (an empty or
-        # absent one replays to an empty table), so a restarted server
-        # resumes the fleet where the previous process left it.
-        coordinator, resumed = Coordinator.resume(
-            JobJournal(args.state_dir),
-            lease_timeout=args.lease_timeout, schedule=args.schedule,
-        )
-        if resumed["jobs"]:
-            print(
-                f"resumed {resumed['jobs']} job(s) from "
-                f"{args.state_dir}: {resumed['active']} active, "
-                f"{resumed['results']} delivered result(s) kept, "
-                f"{resumed['requeued']} task(s) requeued"
-                + (" (torn final journal line dropped)"
-                   if resumed["torn"] else ""),
-                file=sys.stderr,
-            )
-    else:
-        coordinator = Coordinator(lease_timeout=args.lease_timeout,
-                                  schedule=args.schedule)
+    coordinator = Coordinator(lease_timeout=args.lease_timeout)
     try:
         server = DistributedServer(
             backend, coordinator, host=args.host, port=args.port,
@@ -644,9 +619,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ) from error
     print(
         f"serving cache + coordinator on {server.url} "
-        f"({backend.describe()}, {coordinator.durability}, "
-        f"engine v{ENGINE_VERSION}, "
-        f"{args.schedule} scheduling) — stop with "
+        f"({backend.describe()}, engine v{ENGINE_VERSION}) — stop with "
         f"Ctrl-C or POST {server.url}/admin/shutdown",
         file=sys.stderr,
     )
@@ -686,8 +659,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         summary = work_loop(
             args.connect, poll=args.poll, max_idle=args.max_idle,
             worker_id=worker, on_task=on_task,
-            lease_batch=args.lease_batch, cache_dir=args.cache_dir,
-            reconnect=args.reconnect,
+            lease_batch=args.lease_batch, reconnect=args.reconnect,
         )
     except KeyboardInterrupt:
         # Same clean exit as `repro serve`: any lease we held expires
@@ -1061,26 +1033,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="back the cache server with this directory "
                               "(default: in-memory, lives with the "
                               "server process)")
-    p_serve.add_argument("--state-dir", default=None, metavar="PATH",
-                         help="journal every job-table transition to "
-                              "PATH/queue.jsonl and replay it on "
-                              "startup, so a restarted server resumes "
-                              "its fleet: delivered results stay "
-                              "pollable, pending tasks re-lease "
-                              "(default: in-memory — a restart loses "
-                              "the job table)")
     p_serve.add_argument("--lease-timeout", type=float, default=60.0,
                          metavar="SEC",
                          help="seconds a worker may hold a task before "
                               "it is requeued to the fleet")
-    p_serve.add_argument("--schedule", default="fifo",
-                         choices=("fifo", "fair"),
-                         help="lease scheduling across queued jobs: "
-                              "'fifo' drains the oldest job first "
-                              "(spare capacity spills to younger jobs); "
-                              "'fair' round-robins leases across active "
-                              "jobs so a long sweep cannot monopolize "
-                              "the fleet")
     p_serve.set_defaults(fn=_cmd_serve)
 
     p_worker = sub.add_parser(
@@ -1103,19 +1059,14 @@ def build_parser() -> argparse.ArgumentParser:
                                "piggyback their acks on the next lease "
                                "call (default: 1; raise it on "
                                "high-latency links)")
-    p_worker.add_argument("--cache-dir", default=None, metavar="PATH",
-                          help="tier a local read-through disk cache in "
-                               "front of the server's HTTP cache, so a "
-                               "warm record read costs zero network "
-                               "round trips (WAN fleets)")
     p_worker.add_argument("--reconnect", type=float, default=60.0,
                           metavar="SEC",
                           help="keep retrying (capped exponential "
                                "backoff) through up to SEC seconds of "
-                               "server unavailability — a coordinator "
-                               "restart no longer kills the fleet — "
-                               "before giving up (0 fails on the first "
-                               "transport error)")
+                               "server unavailability — a network blip "
+                               "or a serve restart does not kill the "
+                               "worker — before giving up (0 fails on "
+                               "the first transport error)")
     p_worker.set_defaults(fn=_cmd_worker)
 
     p_cache = sub.add_parser("cache", help="cache administration")

@@ -4,13 +4,11 @@ Three layers, one URL:
 
 * :mod:`repro.engine.distributed.backend` — the ``CacheBackend``
   protocol behind :class:`~repro.engine.cache.TraceCache` (local
-  directory, in-memory, HTTP client, and the read-through
-  ``TieredBackend`` that puts a local disk tier in front of a remote
-  one for WAN fleets);
+  directory, in-memory, and HTTP client);
 * :mod:`repro.engine.distributed.coordinator` — the work-stealing
-  dispatcher: a FIFO multi-job table whose lease/ack protocol grants
-  batched leases, requeues crashed workers' tasks, and delivers every
-  job's results exactly once, scoped by server-issued job ids;
+  dispatcher: one job slot, under a server-issued id, whose lease/ack
+  protocol grants batched leases, requeues crashed workers' tasks, and
+  delivers the job's results exactly once;
 * :mod:`repro.engine.distributed.server` — ``repro serve``: one stdlib
   HTTP server exposing the cache backend and the coordinator;
 * :mod:`repro.engine.distributed.worker` — ``repro worker`` pull loops
@@ -30,7 +28,6 @@ from repro.engine.distributed.backend import (
     HTTPBackend,
     LocalBackend,
     MemoryBackend,
-    TieredBackend,
 )
 from repro.engine.distributed.coordinator import (
     Coordinator,
@@ -44,5 +41,4 @@ __all__ = [
     "HTTPBackend",
     "LocalBackend",
     "MemoryBackend",
-    "TieredBackend",
 ]

@@ -13,12 +13,7 @@ iter-keys over digest-addressed envelopes:
   store of a ``repro serve`` cache server run without ``--cache-dir``;
 * :class:`HTTPBackend` — a client for the ``repro serve`` cache server:
   shards and workers on different machines share trace and cycle
-  records *live* through it instead of via shard-export files;
-* :class:`TieredBackend` — a read-through local tier in front of any
-  remote backend: a warm ``get`` costs zero network round trips, a
-  remote hit is written back locally, and every ``put`` writes through
-  to the remote so the fleet still shares each record exactly once.
-  This is the WAN-fleet deployment shape (``repro worker --cache-dir``).
+  records *live* through it instead of via shard-export files.
 
 Backends never interpret envelopes — validation (is this a well-formed
 ``{"key", "payload"}`` record of the current engine version?) stays in
@@ -292,60 +287,3 @@ class HTTPBackend:
         )
         return document if isinstance(document, dict) else {}
 
-
-class TieredBackend:
-    """A read-through local tier in front of a remote backend.
-
-    WAN workers talking straight to :class:`HTTPBackend` pay one round
-    trip per ``get`` — including every re-read of a trace they already
-    fetched for an earlier sim.  Tiering a :class:`LocalBackend` (or
-    any other backend) in front changes that to one round trip per
-    *distinct* record:
-
-    * ``get`` — local tier first; a remote hit is written back into
-      the local tier, so the next ``get`` of the same digest performs
-      **zero** network calls;
-    * ``put`` — write-through: the record lands in the local tier *and*
-      the remote, so the rest of the fleet sees it immediately (the
-      trace-exactly-once economy depends on that);
-    * ``contains`` — local tier first, remote on a local miss (an
-      existence probe must not be fooled by a cold local tier);
-    * ``iter_keys`` — the union of both tiers (remote listings can be
-      large; local-only records from a dead remote still enumerate).
-
-    Content addressing makes the write-back safe: a digest names one
-    immutable envelope, so the local copy can never go stale.  The
-    local tier is just a cache — deleting it costs re-fetches, never
-    correctness.
-    """
-
-    def __init__(self, local, remote) -> None:
-        self.local = local
-        self.remote = remote
-
-    def get(self, digest: str) -> Optional[dict]:
-        record = self.local.get(digest)
-        if record is not None:
-            return record
-        record = self.remote.get(digest)
-        if record is not None:
-            self.local.put(digest, record)
-        return record
-
-    def put(self, digest: str, envelope: dict) -> None:
-        self.local.put(digest, envelope)
-        self.remote.put(digest, envelope)
-
-    def contains(self, digest: str) -> bool:
-        return self.local.contains(digest) or self.remote.contains(digest)
-
-    def iter_keys(self) -> Iterator[str]:
-        seen = set()
-        for tier in (self.local, self.remote):
-            for digest in tier.iter_keys():
-                if digest not in seen:
-                    seen.add(digest)
-                    yield digest
-
-    def describe(self) -> str:
-        return f"tiered({self.local.describe()} -> {self.remote.describe()})"

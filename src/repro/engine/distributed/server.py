@@ -23,16 +23,16 @@ POST   ``/queue/renew``                   heartbeat: extend one live
                                           or a batch (``{"renews"}``)
 POST   ``/queue/ack``                     complete/fail one leased task
 GET    ``/queue/results?job=J&since=N``   job J's results after a cursor
-GET    ``/queue/status[?job=J]``          fleet overview, or one job's
+GET    ``/queue/status[?job=J]``          the current job's view
 POST   ``/admin/shutdown``                drain the coordinator, stop
                                           the server
 ====== ================================== ===============================
 
-The coordinator behind ``/queue/*`` holds a FIFO **job table** — every
-driver's results poll names its job id, so several ``repro bench
---dispatch`` drivers share one fleet without ever seeing each other's
+The coordinator behind ``/queue/*`` holds **one job**: a submit
+replaces an unfinished predecessor, and every results poll names its
+job id, so a replaced driver can never consume its successor's
 payloads (see :mod:`repro.engine.distributed.coordinator` for the
-scheduling and exactly-once invariants).
+one-job and exactly-once invariants).
 
 Integrity at the boundary: a ``PUT /records/<digest>`` whose body is not
 a ``{"key", "payload"}`` envelope, or whose key does not hash to the
@@ -42,8 +42,9 @@ built at a different :data:`~repro.engine.cache.ENGINE_VERSION` is
 rejected with 409 — version skew between a bench driver and a worker
 fleet would silently produce cache misses, so it fails loudly instead.
 A results/status poll naming an unknown job id is a 409 with a one-line
-explanation (evicted after finishing, or a restarted server), never a
-silent empty batch.
+explanation (replaced by a newer submission, or a restarted server),
+never a silent empty batch.  A body with a negative or non-numeric
+``Content-Length`` is a 400 at once, and the connection is closed.
 
 ``GET /export`` bridges the live subsystem back to the file-based one:
 it renders the server's store as a standard shard-export document, which
@@ -70,6 +71,10 @@ from repro.engine.export import backend_export_document
 from repro.errors import DistributedError
 
 _DIGEST = re.compile(r"^/records/([0-9a-f]{64})$")
+
+#: Seconds between the serve loop's shutdown checks: ``stop()`` and the
+#: drained ``/admin/shutdown`` wait up to this long to return.
+SHUTDOWN_POLL = 0.05
 
 
 class _DistributedHTTPServer(ThreadingHTTPServer):
@@ -112,8 +117,17 @@ class _Handler(BaseHTTPRequestHandler):
     def _read_json(self) -> Optional[object]:
         try:
             length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            length = -1
+        if length < 0:
+            # rfile.read(-1) would block until the client hangs up, and
+            # with no usable framing the connection cannot carry another
+            # request: answer (the caller's 400) and close it.
+            self.close_connection = True
+            return None
+        try:
             return json.loads(self.rfile.read(length).decode("utf-8"))
-        except (ValueError, UnicodeDecodeError, json.JSONDecodeError):
+        except (UnicodeDecodeError, json.JSONDecodeError):
             return None
 
     # -- routes --------------------------------------------------------
@@ -137,9 +151,6 @@ class _Handler(BaseHTTPRequestHandler):
                 "protocol_version": PROTOCOL_VERSION,
                 "backend": self.server.backend.describe(),
                 "lease_timeout": self.server.coordinator.lease_timeout,
-                # "journal:<path>" when the job table survives a
-                # restart (`repro serve --state-dir`), else "memory".
-                "durability": self.server.coordinator.durability,
             })
         elif parsed.path == "/export":
             query = parse_qs(parsed.query)
@@ -411,14 +422,15 @@ class DistributedServer:
     def start(self) -> "DistributedServer":
         """Serve on a background thread (returns self for chaining)."""
         self._thread = threading.Thread(
-            target=self.httpd.serve_forever, daemon=True
+            target=self.httpd.serve_forever, args=(SHUTDOWN_POLL,),
+            daemon=True,
         )
         self._thread.start()
         return self
 
     def serve_forever(self) -> None:
         """Serve on the calling thread until shut down (the CLI path)."""
-        self.httpd.serve_forever()
+        self.httpd.serve_forever(SHUTDOWN_POLL)
 
     def stop(self) -> None:
         """Drain the coordinator and stop serving."""

@@ -9,35 +9,27 @@ heavy machinery — trace interpretation, model evaluation, content
 addressing — is exactly the single-machine code path; distribution adds
 only the lease/ack envelope around it.
 
-Two knobs amortize the network for WAN fleets:
-
-* ``--lease-batch N`` — one ``POST /queue/lease`` round trip leases up
-  to N tasks, and the acks for a finished batch **piggyback on the next
-  lease call** instead of costing a round trip each.  Failure acks are
-  still sent immediately (the job must fail fast), and the ack-verdict
-  list in the lease response keeps the worker's summary honest: a
-  piggybacked ack rejected by exactly-once delivery is not counted;
-* ``--cache-dir PATH`` — the engine's cache becomes a
-  :class:`~repro.engine.distributed.backend.TieredBackend` (local disk
-  in front of the HTTP backend): a warm ``get`` is served locally with
-  zero network calls, and every ``put`` writes through so the fleet
-  still shares each record.
+``--lease-batch N`` amortizes the network on high-latency links: one
+``POST /queue/lease`` round trip leases up to N tasks, and the acks for
+a finished batch **piggyback on the next lease call** instead of
+costing a round trip each.  Failure acks are still sent immediately
+(the job must fail fast), and the ack-verdict list in the lease
+response keeps the worker's summary honest: a piggybacked ack rejected
+by exactly-once delivery is not counted.
 
 A **dispatch client** (``repro bench --dispatch URL``) is the other
 side: it submits a spec batch as one job (the coordinator issues the
 job id), polls *that job's* results with a cursor (each spec index
 delivered exactly once, in completion order), and replays the report
 assembly locally against the shared cache — which is why a dispatched
-report is byte-identical to a local run, even when several drivers
-share the fleet concurrently.
+report is byte-identical to a local run.
 
 Failure semantics worth knowing:
 
 * a worker that hits an :class:`~repro.errors.EngineError` on a task
-  acks the *failure*; the coordinator fails that job fast (other jobs
-  keep running) and the dispatch client raises
-  :class:`~repro.errors.DistributedError` with the worker's one-line
-  diagnostic;
+  acks the *failure*; the coordinator fails the job fast and the
+  dispatch client raises :class:`~repro.errors.DistributedError` with
+  the worker's one-line diagnostic;
 * a worker that dies silently simply stops acking — its leases expire
   and the tasks are requeued to surviving workers; if *no* worker
   survives (or none was ever started), the dispatch client notices the
@@ -59,12 +51,7 @@ from urllib.parse import quote
 
 from repro.engine.cache import ENGINE_VERSION
 from repro.engine.distributed.coordinator import PROTOCOL_VERSION
-from repro.engine.distributed.backend import (
-    HTTPBackend,
-    LocalBackend,
-    TieredBackend,
-    http_json,
-)
+from repro.engine.distributed.backend import HTTPBackend, http_json
 from repro.errors import (
     DistributedError,
     DistributedUnavailable,
@@ -80,7 +67,7 @@ DEFAULT_STALL_TIMEOUT = 30.0
 
 #: Default seconds of *continuous* server unavailability a worker or
 #: dispatch client rides out (retrying with capped exponential backoff)
-#: before giving up — generous enough to cover a coordinator restart.
+#: before giving up — generous enough to cover a serve restart.
 DEFAULT_RECONNECT = 60.0
 
 #: First retry delay after a transport failure; doubles per retry.
@@ -278,7 +265,6 @@ def work_loop(url: str, *, poll: float = DEFAULT_POLL,
               on_task: Optional[Callable[[str, dict], None]] = None,
               client: Optional[CoordinatorClient] = None,
               lease_batch: int = 1,
-              cache_dir: Optional[str] = None,
               reconnect: float = DEFAULT_RECONNECT) -> WorkerSummary:
     """Pull tasks from ``url`` until told to shut down (or idled out).
 
@@ -287,17 +273,16 @@ def work_loop(url: str, *, poll: float = DEFAULT_POLL,
     drains.  ``on_task(kind, detail)`` fires after each task's ack is
     *accepted* (the CLI's progress lines).  ``lease_batch`` tasks are
     leased per round trip, and completed-task acks piggyback on the
-    next lease call; ``cache_dir`` tiers a local disk cache in front of
-    the server's HTTP backend (the WAN deployment shape).
+    next lease call.
 
     ``reconnect`` is the fleet-survival knob: a lease/ack round trip
     that hits a *transport* failure (server restarting, network blip)
     is retried with capped exponential backoff for up to that many
     seconds of continuous outage instead of killing the worker — so a
-    ``repro serve --state-dir`` restart finds its fleet still attached.
-    A task interrupted mid-compute by the outage is simply dropped
-    (its lease expires — or was never replayed — and it requeues);
-    pass ``reconnect=0`` to fail on the first transport error.
+    restarted ``repro serve`` finds its fleet still attached.  A task
+    interrupted mid-compute by the outage is simply dropped (its lease
+    expires, or the restarted server never knew it); pass
+    ``reconnect=0`` to fail on the first transport error.
     """
     from repro.engine.distributed.coordinator import DEFAULT_LEASE_TIMEOUT
     from repro.engine.executor import Engine
@@ -308,15 +293,7 @@ def work_loop(url: str, *, poll: float = DEFAULT_POLL,
         health.get("lease_timeout") or DEFAULT_LEASE_TIMEOUT
     )
     lease_batch = max(1, int(lease_batch))
-
-    def _make_engine() -> Engine:
-        remote = HTTPBackend(url)
-        if cache_dir is not None:
-            return Engine(backend=TieredBackend(LocalBackend(cache_dir),
-                                                remote))
-        return Engine(backend=remote)
-
-    engine = _make_engine()
+    engine = Engine(backend=HTTPBackend(url))
     worker = worker_id or default_worker_id()
     summary = WorkerSummary()
     idle_since: Optional[float] = None
@@ -346,9 +323,8 @@ def work_loop(url: str, *, poll: float = DEFAULT_POLL,
                     # per-trace/per-spec memos so a serve-indefinitely
                     # worker's memory stays bounded by one sweep's
                     # working set.  The records themselves live on the
-                    # server (and the local tier); anything still
-                    # needed is one GET away.
-                    engine = _make_engine()
+                    # server; anything still needed is one GET away.
+                    engine = Engine(backend=HTTPBackend(url))
                     tasks_since_idle = 0
             if max_idle is not None and now - idle_since >= max_idle:
                 break
@@ -441,8 +417,8 @@ def work_loop(url: str, *, poll: float = DEFAULT_POLL,
                         })
                 except DistributedUnavailable:
                     # The server vanished mid-batch (a restart, a
-                    # blip).  Our leases will expire — or were never
-                    # replayed — so this batch's unacked work is
+                    # blip).  Our leases will expire — or died with the
+                    # server — so this batch's unacked work is
                     # discarded server-side either way; drop it and
                     # let the lease loop's backoff find the server
                     # again rather than killing the worker.  The
@@ -453,7 +429,7 @@ def work_loop(url: str, *, poll: float = DEFAULT_POLL,
                     # cache, leaving the fleet's record set incomplete.
                     if reconnect <= 0:
                         raise
-                    engine = _make_engine()
+                    engine = Engine(backend=HTTPBackend(url))
                     pending = []
                     break
                 except DistributedError:
@@ -494,23 +470,21 @@ def dispatch_job(client: CoordinatorClient, specs: List[dict], *,
     Pairs surface in completion order, each index exactly once (the
     cursor protocol), mirroring ``Engine.stream``'s delivery contract.
     The coordinator issues a job id at submit time and every results
-    poll is scoped by it, so any number of drivers can dispatch onto
-    one fleet concurrently without seeing each other's payloads.
+    poll is scoped by it, so a driver never sees another job's payloads.
 
     Raises :class:`DistributedError` when the job fails remotely, the
-    server rejects the job id (an in-memory server that restarted and
-    forgot it), or — after ``stall_timeout`` seconds with no results
-    and no leased tasks anywhere on the fleet — no worker is serving
-    the queue at all (leases held by live workers never trip the
-    timer, so long-running tasks and a busy fleet are fine).
+    server rejects the job id (a newer submission replaced the job, or
+    the server restarted and forgot it), or — after ``stall_timeout``
+    seconds with no results and no leased tasks on the fleet — no
+    worker is serving the queue at all (leases held by live workers
+    never trip the timer, so long-running tasks and a busy fleet are
+    fine).
 
     Transport-level outages shorter than ``reconnect`` seconds are
-    ridden out with capped exponential backoff: against a ``repro
-    serve --state-dir`` server, a restart mid-dispatch is invisible
-    here — the journal replays the job, the cursor still means the
-    same thing, and polling resumes where it left off.  (Against an
-    in-memory server the poll reconnects too, but the job is gone and
-    the "unknown job" rejection — not retryable — surfaces as usual.)
+    ridden out with capped exponential backoff, so a network blip is
+    invisible here.  A restarted server reconnects too, but it has
+    forgotten the job, and the "unknown job" rejection — not
+    retryable — surfaces as usual.
     """
     client.check_version()
     receipt = client.submit(specs, scale=scale, seed=seed)

@@ -4,18 +4,16 @@ The contract under test mirrors the engine's own invariants, lifted to
 multi-machine scale:
 
 * any ``CacheBackend`` behind a ``TraceCache`` yields the same hits and
-  the same misses (foreign records are misses everywhere), and the
-  tiered backend serves warm reads with zero remote calls while writing
-  through so the fleet still shares every record;
-* the coordinator's lease/ack protocol delivers every job's results
+  the same misses (foreign records are misses everywhere);
+* the coordinator's lease/ack protocol delivers the job's results
   exactly once — batched leases and piggybacked acks included —
-  requeues crashed workers' tasks, fails a job fast on worker errors
-  without touching the other jobs in the FIFO table, and scopes
-  results/status by server-issued job id;
+  requeues crashed workers' tasks, fails the job fast on worker errors,
+  and scopes results/status by server-issued job id; a new submission
+  replaces an unfinished job, releasing its leases and refusing its
+  late acks;
 * a dispatched ``repro bench`` run is byte-identical to a local one in
-  all three formats, with every functional trace computed exactly once
-  across the fleet — including two drivers sharing the fleet
-  concurrently;
+  all three formats, with and without ``--arch-sweep``, with every
+  functional trace computed exactly once across the fleet;
 * every failure — dead server, version skew, worker crash — surfaces as
   a one-line :class:`~repro.errors.ReproError` diagnostic (exit 2 at
   the CLI), never a traceback.
@@ -320,7 +318,7 @@ class TestCoordinator:
 
 
 # ----------------------------------------------------------------------
-# The multi-job table
+# Job scoping: one job slot, replaced by the next submit
 # ----------------------------------------------------------------------
 class TestMultiJob:
     def _coordinator(self, timeout=60.0):
@@ -345,53 +343,6 @@ class TestMultiJob:
             else:
                 coordinator.ack(response["id"], response["lease"],
                                 result={"cycles": 1})
-
-    def test_concurrent_submissions_queue_fifo(self):
-        coordinator, _clock = self._coordinator()
-        first = coordinator.submit(_payloads(_specs()[:2]),
-                                   scale="tiny", seed=0)
-        second = coordinator.submit(_payloads(_specs()[:2]),
-                                    scale="tiny", seed=1)
-        assert first["job"] != second["job"]
-        assert first["position"] == 0
-        assert second["position"] == 1
-        # The older job's tasks are handed out first ...
-        leased = coordinator.lease("w")
-        assert leased["id"].startswith(first["job"])
-        # ... and once it has nothing ready, the fleet spills onto the
-        # younger job instead of idling (work-conserving FIFO).
-        spill = coordinator.lease("w")
-        assert spill["id"].startswith(second["job"])
-
-    def test_results_are_scoped_and_complete_per_job(self):
-        coordinator, _clock = self._coordinator()
-        first = coordinator.submit(_payloads(_specs()[:2]),
-                                   scale="tiny", seed=0)
-        second = coordinator.submit(_payloads(_specs()[:3]),
-                                    scale="tiny", seed=0)
-        batch_one = self._finish(coordinator, first)
-        batch_two = self._finish(coordinator, second)
-        assert batch_one["job"] == first["job"]
-        assert batch_two["job"] == second["job"]
-        assert sorted(i for i, _p in batch_one["results"]) == [0, 1]
-        assert sorted(i for i, _p in batch_two["results"]) == [0, 1, 2]
-
-    def test_failure_is_isolated_to_its_job(self):
-        coordinator, _clock = self._coordinator()
-        doomed = coordinator.submit(_payloads(_specs()[:1]),
-                                    scale="tiny", seed=0)
-        healthy = coordinator.submit(_payloads(_specs()[:1]),
-                                     scale="tiny", seed=0)
-        leased = coordinator.lease("w")
-        assert leased["id"].startswith(doomed["job"])
-        assert coordinator.ack(leased["id"], leased["lease"],
-                               error="kernel exploded")
-        verdict = coordinator.results_since(doomed["job"], 0)
-        assert "kernel exploded" in verdict["failed"]
-        # The healthy job is untouched and still completes.
-        batch = self._finish(coordinator, healthy)
-        assert batch["failed"] is None
-        assert batch["completed"] == 1
 
     def test_failure_releases_every_lease_the_job_holds(self):
         # A co-worker is mid-task on a job that another worker just
@@ -420,124 +371,49 @@ class TestMultiJob:
         with pytest.raises(DistributedError, match="unknown job"):
             coordinator.status("no-such-job")
 
-    def test_finished_jobs_are_evicted_but_stats_survive(self):
-        from repro.engine.distributed.coordinator import (
-            FINISHED_JOB_RETENTION,
-        )
-
-        coordinator, _clock = self._coordinator()
-        receipts = []
-        for _ in range(FINISHED_JOB_RETENTION + 3):
-            receipt = coordinator.submit(_payloads(_specs()[:1]),
-                                         scale="tiny", seed=0)
-            self._finish(coordinator, receipt)
-            receipts.append(receipt)
-        # The oldest finished jobs fell off the table ...
-        with pytest.raises(DistributedError, match="unknown job"):
-            coordinator.results_since(receipts[0]["job"], 0)
-        # ... the newest is still pollable ...
-        assert coordinator.results_since(receipts[-1]["job"], 0)["done"]
-        # ... and the aggregate stats absorbed the evicted jobs.
-        stats = coordinator.status()["stats"]
-        assert stats["traces_computed"] == len(receipts)
-
     def test_per_job_status_view(self):
         coordinator, _clock = self._coordinator()
+        # Before any submit the view still carries what the stall
+        # diagnostic and the shutdown drain read.
+        assert coordinator.status() == {"job": None, "leased": 0,
+                                        "draining": False}
         receipt = coordinator.submit(_payloads(_specs()[:2]),
                                      scale="tiny", seed=0)
         status = coordinator.status(receipt["job"])
         assert status["job"] == receipt["job"]
         assert status["total"] == 2
         assert not status["done"]
-        overview = coordinator.status()
-        assert [job["job"] for job in overview["jobs"]] \
-            == [receipt["job"]]
-        assert overview["active"] == 1
+        # Without a job id, the view is the current job's.
+        assert coordinator.status() == status
 
-
-# ----------------------------------------------------------------------
-# Fair-share scheduling (`repro serve --schedule fair`)
-# ----------------------------------------------------------------------
-class TestFairShareSchedule:
-    def _coordinator(self, schedule="fair"):
-        clock = {"now": 0.0}
-        coordinator = Coordinator(
-            lease_timeout=60.0, clock=lambda: clock["now"],
-            schedule=schedule,
-        )
-        return coordinator, clock
-
-    def test_unknown_schedule_rejected(self):
-        with pytest.raises(DistributedError, match="schedule"):
-            Coordinator(schedule="lifo")
-
-    def test_leases_round_robin_across_active_jobs(self):
-        """A long sweep submitted first must not monopolize the fleet:
-        consecutive grants alternate across the active jobs.  (Each job
-        has three ready trace tasks here, so under FIFO all four grants
-        would go to the sweep.)"""
+    def test_second_submit_replaces_an_unfinished_job(self):
+        # A driver that was interrupted (or stalled out) leaves its job
+        # unfinished; the next driver's submit must replace it rather
+        # than queue behind it or be refused.
         coordinator, _clock = self._coordinator()
-        sweep = coordinator.submit(_payloads(_specs()), scale="tiny",
-                                   seed=0)
-        short = coordinator.submit(_payloads(_specs()), scale="tiny",
-                                   seed=1)
-        owners = []
-        for _ in range(4):
-            response = coordinator.lease("w")
-            owners.append(response["id"].split(":")[0])
-        assert owners == [sweep["job"], short["job"],
-                          sweep["job"], short["job"]]
-
-    def test_fifo_remains_the_default(self):
-        coordinator, _clock = self._coordinator(schedule="fifo")
-        assert Coordinator().schedule == "fifo"
-        first = coordinator.submit(_payloads(_specs()),
-                                   scale="tiny", seed=0)
-        coordinator.submit(_payloads(_specs()), scale="tiny", seed=1)
-        owners = {coordinator.lease("w")["id"].split(":")[0]
-                  for _ in range(2)}
-        assert owners == {first["job"]}  # oldest job drains first
-
-    def test_fair_share_is_work_conserving(self):
-        """A job with nothing ready is skipped, not waited on: one job's
-        whole queue drains through a fair scheduler without stalls."""
-        coordinator, _clock = self._coordinator()
-        receipt = coordinator.submit(_payloads(_specs()[:2]),
-                                     scale="tiny", seed=0)
-        served = 0
-        while True:
-            response = coordinator.lease_many("w", limit=4)
-            if "tasks" not in response:
-                break
-            for grant in response["tasks"]:
-                served += 1
-                if grant["task"]["kind"] == "trace":
-                    coordinator.ack(grant["id"], grant["lease"],
-                                    computed=True)
-                else:
-                    coordinator.ack(grant["id"], grant["lease"],
-                                    result={"cycles": 1})
-        verdict = coordinator.results_since(receipt["job"], 0)
-        assert verdict["done"] and not verdict["failed"]
-        assert served >= 2
-
-    def test_batched_grants_interleave_jobs(self):
-        """One lease_many round trip spreads across jobs under fair
-        scheduling instead of draining the oldest job's queue."""
-        coordinator, _clock = self._coordinator()
-        first = coordinator.submit(_payloads(_specs()), scale="tiny",
-                                   seed=0)
-        second = coordinator.submit(_payloads(_specs()), scale="tiny",
-                                    seed=1)
-        response = coordinator.lease_many("w", limit=4)
-        owners = [grant["id"].split(":")[0]
-                  for grant in response["tasks"]]
-        assert owners == [first["job"], second["job"],
-                          first["job"], second["job"]]
-
-    def test_schedule_is_visible_in_status(self):
-        coordinator, _clock = self._coordinator()
-        assert coordinator.status()["schedule"] == "fair"
+        old = coordinator.submit(_payloads(_specs()[:2]), scale="tiny",
+                                 seed=0)
+        grant = coordinator.lease("w")
+        assert coordinator.status()["leased"] == 1
+        new = coordinator.submit(_payloads(_specs()[:1]), scale="tiny",
+                                 seed=1)
+        # The old job's lease is released: nothing pins "leased".
+        assert coordinator.status()["leased"] == 0
+        # Its late ack and renewal are stale, and its poll says why.
+        assert not coordinator.ack(grant["id"], grant["lease"],
+                                   computed=True)
+        assert not coordinator.renew(grant["id"], grant["lease"])
+        with pytest.raises(DistributedError,
+                           match="replaced by a newer submission"):
+            coordinator.results_since(old["job"], 0)
+        batch = self._finish(coordinator, new)
+        assert batch["failed"] is None
+        assert batch["completed"] == 1
+        # A finished job stays pollable until the next submit.
+        assert coordinator.results_since(new["job"], 0)["done"]
+        coordinator.submit(_payloads(_specs()[:1]), scale="tiny", seed=2)
+        with pytest.raises(DistributedError, match="unknown job"):
+            coordinator.results_since(new["job"], 0)
 
 
 # ----------------------------------------------------------------------
@@ -567,17 +443,6 @@ class TestBatchedLease:
         # The leases are distinct; each ack lands exactly once.
         leases = {grant["lease"] for grant in batch["tasks"]}
         assert len(leases) == 3
-
-    def test_batched_lease_spans_a_job_boundary(self):
-        coordinator, _clock = self._coordinator()
-        first = coordinator.submit(_payloads(_specs()[:1]),
-                                   scale="tiny", seed=0)
-        second = coordinator.submit(_payloads(_specs()[:1]),
-                                    scale="tiny", seed=0)
-        batch = coordinator.lease_many("w", 4)
-        owners = {grant["id"].rsplit(":", 1)[0]
-                  for grant in batch["tasks"]}
-        assert owners == {first["job"], second["job"]}
 
     def test_batched_leases_preserve_exactly_once_under_requeue(self):
         # A worker leases a whole batch and crashes; the survivor
@@ -655,127 +520,6 @@ class TestBatchedLease:
 
 
 # ----------------------------------------------------------------------
-# The tiered (read-through) backend
-# ----------------------------------------------------------------------
-class RecordingBackend:
-    """Wraps a backend and counts every call — the network-call meter."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.calls = {"get": 0, "put": 0, "contains": 0, "iter_keys": 0}
-
-    def get(self, digest):
-        self.calls["get"] += 1
-        return self.inner.get(digest)
-
-    def put(self, digest, envelope):
-        self.calls["put"] += 1
-        self.inner.put(digest, envelope)
-
-    def contains(self, digest):
-        self.calls["contains"] += 1
-        return self.inner.contains(digest)
-
-    def iter_keys(self):
-        self.calls["iter_keys"] += 1
-        return self.inner.iter_keys()
-
-    def describe(self):
-        return f"recording({self.inner.describe()})"
-
-
-class TestTieredBackend:
-    def _tiered(self, tmp_path):
-        from repro.engine.distributed.backend import TieredBackend
-
-        remote = RecordingBackend(MemoryBackend())
-        tiered = TieredBackend(LocalBackend(tmp_path / "tier"), remote)
-        return tiered, remote
-
-    def test_warm_get_performs_zero_remote_calls(self, tmp_path):
-        tiered, remote = self._tiered(tmp_path)
-        digest = "ab" * 32
-        envelope = {"key": {"kind": "trace"}, "payload": {"x": 1}}
-        remote.inner.put(digest, envelope)
-        assert tiered.get(digest) == envelope       # cold: one remote GET
-        assert remote.calls["get"] == 1
-        assert tiered.get(digest) == envelope       # warm: served locally
-        assert tiered.get(digest) == envelope
-        assert remote.calls["get"] == 1             # still exactly one
-
-    def test_put_writes_through_to_both_tiers(self, tmp_path):
-        tiered, remote = self._tiered(tmp_path)
-        digest = "cd" * 32
-        envelope = {"key": {"kind": "trace"}, "payload": {"y": 2}}
-        tiered.put(digest, envelope)
-        assert remote.calls["put"] == 1
-        assert remote.inner.get(digest) == envelope  # the fleet sees it
-        assert tiered.local.get(digest) == envelope  # and so do we, free
-        assert tiered.get(digest) == envelope
-        assert remote.calls["get"] == 0
-
-    def test_contains_falls_back_to_the_remote(self, tmp_path):
-        tiered, remote = self._tiered(tmp_path)
-        digest = "ef" * 32
-        assert not tiered.contains(digest)
-        remote.inner.put(digest, {"key": {}, "payload": {}})
-        assert tiered.contains(digest)               # remote-only: found
-        tiered.local.put(digest, {"key": {}, "payload": {}})
-        calls_before = remote.calls["contains"]
-        assert tiered.contains(digest)               # local now answers
-        assert remote.calls["contains"] == calls_before
-
-    def test_iter_keys_unions_both_tiers(self, tmp_path):
-        tiered, remote = self._tiered(tmp_path)
-        shared = "ab" * 32
-        tiered.local.put(shared, {"key": {}, "payload": {}})
-        tiered.local.put("cd" * 32, {"key": {}, "payload": {}})
-        remote.inner.put(shared, {"key": {}, "payload": {}})
-        remote.inner.put("ef" * 32, {"key": {}, "payload": {}})
-        assert sorted(tiered.iter_keys()) \
-            == sorted({shared, "cd" * 32, "ef" * 32})
-
-    def test_trace_cache_warm_reads_skip_the_server(self, server,
-                                                    tmp_path):
-        # The deployment shape: an engine whose cache is tiered over
-        # the live HTTP backend.  After the first read, re-reads of
-        # the same record never touch the network.
-        from repro.engine.distributed.backend import TieredBackend
-
-        producer = Engine(backend=HTTPBackend(server.url))
-        assert producer.ensure_trace("gemm", "tiny", 0) is True
-
-        remote = RecordingBackend(HTTPBackend(server.url))
-        tiered = TieredBackend(LocalBackend(tmp_path / "tier"), remote)
-        key = trace_cache_key("gemm", "tiny", 0)
-        warm_cache = TraceCache(backend=tiered)
-        assert warm_cache.get(key) is not None       # cold: one HTTP GET
-        assert remote.calls["get"] == 1
-        # A *fresh* TraceCache (no memo) over the same tier: zero HTTP.
-        rewarmed = TraceCache(backend=tiered)
-        assert rewarmed.get(key) is not None
-        assert remote.calls["get"] == 1
-
-    def test_worker_with_cache_dir_populates_the_local_tier(
-            self, server, tmp_path):
-        tier = tmp_path / "worker-tier"
-        client = CoordinatorClient(server.url)
-        client.submit(_payloads(_specs()[:2]), scale="tiny", seed=0)
-        worker = threading.Thread(
-            target=work_loop, args=(server.url,),
-            kwargs={"poll": 0.05, "max_idle": 2.0,
-                    "cache_dir": str(tier), "lease_batch": 2},
-        )
-        worker.start()
-        landed = dict(_poll_results(client,
-                                    client.status()["jobs"][0]["job"]))
-        worker.join(timeout=30.0)
-        assert sorted(landed) == [0, 1]
-        # Everything the worker computed is in its local tier too.
-        assert list(LocalBackend(tier).iter_keys())
-
-
-# ----------------------------------------------------------------------
 # The HTTP boundary
 # ----------------------------------------------------------------------
 class TestHTTPServer:
@@ -801,6 +545,19 @@ class TestHTTPServer:
         with pytest.raises(DistributedError, match="HTTP 400"):
             backend.put("ff" * 32, {"key": {"kind": "trace"},
                                     "payload": {}})
+
+    def test_negative_content_length_is_a_400_at_once(self, server):
+        # rfile.read(-1) would wait for the client to hang up, so a
+        # client holding the connection open would never get an answer.
+        host, port = server.httpd.server_address[:2]
+        for request_line in ("POST /queue/job", "POST /queue/lease",
+                             f"PUT /records/{'ab' * 32}"):
+            with socket.create_connection((host, port),
+                                          timeout=2.0) as conn:
+                conn.sendall(f"{request_line} HTTP/1.1\r\nHost: x\r\n"
+                             f"Content-Length: -1\r\n\r\n".encode())
+                status_line = conn.makefile("rb").readline()
+            assert status_line.startswith(b"HTTP/1.1 400"), request_line
 
     def test_version_skew_rejects_the_job(self, server, monkeypatch):
         import repro.engine.distributed.worker as worker_module
@@ -1107,7 +864,7 @@ class TestFailurePaths:
             client.submit(["not-a-spec"], scale="tiny", seed=0)
         # The handler survived both rejections: the server still answers
         # and no half-submitted job was left behind.
-        assert client.status()["jobs"] == []
+        assert client.status()["job"] is None
 
     def test_dispatch_with_no_workers_stalls_out_with_a_diagnostic(
             self, server):
@@ -1116,6 +873,45 @@ class TestFailurePaths:
             list(dispatch_job(client, _payloads(_specs()[:1]),
                               scale="tiny", seed=0,
                               poll=0.02, stall_timeout=0.3))
+
+    def test_replaced_dispatch_driver_exits_2_with_one_line(
+            self, server, monkeypatch):
+        # No workers: the first driver's job sits unfinished until a
+        # second submission replaces it; the first driver's next poll
+        # must end it with one diagnostic line, not a stall or a trace.
+        submitted = threading.Event()
+        submit = server.coordinator.submit
+
+        def spy(*args, **kwargs):
+            receipt = submit(*args, **kwargs)
+            submitted.set()
+            return receipt
+
+        monkeypatch.setattr(server.coordinator, "submit", spy)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        driver = subprocess.Popen(
+            [sys.executable, "-m", "repro", "bench", "--scale", "tiny",
+             "--dispatch", server.url],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            assert submitted.wait(timeout=20.0), "driver never submitted"
+            CoordinatorClient(server.url).submit(
+                _payloads(_specs()[:1]), scale="tiny", seed=0
+            )
+            _out, err = driver.communicate(timeout=20.0)
+        finally:
+            driver.kill()
+            driver.wait(timeout=10.0)
+        assert driver.returncode == 2
+        lines = err.strip().splitlines()
+        assert len(lines) == 1, err
+        assert lines[0].startswith("error:")
+        assert "replaced by a newer submission" in lines[0]
 
     def test_crashed_worker_mid_lease_triggers_requeue(self):
         # Short leases so the test does not wait on real crash timers.
@@ -1202,8 +998,7 @@ def _poll_results(client: CoordinatorClient, job_id: str):
 # The acceptance end-to-end: real worker processes, byte-identity
 # ----------------------------------------------------------------------
 class TestDispatchEndToEnd:
-    def test_dispatched_reports_are_byte_identical(self, capsys, server,
-                                                   tmp_path):
+    def test_dispatched_reports_are_byte_identical(self, capsys, server):
         local = {}
         for fmt in ("ascii", "json", "csv"):
             assert main(["bench", "--scale", "tiny",
@@ -1214,13 +1009,8 @@ class TestDispatchEndToEnd:
         env["PYTHONPATH"] = SRC_DIR + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
         )
-        # One plain worker and one exercising the WAN shape: batched
-        # leases plus a tiered local cache.
-        worker_flags = [
-            [],
-            ["--lease-batch", "3",
-             "--cache-dir", str(tmp_path / "tier")],
-        ]
+        # One plain worker and one leasing in batches.
+        worker_flags = [[], ["--lease-batch", "3"]]
         workers = [
             subprocess.Popen(
                 [sys.executable, "-m", "repro", "worker",
@@ -1240,22 +1030,23 @@ class TestDispatchEndToEnd:
                 # A complete dispatched working set: nothing recomputed.
                 assert "warning" not in captured.err
 
-            # Every functional trace was computed exactly once across
-            # the fleet: the first job computed them all, the later two
-            # jobs were pure shared-cache hits (the status stats
-            # aggregate over the whole job table).
+            # The first job computed every functional trace, so the
+            # last job — the one the status view shows — was all
+            # shared-cache hits.
             from repro.experiments.report import all_specs
 
             distinct = {spec.trace_key()
                         for spec in all_specs("tiny", 0)}
             stats = client.status()["stats"]
-            assert stats["traces_computed"] == len(distinct)
-            assert stats["trace_cache_hits"] == 2 * len(distinct)
+            assert stats["traces_computed"] == 0
+            assert stats["trace_cache_hits"] == len(distinct)
         finally:
             client.shutdown()
             for worker in workers:
                 worker.wait(timeout=30)
         assert all(worker.returncode == 0 for worker in workers)
+        # Each trace was computed exactly once across the fleet and
+        # all three jobs: the workers' exit summaries say so.
         fleet_traces = 0
         for worker in workers:
             tail = worker.stderr.read()
@@ -1264,83 +1055,28 @@ class TestDispatchEndToEnd:
             )
         assert fleet_traces == len(distinct)
 
-    def test_two_concurrent_drivers_share_one_fleet(self, server):
-        # The multi-job acceptance: two drivers dispatch different
-        # sweeps onto one fleet *at the same time*.  Each must receive
-        # a disjoint, complete result set scoped by its job id, and
-        # each assembled report must be byte-identical to the same
-        # sweep run locally.
-        from repro.experiments.report import all_specs, render_report
-
-        local = {seed: render_report("tiny", seed) for seed in (0, 1)}
-
-        reports = {}
-        failures = []
-
-        def drive(seed: int) -> None:
-            try:
-                client = CoordinatorClient(server.url)
-                specs = all_specs("tiny", seed)
-                engine = Engine(backend=HTTPBackend(server.url))
-                landed = list(dispatch_job(
-                    client, [spec.to_payload() for spec in specs],
-                    scale="tiny", seed=seed, poll=0.02,
-                ))
-                # Complete: every spec index, exactly once.
-                assert sorted(index for index, _payload in landed) \
-                    == list(range(len(specs)))
-                for index, payload in landed:
-                    engine.cache.preload(
-                        {fingerprint(specs[index].cache_key()): payload}
-                    )
-                reports[seed] = render_report("tiny", seed,
-                                              engine=engine)
-                # Byte-identity is only meaningful if the replay
-                # recomputed nothing: the payloads all came from our
-                # own job.
-                assert engine.stats.simulations == 0
-            except BaseException as error:  # noqa: BLE001 - re-raised
-                failures.append(error)
-
-        fleet = [
-            threading.Thread(
-                target=work_loop, args=(server.url,),
-                kwargs={"poll": 0.05, "max_idle": 10.0,
-                        "lease_batch": 2, "worker_id": f"fleet-{n}"},
-            )
-            for n in (1, 2)
-        ]
-        drivers = [threading.Thread(target=drive, args=(seed,))
-                   for seed in (0, 1)]
-        for thread in fleet + drivers:
-            thread.start()
-        for thread in drivers:
-            thread.join(timeout=300.0)
-        for thread in fleet:
-            thread.join(timeout=300.0)
-        assert not failures, failures[0]
-        assert reports[0] == local[0]
-        assert reports[1] == local[1]
-
     def test_dispatched_arch_sweep_matches_local_sweep(self, capsys,
                                                        server):
         # The sweep's per-variant params travel inside the dispatched
         # spec payloads, so a fleet that knows nothing about arch files
         # still prices every variant correctly.
         sweep_dir = str(Path(SRC_DIR).parent / "examples" / "arch")
-        assert main(["bench", "--scale", "tiny",
-                     "--arch-sweep", sweep_dir]) == 0
-        local = capsys.readouterr().out
+        local = {}
+        for fmt in ("ascii", "json", "csv"):
+            assert main(["bench", "--scale", "tiny", "--format", fmt,
+                         "--arch-sweep", sweep_dir]) == 0
+            local[fmt] = capsys.readouterr().out
         worker = threading.Thread(
             target=work_loop, args=(server.url,),
             kwargs={"poll": 0.05, "max_idle": 60.0},
         )
         worker.start()
         try:
-            assert main(["bench", "--scale", "tiny",
-                         "--arch-sweep", sweep_dir,
-                         "--dispatch", server.url]) == 0
-            assert capsys.readouterr().out == local
+            for fmt in ("ascii", "json", "csv"):
+                assert main(["bench", "--scale", "tiny", "--format", fmt,
+                             "--arch-sweep", sweep_dir,
+                             "--dispatch", server.url]) == 0
+                assert capsys.readouterr().out == local[fmt]
         finally:
             CoordinatorClient(server.url).shutdown()
             worker.join(timeout=30.0)
@@ -1418,40 +1154,6 @@ class TestFleetReliability:
         ]) == [True, False]
         # ... and the rejected call did not touch the healthy lease.
         assert client.ack(grant["id"], grant["lease"], computed=True)
-
-    def test_finished_job_is_evicted_at_done_time_not_next_submit(
-            self, monkeypatch):
-        from repro.engine.distributed import coordinator as module
-
-        monkeypatch.setattr(module, "FINISHED_JOB_RETENTION", 0)
-        coordinator = Coordinator()
-        receipt = coordinator.submit(_payloads(_specs()[:1]),
-                                     scale="tiny", seed=0)
-        trace = coordinator.lease("w")
-        assert coordinator.ack(trace["id"], trace["lease"],
-                               computed=True)
-        sim = coordinator.lease("w")
-        assert coordinator.ack(sim["id"], sim["lease"],
-                               result={"cycles": 1})
-        # The completing ack itself ran the retention sweep: on a quiet
-        # serve there may never be a next submit to trigger it, and
-        # until then the job would pin its results payloads in RAM.
-        assert coordinator.status()["jobs"] == []
-        with pytest.raises(DistributedError, match="unknown job"):
-            coordinator.results_since(receipt["job"], 0)
-        # Lifetime stats survived the eviction.
-        assert coordinator.status()["stats"]["traces_computed"] == 1
-
-    def test_failed_job_is_evicted_at_fail_time_too(self, monkeypatch):
-        from repro.engine.distributed import coordinator as module
-
-        monkeypatch.setattr(module, "FINISHED_JOB_RETENTION", 0)
-        coordinator = Coordinator()
-        coordinator.submit(_payloads(_specs()[:1]), scale="tiny", seed=0)
-        grant = coordinator.lease("w")
-        assert coordinator.ack(grant["id"], grant["lease"],
-                               error="boom")
-        assert coordinator.status()["jobs"] == []
 
     def test_heartbeat_survives_pop_while_renew(self, monkeypatch):
         # Regression hammer for the `held` data race: the renew thread

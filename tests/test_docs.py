@@ -4,10 +4,10 @@
 command line.  These tests hold it to that: every subcommand (including
 nested ones like ``cache stats``) and every flag that
 :func:`repro.cli.build_parser` defines must appear in the document, and
-— the reverse direction — every ``--flag`` token the document mentions
-must actually exist in the parser, so removed flags cannot linger as
-documented fiction.  The README's pointers into ``docs/`` are checked
-the same way.
+— the reverse direction — every ``--flag`` token that any ``docs/*.md``
+file or the README mentions must actually exist in the parser, so
+removed flags cannot linger as documented fiction.  The README's
+pointers into ``docs/`` are checked the same way.
 """
 
 from __future__ import annotations
@@ -24,6 +24,10 @@ README = REPO_ROOT / "README.md"
 
 #: Flags that are argparse plumbing, not part of the documented surface.
 _IGNORED_FLAGS = {"-h", "--help"}
+
+#: Flags the docs name that belong to other tools: pytest's golden
+#: re-bless switch and pip's editable-install switch.
+_FOREIGN_FLAGS = {"--update-golden", "--no-build-isolation"}
 
 
 def _walk_commands(parser: argparse.ArgumentParser, prefix: str = ""):
@@ -71,16 +75,20 @@ class TestCLIReference:
 
     def test_documented_flags_all_exist(self):
         # The reverse direction: a flag removed from the CLI must be
-        # removed from the reference too.
-        known = set()
+        # removed from every document too, not just the reference.
+        known = _IGNORED_FLAGS | _FOREIGN_FLAGS
         for _path, sub in _walk_commands(build_parser()):
             known.update(_flags_of(sub))
-        documented = set(re.findall(r"--[a-z][a-z0-9-]*",
-                                    CLI_DOC.read_text(encoding="utf-8")))
-        stale = documented - known
+        stale = {}
+        for doc in sorted(REPO_ROOT.glob("docs/*.md")) + [README]:
+            documented = set(re.findall(r"--[a-z][a-z0-9-]*",
+                                        doc.read_text(encoding="utf-8")))
+            if documented - known:
+                stale[doc.relative_to(REPO_ROOT).as_posix()] = sorted(
+                    documented - known
+                )
         assert not stale, (
-            f"docs/CLI.md documents flags the CLI does not define: "
-            f"{sorted(stale)}"
+            f"docs document flags the CLI does not define: {stale}"
         )
 
     def test_exit_code_conventions_are_documented(self):

@@ -115,184 +115,3 @@ class TestModelEdgeCases:
         assert fast.speedup_over(slow) >= 1.0
         assert slow.speedup_over(fast) <= 1.0
 
-
-# ----------------------------------------------------------------------
-# Coordinator crash recovery (kill -9 a durable serve, replay the
-# journal, drive the lease/ack protocol by hand across the boundary)
-# ----------------------------------------------------------------------
-class TestCoordinatorCrashRecovery:
-    @staticmethod
-    def _spawn_serve(port, state_dir):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import repro
-
-        env = dict(os.environ)
-        src = str(Path(repro.__file__).parents[1])
-        env["PYTHONPATH"] = src + (
-            os.pathsep + env["PYTHONPATH"]
-            if env.get("PYTHONPATH") else ""
-        )
-        return subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve",
-             "--port", str(port), "--state-dir", str(state_dir)],
-            env=env, stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
-
-    @staticmethod
-    def _wait_healthy(url, timeout=30.0):
-        import time
-
-        from repro.engine.distributed.backend import HTTPBackend
-        from repro.errors import DistributedError
-
-        deadline = time.monotonic() + timeout
-        while True:
-            try:
-                return HTTPBackend(url).health()
-            except DistributedError:
-                if time.monotonic() >= deadline:
-                    raise
-                time.sleep(0.05)
-
-    def test_kill_dash_nine_mid_job_replays_to_a_live_table(
-            self, tmp_path):
-        """The full crash story over real HTTP and a real SIGKILL.
-
-        Acked results survive; the half-done job's remaining task
-        re-leases on the restarted server; the dead process's lease
-        token bounces as stale — exactly-once across the boundary.
-        """
-        import contextlib
-        import signal
-        import socket
-
-        from repro.arch.params import DEFAULT_PARAMS
-        from repro.engine import ModelSpec, RunSpec
-        from repro.engine.distributed.worker import CoordinatorClient
-
-        specs = [
-            RunSpec("gemm", "tiny", 0, ModelSpec.make(model),
-                    DEFAULT_PARAMS).to_payload()
-            for model in ("von_neumann", "marionette")
-        ]
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-        url = f"http://127.0.0.1:{port}"
-        proc = self._spawn_serve(port, tmp_path)
-        try:
-            self._wait_healthy(url)
-            client = CoordinatorClient(url)
-            job = client.submit(specs, scale="tiny", seed=0)["job"]
-            # Hand-drive the protocol: trace done, one sim done, one
-            # sim leased-but-never-acked when the server dies.
-            trace = client.lease("w")["tasks"][0]
-            assert trace["task"]["kind"] == "trace"
-            assert client.ack(trace["id"], trace["lease"],
-                              computed=True)
-            first_sim = client.lease("w")["tasks"][0]
-            assert client.ack(first_sim["id"], first_sim["lease"],
-                              result={"cycles": 41})
-            doomed = client.lease("w")["tasks"][0]
-
-            proc.send_signal(signal.SIGKILL)
-            proc.wait(timeout=30)
-            proc = self._spawn_serve(port, tmp_path)
-            self._wait_healthy(url)
-
-            # Acked results are still pollable at their old cursor.
-            batch = client.results_since(job, 0)
-            assert batch["results"] \
-                == [[first_sim["task"]["index"], {"cycles": 41}]]
-            assert not batch["done"]
-            # The dead process's lease was not restored: its token is
-            # stale, and the task re-leases with a fresh one.
-            assert not client.ack(doomed["id"], doomed["lease"],
-                                  result={"cycles": 666})
-            retry = client.lease("w2")["tasks"][0]
-            assert retry["id"] == doomed["id"]
-            assert retry["lease"] != doomed["lease"]
-            assert client.ack(retry["id"], retry["lease"],
-                              result={"cycles": 42})
-            final = client.results_since(job, 0)
-            assert final["done"]
-            assert sorted(
-                (index, payload["cycles"])
-                for index, payload in final["results"]
-            ) == [(0, 41), (1, 42)] or sorted(
-                (index, payload["cycles"])
-                for index, payload in final["results"]
-            ) == [(0, 42), (1, 41)]
-        finally:
-            with contextlib.suppress(ProcessLookupError):
-                proc.kill()
-            proc.wait(timeout=30)
-
-    def test_journal_compaction_under_concurrent_submits(self,
-                                                         tmp_path):
-        """Many threads submit and ack against a tiny journal budget:
-        compaction (snapshot + truncate) must never lose a transition,
-        and the journal must stay bounded by the table, not history."""
-        import threading
-
-        from repro.arch.params import DEFAULT_PARAMS
-        from repro.engine import ModelSpec, RunSpec
-        from repro.engine.distributed.coordinator import Coordinator
-        from repro.engine.distributed.journal import JobJournal
-
-        spec = RunSpec("gemm", "tiny", 0,
-                       ModelSpec.make("von_neumann"),
-                       DEFAULT_PARAMS).to_payload()
-        journal = JobJournal(tmp_path, max_bytes=2048)
-        coordinator = Coordinator(journal=journal)
-        jobs, errors = [], []
-        lock = threading.Lock()
-
-        def driver(worker):
-            try:
-                for _round in range(5):
-                    job = coordinator.submit([dict(spec)],
-                                             scale="tiny",
-                                             seed=0)["job"]
-                    with lock:
-                        jobs.append(job)
-                    while True:
-                        grant = coordinator.lease(worker)
-                        if grant == {"wait": True}:
-                            break
-                        if grant["task"]["kind"] == "trace":
-                            coordinator.ack(grant["id"],
-                                            grant["lease"],
-                                            computed=True)
-                        else:
-                            coordinator.ack(grant["id"],
-                                            grant["lease"],
-                                            result={"cycles": 9})
-            except Exception as error:   # noqa: BLE001 - recorded
-                errors.append(error)
-
-        threads = [threading.Thread(target=driver, args=(f"w{n}",))
-                   for n in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60.0)
-        assert not errors
-        # Workers race for leases, so any driver may finish any job;
-        # what matters is that every job completed and survives replay.
-        resumed, summary = Coordinator.resume(journal)
-        assert summary["jobs"] == len(jobs) == 20
-        assert summary["active"] == 0
-        for job in jobs:
-            batch = resumed.results_since(job, 0)
-            assert batch["done"] and not batch["failed"]
-            assert [index for index, _payload in batch["results"]] \
-                == [0]
-        # Bounded: one compacted snapshot, not 20 jobs of history.
-        assert journal.path.stat().st_size < 10 * 2048
