@@ -33,7 +33,8 @@ from repro.sim.array import ArraySimulator
 #: Margin the event stepper must clear on the sparse workload: it skips
 #: ~59 idle PEs per cycle plus whole idle-cycle stretches, so parity
 #: would mean the scheduler is broken; 1.3x keeps CI noise-proof (the
-#: observed factor on an unloaded host is ~3x).
+#: observed factor on a shared 2-vCPU host is 2.5-4x: naive ~27-47 ms,
+#: event ~7-15 ms).
 SPEEDUP_FLOOR = 1.3
 
 

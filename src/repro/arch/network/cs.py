@@ -19,7 +19,7 @@ This module models the CS network at the behavioural level:
 
 The switch-level routing bits of the 1988 design are not reproduced; the
 area, delay and admissible-traffic behaviour — all the evaluation depends
-on — are.  (Documented as a substitution in DESIGN.md.)
+on — are.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """The shared execution-model engine.
 
-Cost model (DESIGN.md Section 4).  A kernel's dynamic behaviour is reduced
+Cost model.  A kernel's dynamic behaviour is reduced
 to per-loop statistics (entries, iterations) plus flat-block execution
 counts; the engine walks the loop-nest tree bottom-up and prices, per loop:
 

@@ -831,6 +831,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.arch.params import DEFAULT_PARAMS
     from repro.kernels import load_kernel, run_kernel
 
+    if args.max_cycles < 1:
+        print("error: --max-cycles must be at least 1", file=sys.stderr)
+        return 2
     code = _check_arch_paths(args.arch, None)
     if code:
         return code

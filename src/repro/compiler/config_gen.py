@@ -4,8 +4,9 @@ This is the "bitstream generation" step of the software stack (paper
 Section 5).  It supports the class of kernels the micro-architectural
 simulator is used to validate end to end: a single counted loop whose body
 holds the computation (loads, computes, stores, optional register
-accumulators).  Richer kernels are evaluated through the trace-driven
-execution models (see DESIGN.md tier split); attempting to generate
+accumulators), where every body instruction has a token input.  Richer
+kernels are evaluated through the trace-driven execution models (see
+docs/ENGINE.md, "Event-driven array simulation"); attempting to generate
 configurations for them raises :class:`CompilationError` with a reason.
 
 Mapping scheme:
@@ -16,8 +17,8 @@ Mapping scheme:
 * loop-carried variables become local-register self-edges on the producing
   PE (initial value from the entry block via the program's register-init
   table);
-* values fanned out to more than four consumers are relayed through a
-  spare PE (``x + 0`` forwarding instruction).
+* a value fanned out to more than four destinations (or a PE needing
+  more than four input ports) is refused: no relay PE is inserted.
 """
 
 from __future__ import annotations
@@ -217,6 +218,17 @@ class _BodyBuilder:
         instructions = {
             node.node_id: self._build_instruction(node) for node in fu_nodes
         }
+        for node in fu_nodes:
+            if not instructions[node.node_id].port_sources:
+                # A standing instruction fires whenever its port sources
+                # hold tokens; with none, it would fire every t_execute
+                # cycles forever instead of once per iteration.
+                raise CompilationError(
+                    f"{self.cdfg.name}: node n{node.node_id} "
+                    f"({node.opcode.value}) has no token input (only "
+                    "registers and immediates), so nothing paces it to "
+                    "the loop"
+                )
         # Attach destinations now that consumers are known.
         for node in fu_nodes:
             dests = self._dests_for(node)

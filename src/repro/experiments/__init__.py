@@ -1,4 +1,4 @@
-"""One module per paper table/figure; see DESIGN.md's experiment index.
+"""One module per paper table/figure, plus the ablation studies.
 
 Each module exposes ``run(scale, seed) -> ExperimentResult`` and can be
 executed directly (``python -m repro.experiments.fig11_pe_models``);

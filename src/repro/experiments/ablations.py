@@ -1,6 +1,6 @@
 """Ablation studies beyond the paper's headline figures.
 
-Three sweeps over the design choices DESIGN.md calls out:
+Three sweeps over the paper's design choices:
 
 * **array size** — does the control flow plane's advantage survive scaling
   the fabric (4x4 -> 8x8)?  The control network grows O(n log n) in

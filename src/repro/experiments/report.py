@@ -1,7 +1,7 @@
 """Run every experiment and emit the full evaluation report.
 
 ``python -m repro.experiments.report [scale]`` regenerates all tables and
-figures in one pass (the content recorded in EXPERIMENTS.md).
+figures in one pass (the payloads ``tests/golden/`` locks down).
 
 :func:`run_all` collects the :class:`RunSpec` batches of every experiment
 first and executes them through one engine, so the nine figures share every

@@ -42,7 +42,6 @@ from repro.errors import SimulationError
 from repro.arch.network.cs_benes import ControlMessage, ControlNetwork
 from repro.arch.params import ArchParams
 from repro.isa.control import SenderMode
-from repro.isa.operands import DestKind
 from repro.isa.program import ArrayProgram
 from repro.sim.events import (
     ArrayStats,
@@ -413,14 +412,12 @@ class ArraySimulator:
             return
         if value is None:
             return
-        for dest in outcome.dests:
-            if dest.kind is not DestKind.PE_PORT:
-                continue  # REG/CONTROL handled in the data path
-            if dest.pe == pe:
-                self.pes[pe].receive_data(dest.port, value)
+        for dst_pe, port in outcome.dests:
+            if dst_pe == pe:
+                self.pes[pe].receive_data(port, value)
             else:
                 arrival = cycle + self.params.data_net_latency
                 self._data_inflight.push(
-                    arrival, DataToken(dest.pe, dest.port, value)
+                    arrival, DataToken(dst_pe, port, value)
                 )
                 self.pes[pe].stats.data_tokens_sent += 1

@@ -1,40 +1,99 @@
 """The data flow part of a Marionette PE.
 
 A pipelined function unit (one issue per cycle, ``t_execute`` cycles to
-complete), ``N_PORTS`` token input FIFOs fed by the mesh, and a small local
-register file.  The live instruction is a *standing* configuration: it fires
-whenever its port sources all hold tokens, giving the producer/consumer
-pipeline its II of 1 in the steady state.
+complete, so firings finish in issue order), ``N_PORTS`` token input FIFOs
+fed by the mesh, and a small local register file.  The live instruction is
+a *standing* configuration: it fires whenever its port sources all hold
+tokens, giving the producer/consumer pipeline its II of 1 in the steady
+state.
+
+The part never reads a :class:`~repro.isa.data.DataInstruction` while it
+steps: each one is decoded once into a :class:`Plan` (the PE decodes its
+whole program when it is built), and :meth:`DataFlowPart.can_fire`,
+:meth:`~DataFlowPart.issue` and :meth:`~DataFlowPart.complete` read only
+the plan.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.ir.ops import op_info
 from repro.isa.data import DataInstruction, DataKind
-from repro.isa.operands import Dest, DestKind, N_PORTS, N_REGS, Operand, OperandKind
-from repro.isa.program import TriggerEntry
+from repro.isa.operands import DestKind, N_PORTS, N_REGS, OperandKind
 from repro.sim.fifo import Fifo
 
+_COMPUTE, _LOAD, _STORE, _LOOP, _NOP = (
+    DataKind.COMPUTE, DataKind.LOAD, DataKind.STORE, DataKind.LOOP,
+    DataKind.NOP,
+)
+_PORT, _REG = OperandKind.PORT, OperandKind.REG
 
-@dataclass
+#: A source operand as ``(kind, value)``: a port index, a register index,
+#: or the immediate itself.
+OperandPair = Tuple[OperandKind, float]
+
+
+@dataclass(frozen=True, slots=True)
+class Plan:
+    """One data instruction, decoded for the per-cycle path."""
+
+    kind: DataKind
+    #: input ports consumed per firing
+    ports: Tuple[int, ...]
+    srcs: Tuple[OperandPair, ...]
+    #: LOOP only: the (lo, hi, step) bound operands
+    bounds: Tuple[OperandPair, ...]
+    #: registers the sources read: a firing waits while one in flight
+    #: writes one of them
+    reads: FrozenSet[int]
+    reg_dests: Tuple[int, ...]
+    #: ``(pe, port)`` of every mesh destination
+    mesh_dests: Tuple[Tuple[int, int], ...]
+    #: the result is a branch outcome for the Control Flow Sender
+    to_control: bool
+    #: COMPUTE only: the opcode's semantics
+    evaluate: Optional[Callable[..., float]]
+    array_id: int
+
+    @classmethod
+    def decode(cls, instruction: DataInstruction) -> "Plan":
+        srcs = tuple((o.kind, o.value) for o in instruction.srcs)
+        dests = instruction.dests
+        return cls(
+            kind=instruction.kind,
+            ports=instruction.port_sources,
+            srcs=srcs,
+            bounds=tuple((o.kind, o.value) for o in instruction.loop_bounds),
+            reads=frozenset(value for kind, value in srcs if kind is _REG),
+            reg_dests=tuple(d.port for d in dests if d.kind is DestKind.REG),
+            mesh_dests=tuple((d.pe, d.port) for d in dests
+                             if d.kind is DestKind.PE_PORT),
+            to_control=any(d.kind is DestKind.CONTROL for d in dests),
+            evaluate=(op_info(instruction.opcode).evaluate
+                      if instruction.kind is _COMPUTE else None),
+            array_id=instruction.array_id,
+        )
+
+
+@dataclass(slots=True)
 class Firing:
     """An operation in flight through the FU pipeline."""
 
     complete_cycle: int
-    instruction: DataInstruction
-    values: Tuple[float, ...]
-    result: Optional[float] = None
+    plan: Plan
+    values: List[float]
 
 
-@dataclass
+@dataclass(slots=True)
 class FiringOutcome:
     """What a completed firing produces (consumed by the array)."""
 
-    dests: Tuple[Dest, ...]
+    #: ``(pe, port)`` mesh destinations of ``value`` (register and
+    #: control destinations are handled in the data path)
+    dests: Tuple[Tuple[int, int], ...]
     value: Optional[float] = None
     store: Optional[Tuple[int, int, float]] = None  # (array_id, index, value)
     load: Optional[Tuple[int, int]] = None          # (array_id, index)
@@ -52,6 +111,7 @@ class DataFlowPart:
             Fifo(None, name=f"pe{pe}.port{i}") for i in range(N_PORTS)
         ]
         self.regs: List[float] = [0] * N_REGS
+        #: firings in the FU pipeline, in issue (= completion) order
         self.inflight: List[Firing] = []
         # Loop operator state.
         self._loop_latched = False
@@ -73,62 +133,50 @@ class DataFlowPart:
         self.loop_exhausted = False
 
     # ------------------------------------------------------------------
-    def _self_recurrence_blocked(self, instruction: DataInstruction) -> bool:
-        if not self.inflight:
-            return False
-        read_regs = {
-            o.value for o in instruction.srcs
-            if o.kind is OperandKind.REG
-        }
-        if not read_regs:
-            return False
-        for firing in self.inflight:
-            for dest in firing.instruction.dests:
-                if dest.kind is DestKind.REG and dest.port in read_regs:
-                    return True
-        return False
+    def _self_recurrence_blocked(self, plan: Plan) -> bool:
+        reads = plan.reads
+        return any(not reads.isdisjoint(firing.plan.reg_dests)
+                   for firing in self.inflight)
 
-    def _operand_ready(self, operand: Operand) -> bool:
-        if operand.kind is OperandKind.PORT:
-            return not self.ports[operand.value].empty
-        return True
-
-    def _read_operand(self, operand: Operand) -> float:
-        if operand.kind is OperandKind.PORT:
-            return self.ports[operand.value].pop()
-        if operand.kind is OperandKind.REG:
-            return self.regs[operand.value]
-        return operand.value
-
-    def can_fire(self, instruction: DataInstruction) -> bool:
+    def can_fire(self, plan: Plan) -> bool:
         """Whether all required port sources hold tokens.
 
         An instruction that reads a register it also writes (a loop-carried
         accumulator) must wait for its in-flight predecessor: the self
         recurrence bounds its II at ``t_execute``.
         """
-        if instruction.kind is DataKind.NOP:
+        kind = plan.kind
+        if kind is _NOP:
             return False
-        if self._self_recurrence_blocked(instruction):
+        if plan.reads and self.inflight \
+                and self._self_recurrence_blocked(plan):
             return False
-        if instruction.kind is DataKind.LOOP:
+        if kind is _LOOP:
             if self.loop_exhausted:
                 return False
             if self._loop_latched:
                 return True
-            return all(
-                self._operand_ready(o) for o in instruction.loop_bounds
-            )
-        return all(self._operand_ready(o) for o in instruction.srcs)
+        ports = self.ports
+        for port in plan.ports:
+            if not ports[port]:
+                return False
+        return True
+
+    def _take(self, operands: Sequence[OperandPair]) -> List[float]:
+        """Operand values in order, popping one token per port source."""
+        ports, regs = self.ports, self.regs
+        return [
+            ports[value].pop() if kind is _PORT
+            else regs[value] if kind is _REG else value
+            for kind, value in operands
+        ]
 
     # ------------------------------------------------------------------
-    def issue(self, instruction: DataInstruction, cycle: int) -> None:
+    def issue(self, plan: Plan, cycle: int) -> None:
         """Consume operands and enter the FU pipeline (one per cycle)."""
-        if instruction.kind is DataKind.LOOP:
+        if plan.kind is _LOOP:
             if not self._loop_latched:
-                lo = self._read_operand(instruction.loop_bounds[0])
-                hi = self._read_operand(instruction.loop_bounds[1])
-                step = self._read_operand(instruction.loop_bounds[2])
+                lo, hi, step = self._take(plan.bounds)
                 if step <= 0:
                     raise SimulationError(
                         f"PE {self.pe}: loop step must be positive"
@@ -140,71 +188,61 @@ class DataFlowPart:
             if self._loop_cur >= self._loop_hi:
                 # Zero-trip loop: emit nothing, signal exit immediately.
                 self.loop_exhausted = True
-                values: Tuple[float, ...] = ()
+                values: List[float] = []
             else:
-                values = (self._loop_cur,)
+                values = [self._loop_cur]
                 self._loop_cur += self._loop_step
                 if self._loop_cur >= self._loop_hi:
                     self.loop_exhausted = True
         else:
-            values = tuple(self._read_operand(o) for o in instruction.srcs)
-        self.inflight.append(
-            Firing(cycle + self.t_execute, instruction, values)
-        )
+            values = self._take(plan.srcs)
+        self.inflight.append(Firing(cycle + self.t_execute, plan, values))
         self.firings += 1
 
     def complete(self, cycle: int) -> List[FiringOutcome]:
         """Finish firings due this cycle and report their outcomes."""
-        done = [f for f in self.inflight if f.complete_cycle <= cycle]
-        if not done:
+        inflight = self.inflight
+        due = 0
+        for firing in inflight:
+            if firing.complete_cycle > cycle:
+                break
+            due += 1
+        if not due:
             return []
-        self.inflight = [f for f in self.inflight if f.complete_cycle > cycle]
-        outcomes: List[FiringOutcome] = []
-        for firing in done:
-            outcomes.append(self._finish(firing))
-        return outcomes
+        done = inflight[:due]
+        del inflight[:due]
+        return list(map(self._finish, done))
 
     def _finish(self, firing: Firing) -> FiringOutcome:
-        instruction = firing.instruction
-        kind = instruction.kind
-        if kind is DataKind.COMPUTE:
-            assert instruction.opcode is not None
-            fn = op_info(instruction.opcode).evaluate
-            assert fn is not None
-            result = fn(*firing.values)
-            branch = None
-            if any(d.kind is DestKind.CONTROL for d in instruction.dests):
-                branch = bool(result)
-            for dest in instruction.dests:
-                if dest.kind is DestKind.REG:
-                    self.regs[dest.port] = result
+        plan = firing.plan
+        kind = plan.kind
+        values = firing.values
+        if kind is _COMPUTE:
+            result = plan.evaluate(*values)
+            for reg in plan.reg_dests:
+                self.regs[reg] = result
             return FiringOutcome(
-                dests=instruction.dests, value=result, branch_result=branch
+                plan.mesh_dests, result,
+                branch_result=bool(result) if plan.to_control else None,
             )
-        if kind is DataKind.LOAD:
+        if kind is _LOAD:
             # Value resolved by the array, which owns the scratchpad.
-            index = int(firing.values[0])
             return FiringOutcome(
-                dests=instruction.dests,
-                load=(instruction.array_id, index),
+                plan.mesh_dests, load=(plan.array_id, int(values[0])),
             )
-        if kind is DataKind.STORE:
-            index = int(firing.values[0])
+        if kind is _STORE:
             return FiringOutcome(
-                dests=(),
-                store=(instruction.array_id, index, firing.values[1]),
+                (), store=(plan.array_id, int(values[0]), values[1]),
             )
-        if kind is DataKind.LOOP:
+        if kind is _LOOP:
+            if not values:  # zero-trip loop
+                return FiringOutcome((), loop_exit=True)
             is_last = self.loop_exhausted and not any(
-                f.instruction.kind is DataKind.LOOP for f in self.inflight
+                f.plan.kind is _LOOP for f in self.inflight
             )
-            if not firing.values:  # zero-trip loop
-                return FiringOutcome(dests=(), loop_exit=True)
-            for dest in instruction.dests:
-                if dest.kind is DestKind.REG:
-                    self.regs[dest.port] = firing.values[0]
+            for reg in plan.reg_dests:
+                self.regs[reg] = values[0]
             return FiringOutcome(
-                dests=instruction.dests, value=firing.values[0],
-                loop_exit=is_last,
+                plan.mesh_dests, values[0], loop_exit=is_last,
             )
         raise SimulationError(f"unexpected firing of {kind}")  # pragma: no cover

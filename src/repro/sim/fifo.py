@@ -18,6 +18,9 @@ class Fifo(Generic[T]):
     memory access flexibility", Section 6.1).
     """
 
+    __slots__ = ("name", "capacity", "_items", "pushes", "pops",
+                 "max_occupancy")
+
     def __init__(self, capacity: Optional[int] = None,
                  name: str = "fifo") -> None:
         if capacity is not None and capacity <= 0:
@@ -41,11 +44,13 @@ class Fifo(Generic[T]):
         return self.capacity is not None and len(self._items) >= self.capacity
 
     def push(self, item: T) -> None:
-        if self.full:
+        items = self._items
+        if self.capacity is not None and len(items) >= self.capacity:
             raise SimulationError(f"push to full fifo {self.name!r}")
-        self._items.append(item)
+        items.append(item)
         self.pushes += 1
-        self.max_occupancy = max(self.max_occupancy, len(self._items))
+        if len(items) > self.max_occupancy:
+            self.max_occupancy = len(items)
 
     def try_push(self, item: T) -> bool:
         if self.full:
@@ -54,7 +59,7 @@ class Fifo(Generic[T]):
         return True
 
     def pop(self) -> T:
-        if self.empty:
+        if not self._items:
             raise SimulationError(f"pop from empty fifo {self.name!r}")
         self.pops += 1
         return self._items.popleft()

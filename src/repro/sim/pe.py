@@ -8,15 +8,12 @@ loosely-coupled behaviour of paper Fig. 4(a)/(b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.isa.control import SenderMode
-from repro.isa.data import DataKind
 from repro.isa.program import PEProgram
 from repro.sim.control_plane import ControlFlowPart
-from repro.sim.datapath import DataFlowPart, FiringOutcome
+from repro.sim.datapath import DataFlowPart, FiringOutcome, Plan
 from repro.sim.events import CtrlMsg, PEStats
 
 
@@ -31,6 +28,11 @@ class MarionettePE:
             pe, program, t_config=t_config, fifo_depth=fifo_depth
         )
         self.data = DataFlowPart(pe, t_execute=t_execute)
+        #: the data instruction at each program address, decoded once
+        self.plans: Dict[int, Plan] = {
+            addr: Plan.decode(entry.data)
+            for addr, entry in program.entries.items()
+        }
         #: PEs targeted by BRANCH-mode senders consume one steering address
         #: per firing, keeping token/configuration pairing exact.
         self.steered = steered
@@ -69,25 +71,24 @@ class MarionettePE:
             # completing (and proactively emitting) config_remaining - 1
             # cycles later.
             deadline = now + ctrl.config_remaining - 1
-        else:
-            if ctrl.can_pop_pending():
-                return now
-            if ctrl.configured:
-                if self.steered:
-                    if not ctrl.steer.empty:
-                        entry = ctrl.program.get(ctrl.steer.peek())
-                        # A missing steered address must still step (and
-                        # raise) exactly like the naive stepper would.
-                        if entry is None or self.data.can_fire(entry.data):
-                            return now
-                else:
-                    entry = ctrl.entry()
-                    if entry is not None and self.data.can_fire(entry.data):
+        elif ctrl.can_pop_pending():
+            return now
+        elif ctrl.current_addr is not None:  # configured
+            if self.steered:
+                if ctrl.steer:
+                    plan = self.plans.get(ctrl.steer.peek())
+                    # A missing steered address must still step (and
+                    # raise) exactly like the naive stepper would.
+                    if plan is None or self.data.can_fire(plan):
                         return now
-        if self.data.inflight:
-            complete = max(now, min(
-                firing.complete_cycle for firing in self.data.inflight
-            ))
+            else:
+                plan = self.plans.get(ctrl.current_addr)
+                if plan is not None and self.data.can_fire(plan):
+                    return now
+        inflight = self.data.inflight
+        if inflight:
+            # The FU pipeline completes in issue order.
+            complete = max(now, inflight[0].complete_cycle)
             deadline = complete if deadline is None \
                 else min(deadline, complete)
         return deadline
@@ -120,75 +121,74 @@ class MarionettePE:
         completed by the FU this cycle (the array turns outcomes into data
         tokens / memory operations / steering).
         """
+        control, data = self.control, self.data
         out_msgs: List[CtrlMsg] = []
 
         # 1. Complete in-flight firings (their results may drive the Sender).
-        outcomes = self.data.complete(cycle)
+        outcomes = data.complete(cycle) if data.inflight else []
         for outcome in outcomes:
             if outcome.branch_result is not None:
                 out_msgs.extend(
-                    self.control.on_branch_result(outcome.branch_result)
+                    control.on_branch_result(outcome.branch_result)
                 )
             if outcome.loop_exit:
-                out_msgs.extend(self.control.on_loop_exit())
+                out_msgs.extend(control.on_loop_exit())
 
         # 2. Control part: check/configuration phases + Proactive Emit.
-        out_msgs.extend(self.control.step())
-        if self.control.rearm_pending:
-            self.control.rearm_pending = False
-            self.data.rearm_loop()
-            self.control.loop_holding = True
+        if control.configuring or control.pending:
+            out_msgs.extend(control.step())
+        if control.rearm_pending:
+            control.rearm_pending = False
+            data.rearm_loop()
+            control.loop_holding = True
 
         # 3. Data part: apply per-token steering, then issue if ready.
         issued = False
-        if self.control.configured:
+        configuring = control.configuring
+        if not configuring and control.current_addr is not None:
             if self.steered:
                 issued = self._step_steered(cycle)
             else:
-                issued = self._step_plain(cycle)
+                plan = self.plans.get(control.current_addr)
+                if plan is not None and data.can_fire(plan):
+                    data.issue(plan, cycle)
+                    issued = True
 
         # 4. Accounting.
+        stats = self.stats
         if issued:
-            self.stats.firings += 1
-            self.stats.cycles_executing += 1
-        elif self.control.configuring:
-            self.stats.cycles_configuring += 1
-        elif not self.control.configured:
-            self.stats.cycles_unconfigured += 1
+            stats.firings += 1
+            stats.cycles_executing += 1
+        elif configuring:
+            stats.cycles_configuring += 1
+        elif control.current_addr is None:
+            stats.cycles_unconfigured += 1
         else:
-            self.stats.cycles_waiting += 1
-        self.stats.ctrl_msgs_sent += len(out_msgs)
+            stats.cycles_waiting += 1
+        stats.ctrl_msgs_sent += len(out_msgs)
         self._accrued_to = cycle + 1
         return out_msgs, outcomes
 
     # ------------------------------------------------------------------
-    def _step_plain(self, cycle: int) -> bool:
-        entry = self.control.entry()
-        if entry is None:
-            return False
-        if not self.data.can_fire(entry.data):
-            return False
-        self.data.issue(entry.data, cycle)
-        return True
-
     def _step_steered(self, cycle: int) -> bool:
         """Steered PEs fire under the instruction address paired with the
         current token (one steering address consumed per firing)."""
-        if self.control.steer.empty:
+        steer = self.control.steer
+        if not steer:
             return False
-        addr = self.control.steer.peek()
-        entry = self.control.program.get(addr)
-        if entry is None:
+        addr = steer.peek()
+        plan = self.plans.get(addr)
+        if plan is None:
             raise SimulationError(
                 f"PE {self.pe}: steered to missing address {addr}"
             )
-        if not self.data.can_fire(entry.data):
+        if not self.data.can_fire(plan):
             return False
-        self.control.steer.pop()
+        steer.pop()
         # The check phase sustains the configuration when the address
         # repeats; a change would cost a configuration cycle, but steering
         # addresses arrive ahead of data (control net 1 cycle vs mesh ~6),
         # so the swap is hidden — model it as already configured.
         self.control.current_addr = addr
-        self.data.issue(entry.data, cycle)
+        self.data.issue(plan, cycle)
         return True

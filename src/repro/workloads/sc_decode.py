@@ -5,7 +5,7 @@ update), imperfect nested loops (level bookkeeping around the pair loops)
 and serial loops (the ``f`` reduction pyramid, the per-level hard
 decisions, then the ``g`` partial-sum pass).
 
-Substitution note (see DESIGN.md): the full SC chain decoder interleaves
+Substitution note: the full SC chain decoder interleaves
 ``f``/``g`` per decoded bit with a lazy schedule; this kernel keeps the
 exact computational primitives and control flow forms — serial level loops
 whose bounds halve, data-dependent sign branches in every butterfly, and a

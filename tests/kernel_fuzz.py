@@ -1,4 +1,4 @@
-"""A shared hypothesis strategy that draws random kernels with inputs.
+"""Shared hypothesis strategies that draw random kernels with inputs.
 
 :func:`kernels` draws ``(cdfg, memory, params)``:
 
@@ -16,6 +16,14 @@ A drawn kernel may fail when run: an out-of-bounds index, NaN stored
 into an int array, a math domain error, a variable assigned only on one
 branch arm.  A law over this strategy compares outcomes, errors
 included.
+
+:func:`loop_kernels` draws the same triple from the class the array
+simulator runs (``repro.compiler.config_gen``): one counted loop with a
+single body block of loads (at the loop variable or at a constant
+index), ALU, compare, select and abs ops over loads, the loop variable
+and small immediates, an optional register accumulator, and a store.
+Every drawn run is in bounds and error-free in the interpreter, so a
+law over it compares results only.
 """
 
 from __future__ import annotations
@@ -222,3 +230,65 @@ def kernels(draw):
         else:
             memory[name] = rng.integers(-20, 20, n).astype(dtype)
     return cdfg, memory, {"n": n}
+
+
+# ----------------------------------------------------------------------
+# Single-loop kernels, the class the configuration generator maps
+# ----------------------------------------------------------------------
+_LOOP_BINARY = ("ADD", "ADD", "SUB", "MUL", "MIN", "MAX",
+                "LT", "LE", "GT", "GE", "EQ", "NE")
+#: accumulator updates; no MUL, so values stay far from int64 overflow
+_LOOP_ACCUMULATE = ("ADD", "SUB", "MIN", "MAX")
+
+
+def _draw_loop_expr(draw, n, depth):
+    choice = draw(st.integers(0, 6)) if depth > 0 else draw(
+        st.integers(0, 3))
+    if choice == 0:
+        return ("const", draw(st.integers(-9, 9)))
+    if choice == 1:
+        return ("var", "i")
+    if choice in (2, 3):
+        index = ("const", draw(st.integers(0, n - 1))) \
+            if draw(st.integers(0, 4)) == 0 else ("var", "i")
+        return ("load", draw(st.sampled_from(("a", "b"))), index)
+    if choice == 4:
+        return ("ABS", _draw_loop_expr(draw, n, depth - 1))
+    if choice == 5:
+        return ("SELECT",) + tuple(
+            _draw_loop_expr(draw, n, depth - 1) for _ in range(3)
+        )
+    return (draw(st.sampled_from(_LOOP_BINARY)),
+            _draw_loop_expr(draw, n, depth - 1),
+            _draw_loop_expr(draw, n, depth - 1))
+
+
+@st.composite
+def loop_kernels(draw):
+    """``(cdfg, memory, params)`` for a random single-loop kernel: reads
+    ``a`` and ``b``, writes ``o[i]``."""
+    n = draw(st.integers(1, 8))
+    k = KernelBuilder("loop_fuzz")
+    size = k.param("n")
+    for name in ARRAYS:
+        k.array(name)
+    accumulate = draw(st.one_of(st.none(),
+                                st.sampled_from(_LOOP_ACCUMULATE)))
+    if accumulate is not None:
+        k.set("acc", draw(st.integers(-9, 9)))
+    with k.loop("i", 0, size) as i:
+        value = _build_expr(k, _draw_loop_expr(draw, n, 2))
+        if accumulate is not None:
+            k.set("acc", _BUILDER_OPS[accumulate](k, k.get("acc"), value))
+            value = k.get("acc")
+            if draw(st.booleans()):
+                value = _BUILDER_OPS[draw(st.sampled_from(_LOOP_BINARY))](
+                    k, value, _build_expr(k, _draw_loop_expr(draw, n, 1)))
+        k.store("o", i, value)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        memory = {name: rng.integers(-20, 20, n).astype(np.int64)
+                  for name in ARRAYS}
+    else:
+        memory = {name: rng.normal(size=n) * 10 for name in ARRAYS}
+    return k.build(), memory, {"n": n}

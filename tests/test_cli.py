@@ -242,6 +242,52 @@ class TestKernelCli:
         assert main(["run", str(tmp_path / "nowhere")]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_run_max_cycles_below_one_exits_two(self, capsys, value):
+        assert main(["run", "examples/kernels/saxpy",
+                     "--max-cycles", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --max-cycles must be at least 1\n"
+
+    @pytest.mark.parametrize("program, opcode", [
+        # acc = acc + 3; y[i] = acc
+        ([["acc", "add", "acc", "3"], ["", "store", "y", "i", "acc"]],
+         "add"),
+        # y[i] = x[i] + x[0]
+        ([["t0", "load", "x", "i"], ["t1", "load", "x", "0"],
+          ["t2", "add", "t0", "t1"], ["", "store", "y", "i", "t2"]],
+         "load"),
+    ], ids=["counter", "bias"])
+    def test_run_untokened_instruction_is_one_error_line(
+            self, tmp_path, capsys, program, opcode):
+        # Nothing paces an instruction without a token input to the
+        # loop: it would fire every cycle until the cycle budget ran out.
+        package = tmp_path / "untokened"
+        (package / "memory").mkdir(parents=True)
+        (package / "memory" / "x.csv").write_text(
+            ",".join(str(v) for v in range(16)) + "\n", encoding="utf-8")
+        (package / "kernel.json").write_text(json.dumps({
+            "schema": "repro-kernel", "version": 1, "name": "untokened",
+            "loop": {"var": "i", "start": 0, "stop": "n", "step": 1},
+            "params": {"n": 16}, "state": {"acc": 0},
+            "arrays": [
+                {"name": "x", "shape": [16], "dtype": "int64",
+                 "role": "input"},
+                {"name": "y", "shape": [16], "dtype": "int64",
+                 "role": "output"},
+            ],
+            "program": program,
+        }), encoding="utf-8")
+        assert main(["kernel", "validate", str(package)]) == 0
+        capsys.readouterr()
+        assert main(["run", str(package)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+        assert f"({opcode}) has no token input" in captured.err
+
     def test_run_batch_strategy_exits_two(self, capsys):
         # Only the event stepper and its naive reference exist.
         with pytest.raises(SystemExit) as excinfo:

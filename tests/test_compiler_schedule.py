@@ -123,6 +123,37 @@ class TestConfigGen:
                 array_lengths={"x": 4, "o": 4},
             )
 
+    # A body instruction with no port source would fire every cycle on
+    # the array instead of once per iteration (a runaway run).
+    def test_untokened_accumulator_rejected(self, params):
+        k = KernelBuilder("counter")
+        n = k.param("n")
+        k.array("out")
+        k.set("acc", 0)
+        with k.loop("i", 0, n) as i:
+            k.set("acc", k.get("acc") + 3)
+            k.store("out", i, k.get("acc"))
+        with pytest.raises(CompilationError,
+                           match=r"counter: node n\d+ \(add\) has no token"):
+            generate_program(
+                k.build(), params, param_values={"n": 16},
+                array_lengths={"out": 16},
+            )
+
+    def test_constant_index_load_rejected(self, params):
+        k = KernelBuilder("bias")
+        n = k.param("n")
+        k.array("x")
+        k.array("y")
+        with k.loop("i", 0, n) as i:
+            k.store("y", i, k.load("x", i) + k.load("x", 0))
+        with pytest.raises(CompilationError,
+                           match=r"bias: node n\d+ \(load\) has no token"):
+            generate_program(
+                k.build(), params, param_values={"n": 16},
+                array_lengths={"x": 16, "y": 16},
+            )
+
     def test_program_validates(self, params, saxpy_kernel):
         program = generate_program(
             saxpy_kernel, params, param_values={"n": 8},

@@ -7,7 +7,8 @@ nested ones like ``cache stats``) and every flag that
 — the reverse direction — every ``--flag`` token that any ``docs/*.md``
 file or the README mentions must actually exist in the parser, so
 removed flags cannot linger as documented fiction.  The README's
-pointers into ``docs/`` are checked the same way.
+pointers into ``docs/`` are checked the same way, and so is every
+``*.md`` file a package or test source names.
 """
 
 from __future__ import annotations
@@ -115,4 +116,25 @@ class TestREADME:
         missing = [name for name in top_level if name not in text]
         assert not missing, (
             f"README.md never mentions subcommands: {missing}"
+        )
+
+
+class TestDocPointers:
+    def test_every_named_doc_exists(self):
+        # A docstring that sends the reader to a document must name one
+        # that exists, at the repo root or under docs/.
+        present = {path.name for path in REPO_ROOT.glob("*.md")}
+        present.update(path.name for path in REPO_ROOT.glob("docs/*.md"))
+        sources = sorted(REPO_ROOT.glob("src/repro/**/*.py")) \
+            + sorted(REPO_ROOT.glob("tests/**/*.py"))
+        assert sources
+        dangling = {}
+        for source in sources:
+            named = set(re.findall(r"[\w-]+\.md\b",
+                                   source.read_text(encoding="utf-8")))
+            if named - present:
+                dangling[source.relative_to(REPO_ROOT).as_posix()] = \
+                    sorted(named - present)
+        assert not dangling, (
+            f"sources point at documents that do not exist: {dangling}"
         )

@@ -7,6 +7,11 @@ from repro.errors import ReproError, SimulationError
 from repro.arch.params import ArchParams
 from repro.compiler.config_gen import generate_program
 from repro.ir.builder import KernelBuilder
+from repro.ir.ops import Opcode
+from repro.isa.control import ControlDirective
+from repro.isa.data import DataInstruction
+from repro.isa.operands import Dest, Operand
+from repro.isa.program import ArrayProgram, TriggerEntry
 from repro.sim.array import ArraySimulator
 from repro.workloads import get_workload
 
@@ -73,6 +78,62 @@ class TestArraySimulatorErrors:
         sim.load_array("x", [1, 2, 3, 4])
         result = sim.run(halt_messages=999)
         assert list(result.array_out(program, "o")) == [2, 3, 4, 5]
+
+
+def _broken_program(params, fault):
+    """A hand-built program that trips one of the simulator's checks."""
+    program = ArrayProgram(params.n_pes)
+    program.declare_array(0, "A", 0, 2)
+    loop = ControlDirective.loop(exit_addr=9, exit_targets=(params.n_pes,))
+    if fault in ("load", "store"):
+        # One loop token, i = 5, indexes the 2-word array A.
+        program.program_for(0).add(TriggerEntry(1, DataInstruction.loop(
+            Operand.imm(5), Operand.imm(6), Operand.imm(1),
+            (Dest.pe_port(1, 0),)), loop))
+        access = DataInstruction.load(0, Operand.port(0), ()) \
+            if fault == "load" \
+            else DataInstruction.store(0, Operand.port(0), Operand.imm(7))
+        program.program_for(1).add(TriggerEntry(1, access))
+        program.set_initial(1, 1)
+    elif fault == "steered":
+        # i = 1 fails the branch, steering PE 2 to address 3: no entry.
+        program.program_for(0).add(TriggerEntry(1, DataInstruction.loop(
+            Operand.imm(0), Operand.imm(2), Operand.imm(1),
+            (Dest.pe_port(1, 0),)), loop))
+        program.program_for(1).add(TriggerEntry(
+            1,
+            DataInstruction.compute(Opcode.LT, (Operand.port(0),
+                                                Operand.imm(1)),
+                                    (Dest.control(),)),
+            ControlDirective.branch(true_addr=2, false_addr=3,
+                                    targets=(2,)),
+        ))
+        program.program_for(2).add(TriggerEntry(2, DataInstruction.compute(
+            Opcode.NEG, (Operand.imm(0),), ())))
+        program.set_initial(1, 1)
+        program.set_initial(2, 2)
+    else:  # "configured": PE 0 forwards address 5, which PE 1 lacks
+        program.program_for(0).add(TriggerEntry(
+            1, DataInstruction.nop(),
+            ControlDirective.dfg(next_addr=5, targets=(1,))))
+    program.set_initial(0, 1)
+    return program
+
+
+class TestSimulatorChecks:
+    @pytest.mark.parametrize("strategy", ["event", "naive"])
+    @pytest.mark.parametrize("fault, message", [
+        ("load", r"A\[5\] out of bounds"),
+        ("store", r"A\[5\] out of bounds"),
+        ("steered", "steered to missing address 3"),
+        ("configured", "configured to missing address 5"),
+    ])
+    def test_a_broken_program_raises(self, params, strategy, fault,
+                                     message):
+        sim = ArraySimulator(params, _broken_program(params, fault),
+                             strategy=strategy)
+        with pytest.raises(SimulationError, match=message):
+            sim.run(halt_messages=999, max_cycles=1000)
 
 
 class TestWorkloadCheckCatchesCorruption:

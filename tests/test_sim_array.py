@@ -1,8 +1,8 @@
 """Integration tests for the micro-architectural array simulator.
 
-These are the tier-(a) validation programs from DESIGN.md: a loop-operator
-pipeline, the Fig. 7(b) branch-divergence scenario with per-token steering,
-and end-to-end equivalence against the functional interpreter through the
+These are the cycle-level validation programs: a loop-operator pipeline,
+the Fig. 7(b) branch-divergence scenario with per-token steering, and
+end-to-end equivalence against the functional interpreter through the
 configuration generator.
 """
 

@@ -11,7 +11,7 @@ from repro.isa.data import DataInstruction
 from repro.isa.operands import Dest, Operand
 from repro.isa.program import PEProgram, TriggerEntry
 from repro.sim.control_plane import ControlFlowPart
-from repro.sim.datapath import DataFlowPart
+from repro.sim.datapath import DataFlowPart, Plan
 from repro.sim.events import CtrlMsg
 from repro.sim.fifo import Fifo
 from repro.sim.memory import Scratchpad
@@ -163,6 +163,15 @@ class TestControlFlowPart:
         part.step()  # now free to start configuring addr 2
         assert part.configuring or part.current_addr == 2
 
+    def test_skipping_a_configuration_completion_raises(self):
+        # The event stepper's lost-event guard.
+        program = _program_with([TriggerEntry(1, DataInstruction.nop())])
+        part = ControlFlowPart(0, program, t_config=3)
+        part.receive(CtrlMsg(0, 1))
+        part.step()  # countdown 3 -> 2
+        with pytest.raises(SimulationError, match="skipped a configuration"):
+            part.advance_idle(2)
+
     def test_full_pending_fifo_rejects(self):
         program = _program_with([
             TriggerEntry(a, DataInstruction.nop()) for a in range(1, 6)
@@ -177,12 +186,12 @@ class TestControlFlowPart:
 class TestDataFlowPart:
     def test_compute_firing(self):
         part = DataFlowPart(0, t_execute=2)
-        inst = DataInstruction.compute(
+        plan = Plan.decode(DataInstruction.compute(
             Opcode.ADD, (Operand.port(0), Operand.imm(10)), (Dest.reg(1),)
-        )
+        ))
         part.push_token(0, 5)
-        assert part.can_fire(inst)
-        part.issue(inst, cycle=0)
+        assert part.can_fire(plan)
+        part.issue(plan, cycle=0)
         assert part.complete(1) == []
         outcomes = part.complete(2)
         assert outcomes[0].value == 15
@@ -190,71 +199,87 @@ class TestDataFlowPart:
 
     def test_cannot_fire_without_tokens(self):
         part = DataFlowPart(0, t_execute=2)
-        inst = DataInstruction.compute(
+        plan = Plan.decode(DataInstruction.compute(
             Opcode.NEG, (Operand.port(2),), ()
-        )
-        assert not part.can_fire(inst)
+        ))
+        assert not part.can_fire(plan)
+
+    def test_port_out_of_range_raises(self):
+        part = DataFlowPart(0, t_execute=1)
+        with pytest.raises(SimulationError, match="port 4 out of range"):
+            part.push_token(4, 1.0)
+
+    @pytest.mark.parametrize("step", [0, -1])
+    def test_non_positive_loop_step_raises(self, step):
+        part = DataFlowPart(0, t_execute=1)
+        plan = Plan.decode(DataInstruction.loop(
+            Operand.imm(0), Operand.imm(4), Operand.imm(step), ()
+        ))
+        with pytest.raises(SimulationError, match="step must be positive"):
+            part.issue(plan, 0)
 
     def test_pipelined_issue(self):
         part = DataFlowPart(0, t_execute=2)
-        inst = DataInstruction.compute(
+        plan = Plan.decode(DataInstruction.compute(
             Opcode.ADD, (Operand.port(0), Operand.imm(1)), ()
-        )
+        ))
         part.push_token(0, 10)
         part.push_token(0, 20)
-        part.issue(inst, cycle=0)
-        part.issue(inst, cycle=1)  # back-to-back (pipelined FU)
+        part.issue(plan, cycle=0)
+        part.issue(plan, cycle=1)  # back-to-back (pipelined FU)
         assert [o.value for o in part.complete(2)] == [11]
         assert [o.value for o in part.complete(3)] == [21]
 
     def test_loop_operator_stream(self):
         part = DataFlowPart(0, t_execute=1)
-        inst = DataInstruction.loop(
+        plan = Plan.decode(DataInstruction.loop(
             Operand.imm(0), Operand.imm(3), Operand.imm(1), ()
-        )
+        ))
         values = []
         cycle = 0
-        while part.can_fire(inst):
-            part.issue(inst, cycle)
+        while part.can_fire(plan):
+            part.issue(plan, cycle)
             cycle += 1
             values.extend(o.value for o in part.complete(cycle))
         assert values == [0, 1, 2]
         assert part.loop_exhausted
         outcomes = part.complete(cycle + 1)
-        assert not part.can_fire(inst)
+        assert not part.can_fire(plan)
 
     def test_zero_trip_loop_exits_immediately(self):
         part = DataFlowPart(0, t_execute=1)
-        inst = DataInstruction.loop(
+        plan = Plan.decode(DataInstruction.loop(
             Operand.imm(5), Operand.imm(5), Operand.imm(1), ()
-        )
-        part.issue(inst, 0)
+        ))
+        part.issue(plan, 0)
         outcomes = part.complete(1)
         assert outcomes[0].loop_exit
         assert outcomes[0].dests == ()
 
     def test_loop_rearm(self):
         part = DataFlowPart(0, t_execute=1)
-        inst = DataInstruction.loop(
+        plan = Plan.decode(DataInstruction.loop(
             Operand.imm(0), Operand.imm(2), Operand.imm(1), ()
-        )
-        while part.can_fire(inst):
-            part.issue(inst, 0)
+        ))
+        while part.can_fire(plan):
+            part.issue(plan, 0)
         part.rearm_loop()
-        assert part.can_fire(inst)
+        assert part.can_fire(plan)
 
     def test_branch_result_to_control(self):
         part = DataFlowPart(0, t_execute=1)
-        inst = DataInstruction.compute(
+        plan = Plan.decode(DataInstruction.compute(
             Opcode.LT, (Operand.imm(1), Operand.imm(2)), (Dest.control(),)
-        )
-        part.issue(inst, 0)
+        ))
+        part.issue(plan, 0)
         outcome = part.complete(1)[0]
         assert outcome.branch_result is True
 
     def test_store_outcome(self):
         part = DataFlowPart(0, t_execute=1)
-        inst = DataInstruction.store(3, Operand.imm(7), Operand.imm(99))
-        part.issue(inst, 0)
+        plan = Plan.decode(
+            DataInstruction.store(3, Operand.imm(7), Operand.imm(99))
+        )
+        part.issue(plan, 0)
         outcome = part.complete(1)[0]
         assert outcome.store == (3, 7, 99)

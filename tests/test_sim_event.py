@@ -13,6 +13,11 @@ The batch classes extend the same law to many members of one compiled
 program: at sizes 1, 2 and 8, with per-member data, every member's
 event run must equal its own naive run while all of the members'
 simulators share the program's PE tables.
+
+Generated single-loop kernels (``kernel_fuzz.loop_kernels``) hold the
+configuration generator to its class: a drawn kernel is either refused
+with a ``CompilationError``, or its event run finishes within a small
+cycle budget, equals the naive run, and matches the interpreter.
 """
 
 from __future__ import annotations
@@ -21,12 +26,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from dataclasses import replace
 
 from repro.arch.params import ArchParams
 from repro.compiler.config_gen import generate_program
-from repro.errors import SimulationError
+from repro.errors import CompilationError, SimulationError
 from repro.ir.builder import KernelBuilder
 from repro.ir.interp import Interpreter
 from repro.ir.ops import Opcode
@@ -36,6 +42,7 @@ from repro.isa.operands import Dest, Operand
 from repro.isa.program import ArrayProgram, TriggerEntry
 from repro.sim.array import ArraySimulator
 
+from kernel_fuzz import loop_kernels
 from test_sim_array import branch_program, vec_mul_program
 
 BATCH_SIZES = (1, 2, 8)
@@ -580,6 +587,35 @@ class TestRandomizedParameterEquivalence:
                 trial_params, program, members,
                 halt_messages=halt, max_cycles=max_cycles,
             )
+
+
+class TestGeneratedLoopKernels:
+    #: a drawn kernel runs at most 8 iterations: ~150 cycles
+    BUDGET = 4000
+
+    @settings(max_examples=150, deadline=None)
+    @given(loop_kernels())
+    def test_compiles_to_a_finishing_run_or_is_refused(self, case):
+        cdfg, memory, kernel_params = case
+        params = ArchParams()
+        n = kernel_params["n"]
+        try:
+            program = generate_program(
+                cdfg, params, param_values=kernel_params,
+                array_lengths={array: n for array in cdfg.arrays},
+            )
+        except CompilationError:
+            return  # outside the class the array simulator runs
+        event = _loaded(params, program, memory, "event").run(
+            halt_messages=999, max_cycles=self.BUDGET)
+        assert event.cycles < self.BUDGET, "the run never went quiet"
+        naive = _loaded(params, program, memory, "naive").run(
+            halt_messages=999, max_cycles=self.BUDGET)
+        assert_identical(naive, event)
+        reference = Interpreter(cdfg).run(memory, kernel_params)
+        for array in cdfg.arrays:
+            assert np.array_equal(event.array_out(program, array),
+                                  reference.array(array)), array
 
 
 class TestEventStrategySurface:
