@@ -92,7 +92,9 @@ class LocalBackend:
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(envelope, handle)
+                # json.dump streams through the pure-Python encoder;
+                # json.dumps runs the C one and writes the same bytes.
+                handle.write(json.dumps(envelope))
             os.replace(tmp, path)
         except BaseException:
             try:

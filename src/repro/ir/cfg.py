@@ -256,6 +256,60 @@ class CFG:
             idom[bid] = candidate
         return idom
 
+    def immediate_post_dominators(self) -> Dict[BlockId, Optional[BlockId]]:
+        """Immediate post-dominator per block that reaches a ``Halt``.
+
+        A block post-dominates ``b`` when every path from ``b`` to a
+        ``Halt`` passes through it.  ``Halt`` blocks, and blocks whose
+        paths reach different ``Halt`` blocks before any common block, map
+        to ``None``; blocks that never halt are left out.  This is the
+        dominance algorithm of Cooper, Harvey and Kennedy, run backwards
+        from a virtual exit that follows every ``Halt``.
+        """
+        exit_ = -1
+        preds = self.predecessors()
+        preds[exit_] = [b.block_id for b in self.blocks
+                        if isinstance(b.terminator, Halt)]
+        # Postorder of the reversed graph, from the virtual exit.
+        order: List[BlockId] = []
+        seen = {exit_}
+        stack = [(exit_, iter(preds[exit_]))]
+        while stack:
+            node, todo = stack[-1]
+            for pred in todo:
+                if pred not in seen:
+                    seen.add(pred)
+                    stack.append((pred, iter(preds[pred])))
+                    break
+            else:
+                stack.pop()
+                order.append(node)
+        rank = {node: index for index, node in enumerate(order)}
+        ipdom: Dict[BlockId, BlockId] = {exit_: exit_}
+
+        def meet(a: BlockId, b: BlockId) -> BlockId:
+            while a != b:
+                while rank[a] < rank[b]:
+                    a = ipdom[a]
+                while rank[b] < rank[a]:
+                    b = ipdom[b]
+            return a
+
+        changed = True
+        while changed:
+            changed = False
+            for node in reversed(order[:-1]):
+                succs = self.blocks[node].successors() or (exit_,)
+                new: Optional[BlockId] = None
+                for succ in succs:
+                    if succ in ipdom:
+                        new = succ if new is None else meet(succ, new)
+                if ipdom.get(node) != new:
+                    ipdom[node] = new
+                    changed = True
+        return {node: None if d == exit_ else d
+                for node, d in ipdom.items() if node != exit_}
+
     def back_edges(self) -> List[Tuple[BlockId, BlockId]]:
         """Edges ``u -> v`` where ``v`` dominates ``u`` (loop back edges)."""
         dom = self.dominators()

@@ -5,8 +5,10 @@ Two execution engines share one semantics:
 * the **compiled** engine translates a whole CDFG into one Python
   function (cached per CDFG and per tuple of array storage kinds) — fast
   enough to run the paper-sized workloads of Table 5.  Environment
-  variables are locals, blocks dispatch through a binary tree over block
-  ids inside one loop, edge counts are local counters, and int64/float64
+  variables are locals, innermost loops run as Python ``while`` loops
+  and reconverging branches as ``if``/``else``, with a binary tree over
+  block ids dispatching only at the remaining region heads (see
+  :class:`_Layout`); edge counts are local counters, and int64/float64
   arrays run as Python lists that go back to numpy at halt (other dtypes
   keep numpy storage);
 * the **walking** engine dispatches on :mod:`repro.ir.ops` evaluate
@@ -21,11 +23,13 @@ into the :class:`~repro.ir.trace.DynamicTrace` edge table.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import (Callable, Dict, FrozenSet, List, Mapping, Optional,
+                    Sequence, Set, Tuple)
 
 import numpy as np
 
@@ -81,6 +85,188 @@ def _int64_overflow() -> None:
 _LIST_KINDS = {np.dtype(np.int64): "int", np.dtype(np.float64): "float"}
 
 
+#: Statement nesting a region may reach below its dispatch branch; the
+#: tokenizer refuses more than 100 indentation levels in all.
+_MAX_DEPTH = 64
+
+#: Every block execution starts by spending one step of the budget.
+_STEP = ("steps += 1", "if steps > max_steps: _exceeded(max_steps)")
+
+#: A generated line: indentation depth, text, and the block it belongs to.
+_Line = Tuple[int, str, Optional[int]]
+
+
+class _Layout:
+    """Where each block of a CDFG goes in its compiled function.
+
+    The function dispatches on ``bid`` only at *region heads*; between
+    heads, control flow is Python's own:
+
+    1. The heads are chosen first: the entry, the headers of loops that
+       contain loops or fail rule 2, and every block the rules below
+       cannot place.  Each head's region is then emitted once and never
+       inlines another head, so every block is emitted exactly once.
+    2. An innermost loop runs as ``while True:`` when its header's
+       branch has one target inside the loop and one outside, and every
+       other edge out of a body block stays in the loop or returns to
+       the header.  The exit arm breaks, a back edge continues, and
+       emission goes on after the loop at the exit target.
+    3. A two-way branch runs as ``if``/``else`` and emission goes on at
+       its immediate post-dominator, the merge, when the merge is no
+       head, is not placed yet, is not where an enclosing ``if`` goes on
+       already, and lies inside the current ``while`` body, if any.  An
+       arm that reaches the merge falls through to it.
+    4. A block with one predecessor edge (a ``while`` header: one from
+       outside its loop) is inlined at that edge.  Any other transfer is
+       ``bid = target`` plus ``continue``, and the target is a head.
+    5. Only innermost loops become ``while`` loops, so at most one
+       ``while`` nests inside the dispatch loop.
+
+    A block the rules cannot place where it is reached -- a second entry
+    into it, or nesting past :data:`_MAX_DEPTH` -- becomes a head, and
+    the layout is redone until none is left.  A ``while`` loop with a
+    head in its body is laid out block by block instead.  With every
+    block a head, the layout is plain per-block dispatch.
+    """
+
+    def __init__(self, cdfg: CDFG) -> None:
+        self.blocks = cdfg.blocks
+        self.ipdom = cdfg.cfg.immediate_post_dominators()
+        #: predecessor edges per block
+        self.preds = collections.Counter(
+            s for block in self.blocks for s in block.successors())
+        #: innermost loops that pass the ``while`` test: header -> blocks
+        self.loops: Dict[int, FrozenSet[int]] = {}
+        #: per header in :attr:`loops`, its predecessor edges from outside
+        #: the loop (the rest are back edges)
+        self.outside: Dict[int, int] = {}
+        heads = {cdfg.entry}
+        for header, nest in cdfg.loop_nests().items():
+            blocks = frozenset(nest.blocks)
+            if nest.children or not self._while_shaped(header, blocks):
+                heads.add(header)
+                continue
+            self.loops[header] = blocks
+            self.outside[header] = sum(
+                s == header for block in self.blocks
+                if block.block_id not in blocks
+                for s in block.successors())
+        while True:
+            self.heads = frozenset(heads)
+            missing = self.regions(lambda bid: ((), "_"))[1]
+            if not missing:
+                break
+            heads |= missing
+
+    def _while_shaped(self, header: int, blocks: FrozenSet[int]) -> bool:
+        """Rule 2's test (a natural loop's blocks never halt)."""
+        term = self.blocks[header].terminator
+        if not isinstance(term, Branch) or \
+                (term.if_true in blocks) == (term.if_false in blocks):
+            return False
+        return all(s in blocks for bid in blocks if bid != header
+                   for s in self.blocks[bid].successors())
+
+    def regions(self, source: Callable[[int], Tuple[Sequence[str], str]]
+                ) -> Tuple[Dict[int, List[_Line]], Set[int]]:
+        """The code of each head's region, at depths from 0, and the
+        blocks that must also become heads for it to be valid.
+
+        ``source(bid)`` gives a block's straight-line code and its
+        branch test.
+        """
+        heads = self.heads
+        whiles = {h: blocks for h, blocks in self.loops.items()
+                  if not heads & (blocks - {h})}
+        placed: Set[int] = set()
+        missing: Set[int] = set()
+        out: List[_Line] = []
+
+        def count(src: int, dst: int, depth: int) -> None:
+            out.append((depth, f"c{src}_{dst} += 1", src))
+
+        def go(src: int, dst: int, depth: int, loop: Optional[int],
+               stop: Optional[int]) -> bool:
+            """Leave ``src`` for ``dst``; True when ``dst`` is inlined."""
+            if dst == stop:  # fall through to the merge
+                return False
+            if dst == loop:
+                out.append((depth, "continue", src))
+                return False
+            if dst in heads:
+                assert loop is None, "a while body never dispatches"
+                out.append((depth, f"bid = {dst}", src))
+                out.append((depth, "continue", src))
+                return False
+            entries = self.outside[dst] if dst in whiles else self.preds[dst]
+            if entries == 1 and depth < _MAX_DEPTH:
+                return True
+            missing.add(dst)
+            return False
+
+        def region(bid: int, depth: int, loop: Optional[int],
+                   stop: Optional[int]) -> None:
+            while True:
+                if bid in placed:
+                    missing.add(bid)
+                    return
+                placed.add(bid)
+                lines, test = source(bid)
+                term = self.blocks[bid].terminator
+                if bid in whiles:
+                    stay, leave = term.if_true, term.if_false
+                    exit_test = f"not ({test})"
+                    if stay not in whiles[bid]:
+                        stay, leave, exit_test = leave, stay, test
+                    out.append((depth, "while True:", bid))
+                    out.extend((depth + 1, line, bid)
+                               for line in _STEP + tuple(lines))
+                    out.append((depth + 1, f"if {exit_test}:", bid))
+                    count(bid, leave, depth + 2)
+                    out.append((depth + 2, "break", bid))
+                    count(bid, stay, depth + 1)
+                    if go(bid, stay, depth + 1, bid, None):
+                        region(stay, depth + 1, bid, None)
+                    if not go(bid, leave, depth, None, stop):
+                        return
+                    bid = leave
+                    continue
+                out.extend((depth, line, bid)
+                           for line in _STEP + tuple(lines))
+                if isinstance(term, Jump):
+                    count(bid, term.target, depth)
+                    if not go(bid, term.target, depth, loop, stop):
+                        return
+                    bid = term.target
+                    continue
+                if not isinstance(term, Branch):
+                    out.append((depth, "break", bid))
+                    return
+                merge = self.ipdom.get(bid)
+                if merge in heads or merge in placed or merge == stop or (
+                        loop is not None and (merge == loop
+                                              or merge not in whiles[loop])):
+                    merge = None
+                arm_stop = stop if merge is None else merge
+                for opener, dst in ((f"if {test}:", term.if_true),
+                                    ("else:", term.if_false)):
+                    out.append((depth, opener, bid))
+                    count(bid, dst, depth + 1)
+                    if go(bid, dst, depth + 1, loop, arm_stop):
+                        region(dst, depth + 1, loop, arm_stop)
+                if merge is None:
+                    return
+                bid = merge
+
+        code: Dict[int, List[_Line]] = {}
+        for head in sorted(heads):
+            start = len(out)
+            region(head, 0, None, None)
+            code[head] = out[start:]
+        missing.update(set(range(len(self.blocks))) - placed)
+        return code, missing
+
+
 def _compile(cdfg: CDFG, kinds: Tuple[str, ...]) -> Callable:
     """Translate ``cdfg`` into one Python function over ``kinds`` storage.
 
@@ -88,9 +274,10 @@ def _compile(cdfg: CDFG, kinds: Tuple[str, ...]) -> Callable:
     edge_counts, env)``: ``env`` holds the parameters on entry and the
     final environment on return, and ``mem`` maps array name to its
     storage (a list for the ``"int"``/``"float"`` kinds, else the numpy
-    array), updated in place.  Environment variables are locals, blocks
-    dispatch through a binary tree over block ids inside one loop, and
-    every taken edge ``(src, dst)`` bumps its own local counter.
+    array), updated in place.  Environment variables are locals, control
+    flow is laid out by :class:`_Layout` (a binary tree over ``bid``
+    dispatches to region heads only), and every taken edge ``(src,
+    dst)`` bumps its own local counter.
     """
     blocks = cdfg.blocks
     kind_of = dict(zip(cdfg.arrays, kinds))
@@ -98,17 +285,14 @@ def _compile(cdfg: CDFG, kinds: Tuple[str, ...]) -> Callable:
                                     "_int64_overflow": _int64_overflow}
     arrays: Dict[str, int] = {}
     variables: Dict[str, str] = {}
-    edges: Dict[Tuple[int, int], str] = {}
     #: block id -> its name and its live-in reads, in node order
     reads: Dict[int, Tuple[str, List[Tuple[str, str]]]] = {}
 
     def var(name: str) -> str:
         return variables.setdefault(name, f"e{len(variables)}")
 
-    def counter(src: int, dst: int) -> str:
-        return edges.setdefault((src, dst), f"c{src}_{dst}")
-
-    def block_source(block: BasicBlock) -> List[str]:
+    def block_source(block: BasicBlock) -> Tuple[List[str], str]:
+        """The block's straight-line code and its branch test."""
         where = f"{cdfg.name!r}, {block.name!r}"
         block_reads: List[Tuple[str, str]] = []
         reads[block.block_id] = (block.name, block_reads)
@@ -184,73 +368,71 @@ def _compile(cdfg: CDFG, kinds: Tuple[str, ...]) -> Callable:
             lines.append(f"v{nid} = {expr}")
         for name, nid in block.outputs.items():
             lines.append(f"{var(name)} = {refs[nid]}")
-        bid = block.block_id
-        if isinstance(term, Jump):
-            lines += [f"{counter(bid, term.target)} += 1",
-                      f"bid = {term.target}", "continue"]
-        elif isinstance(term, Branch):
-            t, f = term.if_true, term.if_false
-            lines += [f"if {refs[term.cond]}:",
-                      f"    {counter(bid, t)} += 1", f"    bid = {t}",
-                      "else:",
-                      f"    {counter(bid, f)} += 1", f"    bid = {f}",
-                      "continue"]
-        else:
-            lines.append("break")
-        return lines
+        test = refs[term.cond] if isinstance(term, Branch) else ""
+        return lines, test
 
-    def dispatch(lo: int, hi: int, indent: str) -> List[str]:
-        if hi - lo == 1:
-            return [indent + line for line in block_source(blocks[lo])]
-        mid = (lo + hi) // 2
-        return ([f"{indent}if bid < {mid}:"]
-                + dispatch(lo, mid, indent + "    ")
-                + [f"{indent}else:"]
-                + dispatch(mid, hi, indent + "    "))
+    sources = [block_source(block) for block in blocks]
+    layout = _Layout(cdfg)
+    code, missing = layout.regions(sources.__getitem__)
+    assert not missing
 
-    body = dispatch(0, len(blocks), " " * 12)
-    edge_keys = sorted(edges)
+    def dispatch(heads: List[int], depth: int) -> List[_Line]:
+        if len(heads) == 1:
+            return [(depth + d, line, bid) for d, line, bid in code[heads[0]]]
+        mid = len(heads) // 2
+        return ([(depth, f"if bid < {heads[mid]}:", None)]
+                + dispatch(heads[:mid], depth + 1)
+                + [(depth, "else:", None)]
+                + dispatch(heads[mid:], depth + 1))
+
+    edge_keys = sorted(set(cdfg.cfg.edges()))
+    counters = [f"c{src}_{dst}" for src, dst in edge_keys]
     namespace["_EDGES"] = edge_keys
     namespace["_VARS"] = list(variables.items())
-    # Neither helper may hold the CDFG: the cache's weak key would then
-    # be kept alive by its own value.
-    namespace["_unbound"] = functools.partial(_read_before_assignment,
-                                              cdfg.name, reads)
-    namespace["_exceeded"] = functools.partial(_exceeded, cdfg.name)
     lines = ["def _kernel(env, mem, max_steps):"]
     for name, index in arrays.items():
         lines.append(f"    m{index} = mem[{name!r}]")
         lines.append(f"    n{index} = len(m{index})")
     for name, local in variables.items():
         lines.append(f"    if {name!r} in env: {local} = env[{name!r}]")
-    lines.append(("    " + " = ".join(edges[e] for e in edge_keys) + " = 0")
-                 if edges else "    pass")
+    lines.append(("    " + " = ".join(counters) + " = 0")
+                 if counters else "    pass")
+    lines += ["    steps = 0", f"    bid = {cdfg.entry}", "    try:",
+              "        while True:"]
+    #: line number -> the block it belongs to, to name a failing read
+    block_at: List[Optional[int]] = [None] * (len(lines) + 1)
+    for depth, line, bid in dispatch(sorted(layout.heads), 3):
+        lines.append("    " * depth + line)
+        block_at.append(bid)
     lines += [
-        "    steps = 0",
-        f"    bid = {cdfg.entry}",
-        "    try:",
-        "        while True:",
-        "            steps += 1",
-        "            if steps > max_steps: _exceeded(max_steps)",
-    ] + body + [
-        "    except UnboundLocalError:",
-        "        _unbound(bid, locals())",
+        "    except UnboundLocalError as error:",
+        "        _unbound(error.__traceback__.tb_lineno, locals())",
         "        raise",
         "    frame = locals()",
         "    for name, local in _VARS:",
         "        if local in frame: env[name] = frame[local]",
-        "    counts = (" + "".join(f"{edges[e]}, " for e in edge_keys) + ")",
+        "    counts = (" + "".join(f"{c}, " for c in counters) + ")",
         "    return steps, {e: n for e, n in zip(_EDGES, counts) if n}, env",
     ]
+    # Neither helper may hold the CDFG: the cache's weak key would then
+    # be kept alive by its own value.
+    namespace["_unbound"] = functools.partial(
+        _read_before_assignment, cdfg.name,
+        [None if bid is None else reads[bid] for bid in block_at])
+    namespace["_exceeded"] = functools.partial(_exceeded, cdfg.name)
     exec("\n".join(lines), namespace)  # noqa: S102 - generated from trusted IR
     return namespace["_kernel"]
 
 
 def _read_before_assignment(
-        kernel: str, reads: Dict[int, Tuple[str, List[Tuple[str, str]]]],
-        bid: int, frame: Dict[str, object]) -> None:
-    """Name the first live-in of block ``bid`` still unbound in ``frame``."""
-    block, block_reads = reads[bid]
+        kernel: str,
+        reads: List[Optional[Tuple[str, List[Tuple[str, str]]]]],
+        line: int, frame: Dict[str, object]) -> None:
+    """Name the first live-in still unbound in ``frame`` of the block
+    that ``line`` of the compiled function belongs to."""
+    if line >= len(reads) or reads[line] is None:
+        return
+    block, block_reads = reads[line]
     for name, local in block_reads:
         if local not in frame:
             raise InterpreterError(

@@ -94,11 +94,14 @@ class HoughTransform(Workload):
         image = np.asarray(memory["image"]).reshape(h, w)
         acc = np.zeros(thetas * rho_bins, dtype=np.int64)
         ys, xs = np.nonzero(image > THRESHOLD)
-        for y, x in zip(ys, xs):
-            for t in range(thetas):
-                # C-style truncating division, matching the IR's DIV.
-                num = int(x) * int(cos_t[t]) + int(y) * int(sin_t[t])
-                q = abs(num) // FP
-                rho = (q if num >= 0 else -q) + offset
-                acc[t * rho_bins + rho] += 1
+        ys, xs = ys.astype(np.int64), xs.astype(np.int64)
+        # One pass over the edge pixels per theta, not a pixels x thetas
+        # matrix: the report's peak memory would notice.
+        for t in range(thetas):
+            num = xs * int(cos_t[t]) + ys * int(sin_t[t])
+            # C-style truncating division, matching the IR's DIV.
+            q = np.abs(num) // FP
+            rho = np.where(num >= 0, q, -q) + offset
+            acc[t * rho_bins:(t + 1) * rho_bins] += np.bincount(
+                rho, minlength=rho_bins)
         return {"acc": acc}

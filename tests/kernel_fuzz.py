@@ -5,8 +5,11 @@
 * counted loops nested up to three deep, with statements before and
   after inner loops (imperfect nests), two-way branches inside them,
   and accumulators carried across iterations;
-* now and then instead a hand-built single-block self-loop, a shape
-  the builder never emits;
+* now and then instead a hand-built shape the builder never emits: a
+  single-block self-loop, a counted loop whose body branches straight
+  to the loop's exit (a ``break``), a loop whose branch arm jumps
+  straight back to the header (a ``continue``), or a two-entry cycle,
+  which is irreducible and holds no natural loop;
 * expressions over loads, loop variables, accumulators and constants
   (``inf``, ``-inf`` and ``nan`` included) through every arithmetic,
   logic, compare, select, DIV/MOD and nonlinear opcode;
@@ -16,6 +19,11 @@ A drawn kernel may fail when run: an out-of-bounds index, NaN stored
 into an int array, a math domain error, a variable assigned only on one
 branch arm.  A law over this strategy compares outcomes, errors
 included.
+
+:func:`graph_kernels` draws the same triple over an arbitrary control
+flow graph: any block may jump or branch to any block, so a graph may be
+irreducible, halt in several blocks, hold unreachable blocks or never
+halt.  Run it under a small step budget.
 
 :func:`loop_kernels` draws the same triple from the class the array
 simulator runs (``repro.compiler.config_gen``): one counted loop with a
@@ -185,42 +193,116 @@ def _structured_kernel(draw, n):
     return k.build()
 
 
+# ----------------------------------------------------------------------
+# Hand-built shapes: each visits i = 0, 1, ... and halts once i reaches n
+# ----------------------------------------------------------------------
+_NAMES = ACCUMULATORS + ("i", "n")
+
+
+def _entry_block(draw, cfg, first):
+    """The entry block: ``i = first`` and drawn accumulator seeds."""
+    entry = cfg.new_block("entry")
+    entry.outputs["i"] = entry.dfg.const(first)
+    for acc in ACCUMULATORS:
+        entry.outputs[acc] = entry.dfg.const(draw(_CONSTANTS))
+    return entry
+
+
+def _draw_statements(draw, block):
+    """One to three drawn stores to ``x[i]`` or accumulator updates."""
+    for _ in range(draw(st.integers(1, 3))):
+        value = _emit_expr(block.dfg,
+                           _draw_expr(draw, _NAMES, [("var", "i")], 2))
+        if draw(st.booleans()):
+            block.dfg.add(Opcode.STORE, (block.dfg.input("i"), value),
+                          array=draw(st.sampled_from(ARRAYS)))
+        else:
+            block.outputs[draw(st.sampled_from(ACCUMULATORS))] = value
+
+
+def _draw_test(draw, block):
+    """A drawn branch condition."""
+    return _emit_expr(block.dfg, _draw_expr(draw, _NAMES, [("var", "i")], 2))
+
+
+def _count_on(block):
+    """``i += 1`` in ``block``; the node testing the new ``i < n``."""
+    step = block.dfg.add(Opcode.ADD,
+                         (block.dfg.input("i"), block.dfg.const(1)))
+    block.outputs["i"] = step
+    return block.dfg.add(Opcode.LT, (step, block.dfg.input("n")))
+
+
+def _kernel(name, cfg):
+    return CDFG(name, cfg, params=("n",), arrays=ARRAYS)
+
+
 def _self_loop_kernel(draw):
     """``entry -> spin (re-executes itself while i < n) -> done``."""
     cfg = CFG()
-    entry = cfg.new_block("entry")
+    entry = _entry_block(draw, cfg, 0)
     spin = cfg.new_block("spin", BlockRole.LOOP_HEADER)
     done = cfg.new_block("done", BlockRole.EXIT)
-    entry.outputs["i"] = entry.dfg.const(0)
-    for acc in ACCUMULATORS:
-        entry.outputs[acc] = entry.dfg.const(draw(_CONSTANTS))
     entry.terminator = Jump(spin.block_id)
-    names = ACCUMULATORS + ("i", "n")
-    for _ in range(draw(st.integers(1, 3))):
-        value = _emit_expr(spin.dfg, _draw_expr(draw, names, [("var", "i")], 2))
-        if draw(st.booleans()):
-            spin.dfg.add(Opcode.STORE, (spin.dfg.input("i"), value),
-                         array=draw(st.sampled_from(ARRAYS)))
-        else:
-            spin.outputs[draw(st.sampled_from(ACCUMULATORS))] = value
-    step = spin.dfg.add(Opcode.ADD,
-                        (spin.dfg.input("i"), spin.dfg.const(1)))
-    spin.outputs["i"] = step
-    more = spin.dfg.add(Opcode.LT, (step, spin.dfg.input("n")))
-    spin.terminator = Branch(more, spin.block_id, done.block_id,
+    _draw_statements(draw, spin)
+    spin.terminator = Branch(_count_on(spin), spin.block_id, done.block_id,
                              is_loop_branch=True)
     done.terminator = Halt()
-    return CDFG("spin", cfg, params=("n",), arrays=ARRAYS)
+    return _kernel("spin", cfg)
 
 
-@st.composite
-def kernels(draw):
-    """``(cdfg, memory, params)`` for a random kernel over small arrays."""
-    n = draw(st.integers(1, 5))
-    if draw(st.integers(0, 5)) == 0:
-        cdfg = _self_loop_kernel(draw)
-    else:
-        cdfg = _structured_kernel(draw, n)
+def _loop_exit_kernel(draw, exit_from_body):
+    """``head`` counts i up and tests ``i < n``; ``body`` then branches
+    on a drawn test, either straight to the loop's exit ``done`` (a
+    ``break``) or straight back to ``head`` (a ``continue``) past
+    ``rest``."""
+    cfg = CFG()
+    entry = _entry_block(draw, cfg, -1)
+    head = cfg.new_block("head", BlockRole.LOOP_HEADER)
+    body = cfg.new_block("body", BlockRole.LOOP_BODY)
+    rest = cfg.new_block("rest", BlockRole.LOOP_LATCH)
+    done = cfg.new_block("done", BlockRole.EXIT)
+    entry.terminator = Jump(head.block_id)
+    head.terminator = Branch(_count_on(head), body.block_id, done.block_id,
+                             is_loop_branch=True)
+    _draw_statements(draw, body)
+    leave = done if exit_from_body else head
+    body.terminator = Branch(_draw_test(draw, body), leave.block_id,
+                             rest.block_id)
+    _draw_statements(draw, rest)
+    rest.terminator = Jump(head.block_id)
+    done.terminator = Halt()
+    return _kernel("break" if exit_from_body else "continue", cfg)
+
+
+def _two_entry_kernel(draw):
+    """``fork`` enters the cycle ``a <-> b`` at either block; each
+    counts i up and leaves for ``done`` once ``i == n``."""
+    cfg = CFG()
+    entry = _entry_block(draw, cfg, 0)
+    fork = cfg.new_block("fork")
+    a = cfg.new_block("a")
+    b = cfg.new_block("b")
+    done = cfg.new_block("done", BlockRole.EXIT)
+    entry.terminator = Jump(fork.block_id)
+    fork.terminator = Branch(_draw_test(draw, fork), a.block_id, b.block_id)
+    for block, other in ((a, b), (b, a)):
+        _draw_statements(draw, block)
+        block.terminator = Branch(_count_on(block), other.block_id,
+                                  done.block_id)
+    done.terminator = Halt()
+    return _kernel("two_entry", cfg)
+
+
+_HAND_BUILT = (
+    _self_loop_kernel,
+    lambda draw: _loop_exit_kernel(draw, True),
+    lambda draw: _loop_exit_kernel(draw, False),
+    _two_entry_kernel,
+)
+
+
+def _draw_memory(draw, n):
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     memory = {}
     for name in ARRAYS:
@@ -229,7 +311,45 @@ def kernels(draw):
             memory[name] = (rng.normal(size=n) * 10).astype(dtype)
         else:
             memory[name] = rng.integers(-20, 20, n).astype(dtype)
-    return cdfg, memory, {"n": n}
+    return memory
+
+
+@st.composite
+def kernels(draw):
+    """``(cdfg, memory, params)`` for a random kernel over small arrays."""
+    n = draw(st.integers(1, 5))
+    shape = draw(st.integers(0, 2 * len(_HAND_BUILT)))
+    if shape < len(_HAND_BUILT):
+        cdfg = _HAND_BUILT[shape](draw)
+    else:
+        cdfg = _structured_kernel(draw, n)
+    return cdfg, _draw_memory(draw, n), {"n": n}
+
+
+@st.composite
+def graph_kernels(draw):
+    """``(cdfg, memory, params)`` over an arbitrary control flow graph,
+    with ``i`` fixed at 0 and drawn branch tests."""
+    n = draw(st.integers(1, 5))
+    cfg = CFG()
+    entry = _entry_block(draw, cfg, 0)
+    blocks = [entry] + [cfg.new_block(f"b{k}")
+                        for k in range(1, draw(st.integers(2, 10)))]
+    target = st.integers(0, len(blocks) - 1)
+    entry.terminator = Jump(draw(target))
+    for block in blocks[1:]:
+        _draw_statements(draw, block)
+        kind = draw(st.sampled_from(("jump", "branch", "branch", "halt")))
+        if kind == "halt":
+            block.terminator = Halt()
+        elif kind == "jump":
+            block.terminator = Jump(draw(target))
+        else:
+            block.terminator = Branch(_draw_test(draw, block), draw(target),
+                                      draw(target))
+    if not any(isinstance(b.terminator, Halt) for b in blocks):
+        blocks[-1].terminator = Halt()
+    return _kernel("graph", cfg), _draw_memory(draw, n), {"n": n}
 
 
 # ----------------------------------------------------------------------

@@ -177,6 +177,18 @@ class TestBackends:
         assert shared.get(key) == {"v": 1}
         assert shared.disk_hits == 1
 
+    def test_local_record_is_the_compact_json_of_its_envelope(
+            self, tmp_path):
+        key = trace_cache_key("gemm", "tiny", 0)
+        payload = {"entry": 0, "edges": [[0, 1, 3], [1, 1, 2]],
+                   "name": "gemm \u00e9", "x": 0.1}
+        envelope = {"key": key, "payload": payload}
+        backend = LocalBackend(tmp_path)
+        backend.put(fingerprint(key), envelope)
+        record = backend._path(fingerprint(key)).read_bytes()
+        assert record == json.dumps(envelope).encode("utf-8")
+        assert TraceCache(backend=backend).get(key) == payload
+
     def test_foreign_record_is_a_miss_for_every_backend(self, backend):
         key = trace_cache_key("gemm", "tiny", 0)
         backend.put(fingerprint(key), {"not": "an envelope"})

@@ -22,6 +22,8 @@ import pytest
 
 from repro.engine import Engine, result_payload
 from repro.experiments import report
+from repro.ir.interp import _Layout
+from repro.workloads import ALL_WORKLOADS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SCALE = "small"
@@ -33,10 +35,40 @@ SLUGS = ("fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
 
 
 @pytest.fixture(scope="module")
-def results() -> Dict[str, object]:
+def engine() -> Engine:
+    """The dedicated engine the snapshots are computed with."""
+    return Engine()
+
+
+@pytest.fixture(scope="module")
+def results(engine) -> Dict[str, object]:
     """All nine experiments, run once through a dedicated engine."""
-    engine = Engine()
     return dict(zip(SLUGS, report.run_all(SCALE, SEED, engine=engine)))
+
+
+def dispatch_shares(engine: Engine, scale: str) -> Dict[str, tuple]:
+    """Workload -> (``bid`` dispatches, block executions) of the compiled
+    runs behind the report: the first dispatch plus every taken edge into
+    a region head.  Reads the traces the engine already holds."""
+    shares = {}
+    for workload in ALL_WORKLOADS:
+        kernel = engine.kernel_run(workload, scale, SEED).kernel
+        heads = _Layout(kernel.cdfg).heads  # what the generator used
+        trace = kernel.trace
+        dispatches = 1 + sum(count for (_, dst), count
+                             in trace.edge_counts.items() if dst in heads)
+        shares[workload.short] = (dispatches, trace.total_block_execs)
+    return shares
+
+
+def assert_dispatches_are_rare(shares: Dict[str, tuple], bound: float):
+    """Structured code, not per-block dispatch, runs the workloads: at
+    most ``bound`` of all block executions dispatch, and at most a tenth
+    in any one workload.  Per-block dispatch would read 1.0."""
+    for short, (dispatches, execs) in shares.items():
+        assert dispatches <= 0.1 * execs, (short, dispatches, execs)
+    dispatches, execs = (sum(column) for column in zip(*shares.values()))
+    assert dispatches <= bound * execs, (dispatches, execs)
 
 
 def _canonical(result) -> dict:
@@ -95,6 +127,10 @@ def test_golden(slug, results, request):
         f"{drift}); if intentional, regenerate with --update-golden and "
         f"review the diff"
     )
+
+
+def test_structured_code_dispatches_rarely(engine, results):
+    assert_dispatches_are_rare(dispatch_shares(engine, SCALE), 0.03)
 
 
 def test_snapshots_cover_every_experiment():

@@ -25,7 +25,13 @@ import pytest
 from repro.engine import Engine
 from repro.experiments import report
 
-from test_golden_experiments import SLUGS, _canonical, _first_difference
+from test_golden_experiments import (
+    SLUGS,
+    _canonical,
+    _first_difference,
+    assert_dispatches_are_rare,
+    dispatch_shares,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "paper"
 SCALE = "paper"
@@ -33,9 +39,13 @@ SEED = 0
 
 
 @pytest.fixture(scope="module")
-def results() -> Dict[str, object]:
+def engine() -> Engine:
+    return Engine()
+
+
+@pytest.fixture(scope="module")
+def results(engine) -> Dict[str, object]:
     """All nine experiments at paper scale, run once."""
-    engine = Engine()
     return dict(zip(SLUGS, report.run_all(SCALE, SEED, engine=engine)))
 
 
@@ -61,3 +71,7 @@ def test_golden_paper(slug, results, request):
         f"difference: {drift}); if intentional, regenerate with "
         f"--update-golden and review the diff"
     )
+
+
+def test_structured_code_dispatches_rarely(engine, results):
+    assert_dispatches_are_rare(dispatch_shares(engine, SCALE), 0.02)

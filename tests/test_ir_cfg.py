@@ -80,6 +80,13 @@ class TestDominators:
         dom = simple_loop().dominators()
         assert dom[2] == {0, 1, 2}
 
+    def test_immediate_post_dominators(self):
+        assert diamond().immediate_post_dominators() == {
+            0: 3, 1: 3, 2: 3, 3: None}
+        # The header post-dominates the body; the exit post-dominates both.
+        assert simple_loop().immediate_post_dominators() == {
+            0: 1, 1: 3, 2: 1, 3: None}
+
     def test_immediate_dominators(self):
         idom = diamond().immediate_dominators()
         assert idom[0] is None
@@ -166,6 +173,21 @@ class TestAgainstNetworkx:
                 assert ours[bid] is None
             else:
                 assert ours[bid] == theirs[bid], f"block {bid}"
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_cfg())
+    def test_immediate_post_dominators_match_networkx(self, cfg):
+        # Post-dominators are dominators of the reversed graph, rooted at
+        # a virtual exit that follows every Halt.
+        graph = nx.DiGraph()
+        graph.add_edges_from((dst, src) for src, dst in cfg.edges())
+        graph.add_edges_from(("exit", b.block_id) for b in cfg.blocks
+                             if isinstance(b.terminator, Halt))
+        theirs = nx.immediate_dominators(graph, "exit")
+        ours = cfg.immediate_post_dominators()
+        assert set(ours) == set(theirs) - {"exit"}
+        for bid, ipdom in ours.items():
+            assert ipdom == (None if theirs[bid] == "exit" else theirs[bid])
 
     @settings(max_examples=60, deadline=None)
     @given(random_cfg())

@@ -1,13 +1,15 @@
 """Unit + property tests for the functional interpreter.
 
 The compiled engine (one generated Python function per kernel, over
-list-backed int64/float64 memory) is cross-checked against the walking
-engine (op by op over numpy memory) on kernels drawn by the shared
-:mod:`kernel_fuzz` strategy, errors included, and on named cases for
-the store, bounds, read-before-assignment and step-budget semantics
-that list-backed memory must keep.
+list-backed int64/float64 memory, with innermost loops as Python
+``while`` loops) is cross-checked against the walking engine (op by op
+over numpy memory) on kernels drawn by the shared :mod:`kernel_fuzz`
+strategy, errors included, and on named cases for the store, bounds,
+read-before-assignment and step-budget semantics that list-backed
+memory and structured control flow must keep.
 """
 
+import contextlib
 import gc
 import weakref
 
@@ -15,10 +17,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from kernel_fuzz import kernels
+from kernel_fuzz import graph_kernels, kernels
 from repro.errors import InterpreterError
 from repro.ir.builder import KernelBuilder
-from repro.ir.interp import Interpreter
+from repro.ir.interp import Interpreter, _Layout
+from repro.workloads import get_workload
 
 
 class TestBasics:
@@ -104,10 +107,11 @@ class TestTrace:
             == 1 + sum(trace.edge_counts.values())
 
 
-def _outcome(cdfg, memory, params, engine):
+def _outcome(cdfg, memory, params, engine, max_steps=50_000_000):
     """Everything a run shows: the result, or the error's type and text."""
     try:
-        result = Interpreter(cdfg, engine=engine).run(memory, params)
+        result = Interpreter(cdfg, engine=engine).run(memory, params,
+                                                      max_steps=max_steps)
     except Exception as error:  # the law compares failures too
         return type(error), str(error)
     return (
@@ -118,9 +122,9 @@ def _outcome(cdfg, memory, params, engine):
     )
 
 
-def _assert_engines_agree(cdfg, memory, params):
-    compiled = _outcome(cdfg, memory, params, "compiled")
-    assert compiled == _outcome(cdfg, memory, params, "walking")
+def _assert_engines_agree(cdfg, memory, params, max_steps=50_000_000):
+    compiled = _outcome(cdfg, memory, params, "compiled", max_steps)
+    assert compiled == _outcome(cdfg, memory, params, "walking", max_steps)
     return compiled
 
 
@@ -129,6 +133,13 @@ class TestEngineEquivalence:
     @given(kernels())
     def test_compiled_matches_walking(self, case):
         _assert_engines_agree(*case)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph_kernels())
+    def test_compiled_matches_walking_on_any_graph(self, case):
+        # Irreducible, multi-exit and never-halting graphs place many
+        # blocks outside the structured rules; the budget ends a spin.
+        _assert_engines_agree(*case, max_steps=300)
 
     def test_non_finite_constants(self):
         # inf, -inf and nan have no literal spelling in Python source.
@@ -147,6 +158,42 @@ class TestEngineEquivalence:
         assert list(result.array("o")[:4]) == [1.5, -2.0, 1.5, -2.0]
         assert np.isnan(result.array("o")[4:]).all()
 
+    def test_forty_deep_loop_nest(self):
+        # One Python while loop at most: CPython refuses more than 20
+        # statically nested loops, and the builder nests 40.
+        k = KernelBuilder("deep")
+        k.array("o")
+        k.set("s", 0)
+        with contextlib.ExitStack() as nest:
+            for depth in range(40):
+                nest.enter_context(
+                    k.loop(f"i{depth}", 0, 2 if depth >= 37 else 1))
+                k.set("s", k.get("s") + depth)
+        k.store("o", 0, k.get("s"))
+        cdfg = k.build()
+        assert len(_Layout(cdfg).heads) == 40  # the entry + 39 outer heads
+        memory = {"o": np.zeros(1, dtype=np.int64)}
+        _assert_engines_agree(cdfg, memory, {})
+        # Level d adds d once per trip of its loop: 2 ** (d - 36) trips
+        # from level 37 down.
+        assert Interpreter(cdfg).run(memory).array("o")[0] == sum(
+            d * 2 ** max(0, d - 36) for d in range(40))
+
+    def test_deep_branch_nest(self):
+        # Structured code nests an if per branch, and Python refuses
+        # more than 100 indentation levels: the deepest ones dispatch.
+        k = KernelBuilder("nested_ifs")
+        k.array("o")
+        k.set("s", 0)
+        with contextlib.ExitStack() as nest:
+            for _ in range(120):
+                nest.enter_context(k.branch(k.get("s") >= 0))
+                k.set("s", k.get("s") + 1)
+        k.store("o", 0, k.get("s"))
+        memory = {"o": np.zeros(1, dtype=np.int64)}
+        outcome = _assert_engines_agree(k.build(), memory, {})
+        assert outcome[-1]["o"][1] == np.array([120]).tobytes()
+
 
 def _store_kernel(dtype=np.int64):
     """``o[i] = v; x = o[i]`` for runtime parameters ``i`` and ``v``."""
@@ -163,6 +210,16 @@ def _load_kernel():
     k = KernelBuilder("peek")
     k.array("o")
     k.set("x", k.load("o", k.param("i")))
+    return k.build(), {"o": np.zeros(2, dtype=np.int64)}
+
+
+def _loop_load_kernel():
+    """``x += o[i + j]`` in the body of a loop over ``j``."""
+    k = KernelBuilder("sweep")
+    k.array("o")
+    k.set("x", 0)
+    with k.loop("j", 0, 2) as j:
+        k.set("x", k.get("x") + k.load("o", k.param("i") + j))
     return k.build(), {"o": np.zeros(2, dtype=np.int64)}
 
 
@@ -254,15 +311,17 @@ class TestListBackedSemantics:
         _assert_engines_agree(cdfg, {}, {"a": a, "b": b})
 
     @pytest.mark.parametrize("index", [-1, 2])
-    @pytest.mark.parametrize("kernel", [_store_kernel, _load_kernel])
+    @pytest.mark.parametrize("kernel", [_store_kernel, _load_kernel,
+                                        _loop_load_kernel])
     def test_out_of_bounds_names_kernel_block_and_array(self, kernel,
                                                          index):
         cdfg, memory = kernel()
         params = {"i": index, "v": 1}
         with pytest.raises(InterpreterError) as excinfo:
             Interpreter(cdfg).run(memory, params)
+        block = "loop_j1_body" if kernel is _loop_load_kernel else "entry"
         assert str(excinfo.value) == (
-            f"{cdfg.name}/entry: out-of-bounds access o[{index}]"
+            f"{cdfg.name}/{block}: out-of-bounds access o[{index}]"
         )
         _assert_engines_agree(cdfg, memory, params)
 
@@ -279,12 +338,33 @@ class TestListBackedSemantics:
             "unset/br1_merge: variable 'x' read before assignment"
         )
         _assert_engines_agree(cdfg, {}, {"c": 0})
+        # Inside a loop body, which the compiled engine runs as a while
+        # loop within the entry's region.
+        k = KernelBuilder("unset_in_loop")
+        with k.loop("i", 0, 2):
+            k.set("y", k.get("x") + 1)
+            k.set("x", 1)
+        cdfg = k.build()
+        with pytest.raises(InterpreterError) as excinfo:
+            Interpreter(cdfg).run({})
+        assert str(excinfo.value) == (
+            "unset_in_loop/loop_i1_body: variable 'x' read before "
+            "assignment"
+        )
+        _assert_engines_agree(cdfg, {}, {})
 
     def test_max_steps_boundary_is_exact(self, saxpy_kernel):
-        memory = {"x": np.arange(3), "y": np.zeros(3, dtype=np.int64)}
-        steps = Interpreter(saxpy_kernel).run(memory, {"n": 3}).steps
-        for engine in ("compiled", "walking"):
-            run = Interpreter(saxpy_kernel, engine=engine).run
-            assert run(memory, {"n": 3}, max_steps=steps).steps == steps
-            with pytest.raises(InterpreterError, match="exceeded"):
-                run(memory, {"n": 3}, max_steps=steps - 1)
+        vi = get_workload("vi").instance("tiny")
+        cases = [
+            (saxpy_kernel, {"x": np.arange(3),
+                            "y": np.zeros(3, dtype=np.int64)}, {"n": 3}),
+            # most of VI's steps run inside compiled while loops
+            (vi.cdfg, vi.memory, vi.params),
+        ]
+        for cdfg, memory, params in cases:
+            steps = Interpreter(cdfg).run(memory, params).steps
+            for engine in ("compiled", "walking"):
+                run = Interpreter(cdfg, engine=engine).run
+                assert run(memory, params, max_steps=steps).steps == steps
+                with pytest.raises(InterpreterError, match="exceeded"):
+                    run(memory, params, max_steps=steps - 1)

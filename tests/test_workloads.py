@@ -65,6 +65,37 @@ def test_small_scale_matches_reference(short):
     get_workload(short).instance("small").check()
 
 
+def _hough_votes_one_pixel_at_a_time(sizes, memory):
+    """The Hough reference as a scalar loop: the oracle for the
+    vectorized one."""
+    from repro.workloads.hough import FP, THRESHOLD
+
+    h, w, thetas = sizes["h"], sizes["w"], sizes["thetas"]
+    rho_bins = 2 * (h + w) + 1
+    cos_t, sin_t = memory["cos_t"], memory["sin_t"]
+    acc = np.zeros(thetas * rho_bins, dtype=np.int64)
+    ys, xs = np.nonzero(memory["image"].reshape(h, w) > THRESHOLD)
+    for y, x in zip(ys, xs):
+        for t in range(thetas):
+            num = int(x) * int(cos_t[t]) + int(y) * int(sin_t[t])
+            q = abs(num) // FP
+            rho = (q if num >= 0 else -q) + h + w
+            acc[t * rho_bins + rho] += 1
+    return acc
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("scale", ["tiny", "small", "paper"])
+def test_hough_reference_matches_the_scalar_loop(scale, seed):
+    workload = get_workload("HT")
+    sizes = workload.sizes(scale)
+    memory, params = workload.inputs(sizes, np.random.default_rng(seed))
+    acc = workload.reference(sizes, memory, params)["acc"]
+    oracle = _hough_votes_one_pixel_at_a_time(sizes, memory)
+    assert acc.dtype == oracle.dtype == np.int64
+    assert np.array_equal(acc, oracle)
+
+
 class TestControlFlowForms:
     """Table 1: each kernel exhibits its documented control flow form."""
 
