@@ -21,9 +21,9 @@ Registered engine benchmarks:
   ablation sweep dynamically over the HTTP cache backend, checked
   byte-identical against the unsharded golden run (plus a 2-worker
   speedup assertion on multi-core hosts);
-* ``test_streaming_latency.py`` — asserts streaming mode's
-  time-to-first-result beats batch mode's time-to-completion on a cold
-  engine.
+* ``test_streaming_latency.py`` — asserts that on a cold engine the
+  stream's time-to-first-result beats ``Engine.execute``'s
+  time-to-completion on the same batch.
 
 Every benchmark prints its figure/table rows, so
 ``pytest benchmarks/ --benchmark-only -s`` reproduces the full evaluation.

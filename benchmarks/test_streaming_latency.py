@@ -1,11 +1,11 @@
 """Streaming latency benchmark: first result before the batch would end.
 
-Batch mode blocks on a whole-batch trace phase before any model
-evaluation surfaces; streaming prices a spec the moment its trace lands.
-The contract worth asserting is the user-visible one: on a cold engine,
-streaming's time-to-first-result beats batch mode's time-to-completion —
-a sweep starts reporting while an equivalent batch run would still be
-silent.
+``Engine.execute`` returns once every spec of the batch is priced;
+``Engine.stream``, the pricing path underneath it, yields each spec the
+moment its trace lands and a worker prices it.  The contract worth
+asserting is the user-visible one: on a cold engine, the stream's
+time-to-first-result beats ``execute``'s time-to-completion — a sweep
+starts reporting while an equivalent batch run would still be silent.
 """
 
 from __future__ import annotations

@@ -2,14 +2,18 @@
 
 Cost model.  A kernel's dynamic behaviour is reduced
 to per-loop statistics (entries, iterations) plus flat-block execution
-counts; the engine walks the loop-nest tree bottom-up and prices, per loop:
+counts; the engine walks the loop-nest tree bottom-up.  An innermost loop
+is priced as a pipeline (:func:`pipeline_cycles`):
 
-``entries * startup + ceil(iterations/unroll) * II + entries * drain``
+``entries * (startup + drain) + max(0, ceil(iterations/unroll) - entries) * II``
 
-plus, for non-innermost loops, the per-iteration cost of the outer basic
-blocks — either serialised between the inner-loop bursts (conventional
-architectures) or pipelined and overlapped with them (Agile PE Assignment;
-the two concurrent streams cost ``max`` instead of ``sum``).
+so one entry costs ``startup + (initiations - 1) * II + drain``.  With
+``loop_fifo`` the startups and drains are paid once per parent burst
+instead of once per entry.  A non-innermost loop adds the per-iteration
+cost of its outer basic blocks — either serialised between the inner-loop
+bursts (conventional architectures) or pipelined and overlapped with them
+(Agile PE Assignment; the two concurrent streams cost ``max`` instead of
+``sum``).
 
 The knobs in :class:`ModelConfig` are the paper's mechanisms:
 
@@ -279,27 +283,6 @@ class KernelInstance:
             nest.header, nest.own_blocks(self.nests)
         )
 
-    @staticmethod
-    def _control_chain(block, input_id: int) -> int:
-        """Longest latency path from ``input_id`` to a control/address sink
-        (branch condition or memory op) within the block; 0 if none."""
-        dfg = block.dfg
-        dist: Dict[int, int] = {input_id: 0}
-        for node in dfg.nodes:
-            if node.node_id == input_id:
-                continue
-            reach = [dist[o] for o in node.operands if o in dist]
-            if reach:
-                dist[node.node_id] = max(reach) + node.info.latency
-        sinks = []
-        term = block.terminator
-        if isinstance(term, Branch) and term.cond in dist:
-            sinks.append(dist[term.cond])
-        for node in dfg.nodes:
-            if node.info.is_memory and node.node_id in dist:
-                sinks.append(dist[node.node_id])
-        return max(sinks, default=0)
-
     @property
     def name(self) -> str:
         return self.cdfg.name
@@ -511,6 +494,16 @@ class CycleResult:
         )
 
 
+def pipeline_cycles(entries: int, iterations: int, ii: int, startup: int,
+                    drain: int, unroll: int = 1) -> int:
+    """Cycles of a pipelined loop entered ``entries`` times for
+    ``iterations`` iterations in all: each entry pays ``startup + drain``
+    once, and every initiation after an entry's first issues ``ii`` cycles
+    after the one before; an initiation starts ``unroll`` iterations."""
+    initiations = math.ceil(iterations / unroll)
+    return entries * (startup + drain) + max(0, initiations - entries) * ii
+
+
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
@@ -709,10 +702,9 @@ class ArchModel:
 
         if innermost:
             unroll = self.unroll_of(kernel, nest, ii)
-            initiations = math.ceil(iters / unroll)
-            own = overhead_entries * (startup + drain) + max(
-                0, initiations - overhead_entries
-            ) * ii
+            own = pipeline_cycles(
+                overhead_entries, iters, ii, startup, drain, unroll
+            )
             overlapped = False
         else:
             unroll = 1

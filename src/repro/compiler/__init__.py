@@ -1,7 +1,7 @@
 """The Marionette mapping toolchain.
 
-Pipeline: CDFG -> per-BB placement onto the PE grid (:mod:`place`), mesh
-routing (:mod:`route` via :class:`~repro.arch.network.mesh.DataMesh`),
+Pipeline: CDFG -> per-BB placement onto the PE grid, with its edges
+routed on the :class:`~repro.arch.network.mesh.DataMesh` (:mod:`place`),
 time-extend reshaping (:mod:`reshape`), the Agile PE Assignment scheduler
 (:mod:`schedule`, paper Fig. 8), and configuration generation for the
 micro-architectural simulator (:mod:`config_gen`).

@@ -81,13 +81,6 @@ class LevelSchedule:
     #: PE-cycles wasted by the chosen reshape (the scheduler's objective)
     waste: int = 0
 
-    @property
-    def pes_used(self) -> int:
-        used = set()
-        for placement in self.placements.values():
-            used.update(placement.pes)
-        return len(used)
-
 
 @dataclass
 class Schedule:

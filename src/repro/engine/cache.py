@@ -114,9 +114,6 @@ class TraceCache:
             backend = LocalBackend(self.root)
         self.backend = backend
         self._memory: Dict[str, object] = {}
-        self.disk_hits = 0
-        self.memory_hits = 0
-        self.misses = 0
 
     @property
     def persistent(self) -> bool:
@@ -129,7 +126,6 @@ class TraceCache:
         """Stored payload for ``key``, or None."""
         digest = fingerprint(key)
         if digest in self._memory:
-            self.memory_hits += 1
             return self._memory[digest]
         if self.backend is not None:
             record = self.backend.get(digest)
@@ -138,9 +134,7 @@ class TraceCache:
             if isinstance(record, dict) and "payload" in record:
                 payload = record["payload"]
                 self._memory[digest] = payload
-                self.disk_hits += 1
                 return payload
-        self.misses += 1
         return None
 
     def put(self, key: Mapping[str, object], payload: object) -> None:

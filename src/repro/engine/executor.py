@@ -11,16 +11,13 @@ deterministic lists of :class:`~repro.engine.spec.RunResult`:
 * **cycle results** are cached under the full spec identity (params +
   model + engine version), so re-running a report with a warm cache does
   no model evaluation either;
-* :meth:`Engine.execute` is the throughput mode: with ``jobs > 1`` both
-  phases fan out over a ``multiprocessing`` pool, chunked so each worker
-  builds as few kernel instances as possible; results are reassembled in
-  spec order, so parallel and serial runs are indistinguishable
-  downstream;
-* :meth:`Engine.stream` is the latency mode: it yields ``(index,
-  RunResult)`` pairs *as workers finish* — a spec is simulated the moment
-  its trace lands instead of behind a whole-batch trace barrier — and
-  every input position is yielded exactly once, so callers can reassemble
-  the deterministic spec order for reports.
+* :meth:`Engine.stream` is the one pricing path: it yields ``(index,
+  RunResult)`` pairs as results become available — cached specs first,
+  then each spec the moment its own trace lands (with ``jobs > 1``,
+  traces and model evaluations share one ``multiprocessing`` pool) —
+  and every input position is yielded exactly once;
+* :meth:`Engine.execute` collects that stream in spec order, so
+  parallel, serial and streamed runs are indistinguishable downstream.
 
 :attr:`Engine.stats` counts what actually ran — ``traces_computed`` is the
 number of workload functional simulations this engine performed.  With a
@@ -33,10 +30,11 @@ from __future__ import annotations
 import multiprocessing
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -47,13 +45,8 @@ from typing import (
 
 from repro.baselines.base import CycleResult, KernelInstance
 from repro.engine.cache import TraceCache
-from repro.engine.spec import (
-    ModelSpec,
-    RunResult,
-    RunSpec,
-    trace_cache_key,
-)
-from repro.errors import EngineError
+from repro.engine.spec import RunResult, RunSpec, trace_cache_key
+from repro.errors import ConfigurationError, EngineError
 from repro.ir.trace import DynamicTrace
 from repro.workloads import Workload, WorkloadInstance, get_workload
 
@@ -116,11 +109,10 @@ class EngineStats:
 # ----------------------------------------------------------------------
 # Worker-process entry points (module-level: picklable under spawn too)
 # ----------------------------------------------------------------------
-_WORKER_TRACES: Dict[TraceKey, dict] = {}
 _WORKER_KERNELS: Dict[TraceKey, KernelInstance] = {}
 
 
-def _register_kernel_documents(documents) -> None:
+def _init_worker(documents: Dict[str, dict]) -> None:
     """Admit external kernel documents in this (worker) process.
 
     ``get_workload`` resolves ``kernel:`` tokens against a process-wide
@@ -132,9 +124,7 @@ def _register_kernel_documents(documents) -> None:
         return
     from repro.kernels.registry import register_documents
 
-    register_documents(
-        documents.values() if isinstance(documents, dict) else documents
-    )
+    register_documents(documents.values())
 
 
 def _trace_job(key: TraceKey) -> Tuple[TraceKey, dict]:
@@ -148,18 +138,6 @@ def _trace_job(key: TraceKey) -> Tuple[TraceKey, dict]:
         raise _trace_error(key, error) from error
 
 
-def _init_trace_worker(kernel_documents=None) -> None:
-    _register_kernel_documents(kernel_documents)
-
-
-def _init_sim_worker(traces: Dict[TraceKey, dict],
-                     kernel_documents=None) -> None:
-    global _WORKER_TRACES, _WORKER_KERNELS
-    _WORKER_TRACES = traces
-    _WORKER_KERNELS = {}
-    _register_kernel_documents(kernel_documents)
-
-
 def _kernel_from_payload(key: TraceKey, payload: dict) -> KernelInstance:
     short, scale, _seed = key
     workload = get_workload(short)
@@ -167,41 +145,26 @@ def _kernel_from_payload(key: TraceKey, payload: dict) -> KernelInstance:
     return KernelInstance(cdfg, DynamicTrace.from_payload(payload))
 
 
-def _simulate_with_memo(spec: RunSpec, trace_payload: dict) -> dict:
-    """Price one spec, memoising its kernel instance per worker."""
-    key = spec.trace_key()
-    kernel = _WORKER_KERNELS.get(key)
-    if kernel is None:
-        kernel = _kernel_from_payload(key, trace_payload)
-        _WORKER_KERNELS[key] = kernel
-    return spec.model.build(spec.params).simulate(kernel).to_payload()
+def _sim_chunk(specs: Sequence[RunSpec], trace_payload: dict) -> List[dict]:
+    """Price a chunk of one trace's specs in a pool worker.
 
-
-def _sim_job(item: Tuple[int, RunSpec]) -> Tuple[int, dict]:
-    """Batch-mode pricing: traces come from worker initializer state."""
-    index, spec = item
-    try:
-        return index, _simulate_with_memo(
-            spec, _WORKER_TRACES[spec.trace_key()]
-        )
-    except Exception as error:
-        raise _sim_error(spec, error) from error
-
-
-def _stream_sim_chunk(specs: Sequence[RunSpec],
-                      trace_payload: dict) -> List[dict]:
-    """Streaming-mode pricing: the trace rides along with the task.
-
-    Streaming submits simulations the moment a trace lands, before a
-    batch-wide trace table exists, so the payload is an argument instead
-    of worker initializer state.  One task carries a *chunk* of the
-    trace's specs so the payload is pickled at most once per worker, not
-    once per parameter point.
+    Specs are submitted the moment their trace lands, so the payload
+    rides along with the task.  One task carries a *chunk* of the
+    trace's specs, so the payload is pickled at most once per worker, not
+    once per parameter point, and the kernel instance it builds is
+    memoised per worker.
     """
     results = []
     for spec in specs:
         try:
-            results.append(_simulate_with_memo(spec, trace_payload))
+            key = spec.trace_key()
+            kernel = _WORKER_KERNELS.get(key)
+            if kernel is None:
+                kernel = _kernel_from_payload(key, trace_payload)
+                _WORKER_KERNELS[key] = kernel
+            results.append(
+                spec.model.build(spec.params).simulate(kernel).to_payload()
+            )
         except Exception as error:
             raise _sim_error(spec, error) from error
     return results
@@ -247,7 +210,9 @@ class Engine:
 
     def __init__(self, cache_dir=None, jobs: int = 1,
                  backend=None) -> None:
-        self.jobs = max(1, int(jobs))
+        self.jobs = int(jobs)
+        if self.jobs < 1:
+            raise ConfigurationError(f"jobs must be at least 1, got {jobs}")
         self.cache = TraceCache(cache_dir, backend=backend)
         self.stats = EngineStats()
         self._trace_payloads: Dict[TraceKey, dict] = {}
@@ -288,8 +253,8 @@ class Engine:
         return False
 
     @staticmethod
-    def _kernel_documents(keys) -> Dict[str, dict]:
-        """External kernel documents backing a set of trace keys/specs.
+    def _kernel_documents(keys: Iterable[TraceKey]) -> Dict[str, dict]:
+        """External kernel documents backing a set of trace keys.
 
         Spawn-started pool workers cannot resolve ``kernel:`` tokens
         unless their initializer re-registers the documents; this
@@ -297,12 +262,8 @@ class Engine:
         ``initargs``.  Empty (without importing repro.kernels) when the
         batch has no external kernels.
         """
-        tokens = {
-            key[0] if isinstance(key, tuple) else key.workload
-            for key in keys
-        }
-        kernel_tokens = sorted(t for t in tokens
-                               if t.startswith("kernel:"))
+        kernel_tokens = sorted({short for short, _scale, _seed in keys
+                                if short.startswith("kernel:")})
         if not kernel_tokens:
             return {}
         from repro.kernels.registry import document_for
@@ -317,7 +278,7 @@ class Engine:
             ctx = _pool_context()
             with ctx.Pool(
                 min(self.jobs, len(missing)),
-                initializer=_init_trace_worker,
+                initializer=_init_worker,
                 initargs=(self._kernel_documents(missing),),
             ) as pool:
                 computed = list(pool.imap_unordered(_trace_job, missing))
@@ -376,81 +337,27 @@ class Engine:
         self.cache.put(spec.cache_key(), outcome.to_payload())
 
     def execute(self, specs: Sequence[RunSpec]) -> List[RunResult]:
-        """Run every spec; results come back in spec order."""
+        """Run every spec; results come back in spec order.
+
+        The spec-ordered view of :meth:`stream`, which does all pricing.
+        """
         results: List[Optional[RunResult]] = [None] * len(specs)
-        pending: Dict[RunSpec, List[int]] = {}
-        for index, spec in enumerate(specs):
-            cached, from_memo = self._lookup_cycles(spec)
-            if cached is not None:
-                # Memo re-reads within this engine (run_all prefetches,
-                # then each experiment looks its specs up again) are not
-                # evidence of a warm cache — count them apart.
-                if from_memo:
-                    self.stats.sim_memo_hits += 1
-                else:
-                    self.stats.sim_cache_hits += 1
-                results[index] = RunResult(spec, cached, cached=True)
-            else:
-                pending.setdefault(spec, []).append(index)
-
-        if pending:
-            order = list(pending)
-            self._ensure_traces({spec.trace_key() for spec in order})
-            if self.jobs > 1 and len(order) > 1:
-                needed = {spec.trace_key() for spec in order}
-                traces = {k: self._trace_payloads[k] for k in needed}
-                # Group a kernel's specs into one chunk so each worker
-                # builds (and analyses) as few kernel instances as possible.
-                items = sorted(
-                    enumerate(order), key=lambda item: item[1].trace_key()
-                )
-                workers = min(self.jobs, len(order))
-                chunk = -(-len(items) // workers)
-                ctx = _pool_context()
-                with ctx.Pool(
-                    workers,
-                    initializer=_init_sim_worker,
-                    initargs=(traces, self._kernel_documents(needed)),
-                ) as pool:
-                    computed = list(pool.imap_unordered(
-                        _sim_job, items, chunksize=chunk
-                    ))
-                by_index = dict(computed)
-                outcomes = [
-                    CycleResult.from_payload(by_index[i])
-                    for i in range(len(order))
-                ]
-            else:
-                outcomes = []
-                for spec in order:
-                    try:
-                        model = spec.model.build(spec.params)
-                        outcomes.append(
-                            model.simulate(self._kernel(spec.trace_key()))
-                        )
-                    except Exception as error:
-                        raise _sim_error(spec, error) from error
-            self.stats.simulations += len(order)
-            for spec, outcome in zip(order, outcomes):
-                self._store_cycles(spec, outcome)
-                for index in pending[spec]:
-                    results[index] = RunResult(spec, outcome, cached=False)
-
-        return list(results)
+        for index, result in self.stream(specs):
+            results[index] = result
+        return results
 
     # -- streaming -------------------------------------------------------
     def stream(self, specs: Sequence[RunSpec]
                ) -> Iterator[Tuple[int, RunResult]]:
         """Yield ``(index, result)`` pairs as results become available.
 
-        Every input position is yielded exactly once (duplicates of one
-        spec share a single simulation but each position still gets its
-        pair); cached specs come first, in index order, then computed
-        specs in completion order.  Unlike :meth:`execute`, a spec is
-        priced the moment its trace lands — there is no batch-wide trace
-        barrier — so time-to-first-result is one trace plus one worker's
-        chunk of model evaluations, not the whole batch.  Collect and index-sort the
-        pairs to recover the deterministic :meth:`execute` ordering.
+        The engine's one pricing path; :meth:`execute` collects it in spec
+        order.  Every input position is yielded exactly once (duplicates
+        of one spec share a single simulation but each position still gets
+        its pair); cached specs come first, in index order, then computed
+        specs in completion order.  A spec is priced the moment its trace
+        lands, so time-to-first-result is one trace plus one worker's
+        chunk of model evaluations, not the whole batch.
 
         A failing worker raises :class:`~repro.errors.EngineError` naming
         the spec; records already completed are in the cache (writes are
@@ -460,6 +367,9 @@ class Engine:
         for index, spec in enumerate(specs):
             cached, from_memo = self._lookup_cycles(spec)
             if cached is not None:
+                # Memo re-reads within this engine (run_all prefetches,
+                # then each experiment looks its specs up again) are not
+                # evidence of a warm cache — count them apart.
                 if from_memo:
                     self.stats.sim_memo_hits += 1
                 else:
@@ -501,7 +411,7 @@ class Engine:
         workers = min(self.jobs, len(pending) + len(missing))
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=_pool_context(),
-            initializer=_init_trace_worker,
+            initializer=_init_worker,
             initargs=(self._kernel_documents(groups),),
         ) as pool:
             trace_futures: Dict[object, TraceKey] = {}
@@ -517,7 +427,7 @@ class Engine:
                 submitted = []
                 for start in range(0, len(specs), size):
                     chunk = specs[start:start + size]
-                    future = pool.submit(_stream_sim_chunk, chunk, payload)
+                    future = pool.submit(_sim_chunk, chunk, payload)
                     sim_futures[future] = chunk
                     submitted.append(future)
                 return submitted

@@ -37,7 +37,6 @@ SOFTBRAIN = ModelSpec.make("softbrain")
 TIA = ModelSpec.make("tia")
 REVEL = ModelSpec.make("revel")
 RIPTIDE = ModelSpec.make("riptide")
-IDEAL = ModelSpec.make("ideal")
 MARIONETTE = ModelSpec.make("marionette")
 MARIONETTE_PE = ModelSpec.make(
     "marionette", label="Marionette PE",

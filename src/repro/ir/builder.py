@@ -455,10 +455,6 @@ class KernelBuilder:
         else_blk.terminator = Jump(merge_blk.block_id)
         return BranchScope(self, then_blk, else_blk, merge_blk)
 
-    def if_(self, cond: Operand, *, name: str = "if") -> BranchScope:
-        """Alias of :meth:`branch` for a then-only reading style."""
-        return self.branch(cond, name=name)
-
     # ------------------------------------------------------------------
     # Finalisation
     # ------------------------------------------------------------------

@@ -137,10 +137,6 @@ class CDFG:
                     best = nest
         return best
 
-    def loop_depth_of_block(self, block_id: BlockId) -> int:
-        nest = self.loop_of_block(block_id)
-        return nest.depth if nest else 0
-
     def levels_inner_to_outer(self) -> List[List[LoopNest]]:
         """Loop nests grouped by depth, innermost (deepest) first."""
         nests = self.loop_nests()

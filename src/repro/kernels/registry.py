@@ -78,9 +78,5 @@ def document_for(token: str) -> Dict[str, object]:
     return resolve(token).to_document()
 
 
-def registered_tokens() -> List[str]:
-    return sorted(_PACKAGES)
-
-
 def is_kernel_token(name: str) -> bool:
     return name.startswith(KERNEL_TOKEN_PREFIX)

@@ -81,24 +81,6 @@ class AreaPowerModel:
             self.control_fifo_area(), self.controller_area(),
         ))
 
-    # -- component powers (mW) -----------------------------------------
-    def total_power(self) -> float:
-        n_ord = self.params.n_pes - self.params.nonlinear_pes
-        switches = self._network  # noqa: F841 - see control net power below
-        from repro.arch.network.cs_benes import ControlNetwork
-
-        ctrl_switches = ControlNetwork(self.params.n_pes).switch_count
-        return sum((
-            n_ord * _ORDINARY_PE_POWER,
-            self.params.nonlinear_pes * _NONLINEAR_PE_POWER,
-            self.params.n_pes * _DATA_NET_POWER,
-            ctrl_switches * _CTRL_NET_POWER,
-            self.params.sram_kb * _SRAM_POWER_PER_KB,
-            _MEM_INTERCONNECT_POWER * (self.params.n_pes / 16),
-            self.params.n_pes * _CTRL_FIFO_POWER,
-            _CONTROLLER_POWER * (self.params.inst_scratchpad_kb / 2),
-        ))
-
 
 def table4_rows(params: ArchParams = DEFAULT_PARAMS) -> List[Dict[str, object]]:
     """The Table 4 breakdown: (group, component, area mm^2, power mW)."""

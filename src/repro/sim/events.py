@@ -171,8 +171,3 @@ class ArrayStats:
         if not stats:
             return 0.0
         return sum(s.utilization for s in stats) / len(stats)
-
-    def busiest_pe(self) -> Optional[int]:
-        if not self.pe_stats:
-            return None
-        return max(self.pe_stats.values(), key=lambda s: s.firings).pe

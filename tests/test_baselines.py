@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.arch.params import ArchParams
 from repro.baselines import (
@@ -27,6 +28,8 @@ from repro.ir.builder import KernelBuilder
 from repro.ir.interp import Interpreter
 from repro.ir.ops import OpClass
 from repro.workloads import ALL_WORKLOADS, INTENSIVE_WORKLOADS, get_workload
+
+from kernel_fuzz import loop_kernels
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +224,46 @@ class TestInvariants:
                 model.simulate(kernel).cycles
                 == model.simulate(kernel).cycles
             )
+
+
+def check_pipeline_arithmetic(models, kernel):
+    """Check every innermost loop of ``kernel`` that a model without loop
+    FIFOs prices (so every entry pays its startup and drain) against
+    ``entries * (startup + drain) + max(0, ceil(iterations / unroll) -
+    entries) * II``, and 0 for a loop never entered; returns the entry
+    counts checked."""
+    checked = []
+    for name, model in models.items():
+        if model.config.loop_fifo:
+            continue
+        for loop in model.simulate(kernel).breakdowns:
+            if not loop.innermost:
+                continue
+            initiations = math.ceil(loop.iterations / loop.unroll)
+            expected = 0 if loop.entries == 0 else (
+                loop.entries * (loop.startup + loop.drain)
+                + max(0, initiations - loop.entries) * loop.ii)
+            assert loop.own_cycles == expected, (kernel.name, name, loop)
+            checked.append(loop.entries)
+    return checked
+
+
+class TestPipelineArithmetic:
+    """The pipeline formula, checked on the loop pricing the figures use:
+    one entry costs ``startup + (initiations - 1) * II + drain``."""
+
+    def test_builtin_workloads(self, kernels, all_models):
+        entries = [count for kernel in kernels.values()
+                   for count in check_pipeline_arithmetic(all_models, kernel)]
+        assert 1 in entries and max(entries) > 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(loop_kernels())
+    def test_generated_loops(self, all_models, case):
+        cdfg, memory, kernel_params = case
+        trace = Interpreter(cdfg).run(memory, kernel_params).trace
+        assert check_pipeline_arithmetic(all_models,
+                                         KernelInstance(cdfg, trace))
 
 
 class TestPaperShapes:

@@ -57,6 +57,14 @@ class TestCli:
                      "--prune-to-budget"]) == 2
         assert "requires --cache-dir" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_bench_jobs_below_one_exits_two(self, capsys, jobs):
+        assert main(["bench", "--scale", "tiny", "--jobs", str(jobs)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: jobs must be at least 1, got {jobs}\n")
+
     def test_profile_rejects_other_execution_modes(self, capsys):
         # --profile times the local batch phases; every other execution
         # mode would make the phase timings describe something else.
