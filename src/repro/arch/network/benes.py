@@ -18,7 +18,7 @@ permutations of large ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.errors import NetworkError
 

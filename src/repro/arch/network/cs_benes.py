@@ -23,8 +23,8 @@ system relies on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 from repro.errors import NetworkError
 from repro.arch.network.benes import BenesNetwork

@@ -10,9 +10,8 @@ use its latency accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from repro.errors import RoutingError
 from repro.arch.topology import Coord, Grid
 
 #: A directed mesh link between neighbouring PE coordinates.

@@ -19,8 +19,7 @@ Timing defaults follow the paper's relative-cost assumptions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Tuple
+from dataclasses import dataclass, replace
 
 from repro.errors import ConfigurationError
 

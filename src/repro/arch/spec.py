@@ -45,7 +45,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.arch.params import ArchParams, CONTROL_TOPOLOGIES
 from repro.errors import ConfigurationError

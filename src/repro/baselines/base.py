@@ -43,8 +43,8 @@ outer_pipelined        Agile PE Assignment pipelines outer BBs and overlaps
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.errors import CompilationError
 from repro.arch.params import ArchParams

@@ -18,7 +18,6 @@ are produced by the actual mapping algorithm, not by a closed-form guess.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Optional
 
 from repro.arch.params import ArchParams

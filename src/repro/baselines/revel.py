@@ -11,8 +11,6 @@ intervals inflate once the outer DFG exceeds those resources.
 
 from __future__ import annotations
 
-import math
-
 from repro.arch.params import ArchParams
 from repro.baselines.base import ArchModel, KernelInstance, ModelConfig
 from repro.ir.cdfg import LoopNest

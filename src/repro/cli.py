@@ -51,7 +51,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 from repro.arch.params import ArchParams, DEFAULT_PARAMS
 from repro.errors import ReproError

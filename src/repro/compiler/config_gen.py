@@ -23,13 +23,13 @@ Mapping scheme:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import CompilationError
 from repro.arch.params import ArchParams
 from repro.ir.cdfg import CDFG
-from repro.ir.cfg import BasicBlock, BlockRole, Branch, Halt, Jump
+from repro.ir.cfg import BasicBlock, Branch
 from repro.ir.dfg import Node, NodeId
 from repro.ir.ops import Opcode
 from repro.isa.control import ControlDirective

@@ -16,7 +16,6 @@ the PE-cycles a reshape burns beyond the ideal spatial mapping.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import CompilationError

@@ -22,9 +22,9 @@ applies between nested pipelines.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.errors import CompilationError, PlacementError
+from repro.errors import PlacementError
 from repro.arch.params import ArchParams
 from repro.arch.topology import Coord, Grid
 from repro.ir.cdfg import CDFG, LoopNest

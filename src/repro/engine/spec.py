@@ -19,7 +19,7 @@ merge step can reassemble the canonical report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Type
 
 from repro.arch.params import ArchParams

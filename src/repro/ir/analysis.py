@@ -14,9 +14,9 @@ These produce the kernel-characterisation quantities the paper reports:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
-from repro.ir.cdfg import CDFG, LoopNest
+from repro.ir.cdfg import CDFG
 from repro.ir.cfg import BlockId, Branch
 from repro.ir.trace import DynamicTrace
 

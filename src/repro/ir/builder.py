@@ -28,7 +28,7 @@ variable (the CDFG live-in/live-out mechanism the mapper sees).
 from __future__ import annotations
 
 import contextlib
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from repro.errors import BuilderError
 from repro.ir.cdfg import CDFG

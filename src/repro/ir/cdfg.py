@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import IRError
-from repro.ir.cfg import BasicBlock, BlockId, BlockRole, Branch, CFG, Halt, Jump
+from repro.ir.cfg import BasicBlock, BlockId, BlockRole, Branch, CFG
 
 
 @dataclass
@@ -127,15 +127,6 @@ class CDFG:
 
     def innermost_loops(self) -> List[LoopNest]:
         return [n for n in self.loop_nests().values() if not n.children]
-
-    def loop_of_block(self, block_id: BlockId) -> Optional[LoopNest]:
-        """The innermost loop containing ``block_id``, or ``None``."""
-        best: Optional[LoopNest] = None
-        for nest in self.loop_nests().values():
-            if block_id in nest.blocks:
-                if best is None or len(nest.blocks) < len(best.blocks):
-                    best = nest
-        return best
 
     def levels_inner_to_outer(self) -> List[List[LoopNest]]:
         """Loop nests grouped by depth, innermost (deepest) first."""

@@ -14,7 +14,7 @@ live-out variables are named bindings to node ids (held by the enclosing
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import IRError

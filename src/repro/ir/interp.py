@@ -3,14 +3,16 @@
 Two execution engines share one semantics:
 
 * the **compiled** engine translates a whole CDFG into one Python
-  function (cached per CDFG and per tuple of array storage kinds) — fast
+  function (cached per CDFG, per tuple of array storage kinds and per
+  set of parameters passed as anything but an exact ``int``) — fast
   enough to run the paper-sized workloads of Table 5.  Environment
   variables are locals, innermost loops run as Python ``while`` loops
   and reconverging branches as ``if``/``else``, with a binary tree over
   block ids dispatching only at the remaining region heads (see
-  :class:`_Layout`); edge counts are local counters, and int64/float64
+  :class:`_Layout`); edge counts are local counters, int64/float64
   arrays run as Python lists that go back to numpy at halt (other dtypes
-  keep numpy storage);
+  keep numpy storage), and values proven to be Python ints (see
+  :func:`_proven_ints`) skip their ``int()`` conversions;
 * the **walking** engine dispatches on :mod:`repro.ir.ops` evaluate
   functions node by node over numpy memory — slow, but independent, and
   used by tests as the reference for the compiled engine.
@@ -54,6 +56,16 @@ _INLINE_BINOPS = {
 
 _COMPARE_OPS = {Opcode.LT, Opcode.LE, Opcode.GT, Opcode.GE,
                 Opcode.EQ, Opcode.NE}
+
+#: opcodes whose value is a Python int whatever their operands: a
+#: compare read as a value is wrapped in ``int()``, and the 32-bit logic
+#: ops mask an ``int()`` of their operands
+_INT_RESULT = _COMPARE_OPS | {Opcode.AND, Opcode.OR, Opcode.XOR,
+                              Opcode.NOT, Opcode.SHL, Opcode.SHR}
+
+#: opcodes whose value is a Python int when every operand is one
+_INT_CLOSED = {Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.MIN, Opcode.MAX,
+               Opcode.NEG, Opcode.ABS, Opcode.DIV, Opcode.MOD}
 
 
 @dataclass
@@ -267,7 +279,54 @@ class _Layout:
         return code, missing
 
 
-def _compile(cdfg: CDFG, kinds: Tuple[str, ...]) -> Callable:
+def _proven_ints(cdfg: CDFG, kind_of: Mapping[str, str],
+                 loose: FrozenSet[str]) -> List[Set[int]]:
+    """Per block id, the nodes whose value is always an exact Python
+    ``int`` in the compiled engine -- never a ``bool``, which prints and
+    stores differently.
+
+    ``kind_of`` maps each array to its storage kind, and ``loose`` names
+    the parameters passed as anything but an exact ``int``.  A node is
+    int when it is an ``int`` literal, a read of an int variable, a load
+    from ``"int"`` storage, an op in :data:`_INT_RESULT`, an op in
+    :data:`_INT_CLOSED` over int operands, or a SELECT between int arms.
+    Variables form a greatest fixpoint: each is int until a block
+    assigns it a value not proven int, or it is ``loose``.  A read
+    before any assignment raises, so every value a variable holds came
+    from the parameters or from one of its definitions.
+    """
+    not_int = set(loose)
+    while True:
+        ints: List[Set[int]] = []
+        for block in cdfg.blocks:
+            proven: Set[int] = set()
+            for node in block.dfg.nodes:
+                opcode = node.opcode
+                if opcode is Opcode.CONST:
+                    is_int = type(node.value) is int
+                elif opcode is Opcode.INPUT:
+                    is_int = node.var not in not_int
+                elif opcode is Opcode.LOAD:
+                    is_int = kind_of[node.array] == "int"
+                elif opcode is Opcode.SELECT:
+                    is_int = proven.issuperset(node.operands[1:])
+                else:
+                    is_int = opcode in _INT_RESULT or (
+                        opcode in _INT_CLOSED
+                        and proven.issuperset(node.operands))
+                if is_int:
+                    proven.add(node.node_id)
+            ints.append(proven)
+        demoted = {name for block, proven in zip(cdfg.blocks, ints)
+                   for name, nid in block.outputs.items()
+                   if nid not in proven and name not in not_int}
+        if not demoted:
+            return ints
+        not_int |= demoted
+
+
+def _compile(cdfg: CDFG, kinds: Tuple[str, ...],
+             loose: FrozenSet[str]) -> Callable:
     """Translate ``cdfg`` into one Python function over ``kinds`` storage.
 
     The function has signature ``fn(env, mem, max_steps) -> (steps,
@@ -278,9 +337,14 @@ def _compile(cdfg: CDFG, kinds: Tuple[str, ...]) -> Callable:
     flow is laid out by :class:`_Layout` (a binary tree over ``bid``
     dispatches to region heads only), and every taken edge ``(src,
     dst)`` bumps its own local counter.
+
+    ``loose`` names the parameters ``env`` may hold as anything but an
+    exact ``int``; the values :func:`_proven_ints` then proves int skip
+    their ``int()`` calls.
     """
     blocks = cdfg.blocks
     kind_of = dict(zip(cdfg.arrays, kinds))
+    ints = _proven_ints(cdfg, kind_of, loose)
     namespace: Dict[str, object] = {"_oob": _oob,
                                     "_int64_overflow": _int64_overflow}
     arrays: Dict[str, int] = {}
@@ -298,6 +362,7 @@ def _compile(cdfg: CDFG, kinds: Tuple[str, ...]) -> Callable:
         reads[block.block_id] = (block.name, block_reads)
         term = block.terminator
         nodes = block.dfg.nodes
+        proven = ints[block.block_id]
         used = {o for node in nodes for o in node.operands}
         used.update(block.outputs.values())
         refs: Dict[int, str] = {}
@@ -323,23 +388,29 @@ def _compile(cdfg: CDFG, kinds: Tuple[str, ...]) -> Callable:
                 if array not in arrays:
                     arrays[array] = len(arrays)
                 m = f"m{arrays[array]}"
-                lines.append(f"_i = int({ops[0]})")
-                lines.append(f"if not 0 <= _i < n{arrays[array]}: "
-                             f"_oob({where}, {array!r}, _i)")
+                index = ops[0]
+                if node.operands[0] not in proven:
+                    lines.append(f"_i = int({index})")
+                    index = "_i"
+                lines.append(f"if not 0 <= {index} < n{arrays[array]}: "
+                             f"_oob({where}, {array!r}, {index})")
                 kind = kind_of[array]
                 if opcode is Opcode.LOAD:
-                    expr = f"{m}[_i].item()" if kind == "numpy" \
-                        else f"{m}[_i]"
+                    expr = f"{m}[{index}].item()" if kind == "numpy" \
+                        else f"{m}[{index}]"
                 elif kind == "int":
-                    lines.append(f"_v = int({ops[1]})")
-                    lines.append("if not -0x8000000000000000 <= _v <= "
+                    value = ops[1]
+                    if node.operands[1] not in proven:
+                        lines.append(f"_v = int({value})")
+                        value = "_v"
+                    lines.append(f"if not -0x8000000000000000 <= {value} <= "
                                  "0x7fffffffffffffff: _int64_overflow()")
-                    lines.append(f"{m}[_i] = _v")
+                    lines.append(f"{m}[{index}] = {value}")
                     continue
                 else:
                     value = f"float({ops[1]})" if kind == "float" \
                         else ops[1]
-                    lines.append(f"{m}[_i] = {value}")
+                    lines.append(f"{m}[{index}] = {value}")
                     continue
             elif opcode in _INLINE_BINOPS:
                 expr = f"{ops[0]} {_INLINE_BINOPS[opcode]} {ops[1]}"
@@ -358,6 +429,15 @@ def _compile(cdfg: CDFG, kinds: Tuple[str, ...]) -> Callable:
                 expr = f"{ops[1]} if {ops[1]} > {ops[0]} else {ops[0]}"
             elif opcode is Opcode.NEG:
                 expr = f"-{ops[0]}"
+            elif opcode in (Opcode.DIV, Opcode.MOD) \
+                    and proven.issuperset(node.operands) \
+                    and nodes[node.operands[1]].opcode is Opcode.CONST \
+                    and nodes[node.operands[1]].value > 0:
+                # An int over an int literal above zero: C-style,
+                # truncating toward zero, and no zero divisor.
+                a, c = ops
+                sym = "//" if opcode is Opcode.DIV else "%"
+                expr = f"{a} {sym} {c} if {a} >= 0 else -(-{a} {sym} {c})"
             else:
                 # Delegate to the canonical evaluate function so both
                 # engines share one definition of the tricky semantics
@@ -448,20 +528,23 @@ def _exceeded(kernel: str, max_steps: int) -> None:
 
 
 #: Compiled kernels, cached per CDFG object (weakly, so a discarded
-#: kernel frees its code) and per tuple of array storage kinds, the only
-#: other input the generated code depends on.  Workload instances,
-#: repeated ``run()`` calls and tests re-interpret the same sealed CDFG
-#: many times, so pay the compile once.
-_KERNELS: "weakref.WeakKeyDictionary[CDFG, Dict[Tuple[str, ...], Callable]]" = (
+#: kernel frees its code), per tuple of array storage kinds and per set
+#: of parameters passed as anything but an exact ``int``, the only other
+#: inputs the generated code depends on.  Workload instances, repeated
+#: ``run()`` calls and tests re-interpret the same sealed CDFG many
+#: times, so pay the compile once.
+_Key = Tuple[Tuple[str, ...], FrozenSet[str]]
+_KERNELS: "weakref.WeakKeyDictionary[CDFG, Dict[_Key, Callable]]" = (
     weakref.WeakKeyDictionary()
 )
 
 
-def _compiled(cdfg: CDFG, kinds: Tuple[str, ...]) -> Callable:
-    by_kinds = _KERNELS.setdefault(cdfg, {})
-    if kinds not in by_kinds:
-        by_kinds[kinds] = _compile(cdfg, kinds)
-    return by_kinds[kinds]
+def _compiled(cdfg: CDFG, kinds: Tuple[str, ...],
+              loose: FrozenSet[str]) -> Callable:
+    by_key = _KERNELS.setdefault(cdfg, {})
+    if (kinds, loose) not in by_key:
+        by_key[kinds, loose] = _compile(cdfg, kinds, loose)
+    return by_key[kinds, loose]
 
 
 class Interpreter:
@@ -515,7 +598,9 @@ class Interpreter:
             # tolist() copies: no numpy copy stays alive beside a list.
             storage = {name: a.tolist() if kind != "numpy" else a.copy()
                        for (name, a), kind in zip(arrays.items(), kinds)}
-            steps, edge_counts, env = _compiled(self.cdfg, kinds)(
+            loose = frozenset(name for name, value in params.items()
+                              if type(value) is not int)
+            steps, edge_counts, env = _compiled(self.cdfg, kinds, loose)(
                 params, storage, max_steps
             )
             mem = {name: np.array(storage[name], dtype=a.dtype)

@@ -22,8 +22,8 @@ Sender how to propagate control (paper Fig. 7(a)):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from repro.errors import EncodingError
 

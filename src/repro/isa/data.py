@@ -19,7 +19,7 @@ for a single calculation" (paper Section 4.1).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.errors import EncodingError

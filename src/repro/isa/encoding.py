@@ -15,10 +15,10 @@ from typing import Dict, List, Tuple
 
 from repro.errors import EncodingError
 from repro.ir.ops import Opcode
-from repro.isa.control import ControlDirective, NO_ADDR, SenderMode
+from repro.isa.control import ControlDirective, SenderMode
 from repro.isa.data import DataInstruction, DataKind
 from repro.isa.operands import Dest, DestKind, Operand, OperandKind
-from repro.isa.program import ArrayProgram, PEProgram, TriggerEntry
+from repro.isa.program import ArrayProgram, TriggerEntry
 
 _OPCODES: List[Opcode] = list(Opcode)
 _DATA_KINDS: List[DataKind] = list(DataKind)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Union
 
 from repro.errors import EncodingError
 

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import EncodingError
-from repro.isa.control import ControlDirective, NO_ADDR
+from repro.isa.control import ControlDirective
 from repro.isa.data import DataInstruction
 
 #: Instruction buffer capacity per PE (addresses 0..MAX_ADDR-1).

@@ -19,11 +19,10 @@ Section 4.1 / Fig. 5:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.errors import SimulationError
-from repro.isa.control import ControlDirective, SenderMode
+from repro.isa.control import SenderMode
 from repro.isa.program import PEProgram, TriggerEntry
 from repro.sim.events import CtrlMsg
 from repro.sim.fifo import Fifo

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Generic, Iterable, List, Optional, TypeVar
+from typing import Deque, Generic, List, Optional, TypeVar
 
 from repro.errors import SimulationError
 

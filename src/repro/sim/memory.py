@@ -8,7 +8,7 @@ paper's optimistic memory model (Section 6.1) — do not stall accesses.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 

@@ -16,8 +16,8 @@ checked against ground truth on every run.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 

@@ -13,7 +13,7 @@ bit-for-bit.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 

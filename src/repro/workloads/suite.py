@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.errors import ConfigurationError
 from repro.workloads.base import INTENSIVE, NON_INTENSIVE, Workload

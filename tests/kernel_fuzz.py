@@ -11,9 +11,13 @@
   straight back to the header (a ``continue``), or a two-entry cycle,
   which is irreducible and holds no natural loop;
 * expressions over loads, loop variables, accumulators and constants
-  (``inf``, ``-inf`` and ``nan`` included) through every arithmetic,
-  logic, compare, select, DIV/MOD and nonlinear opcode;
-* ``int64``, ``float64``, ``int32`` and ``float32`` arrays.
+  (``inf``, ``-inf``, ``nan`` and the bools included) through every
+  arithmetic, logic, compare, select, DIV/MOD and nonlinear opcode;
+* now and then a bool literal as an index, which reads element 0 or 1
+  but is no int;
+* ``int64``, ``float64``, ``int32`` and ``float32`` arrays;
+* ``n`` passed as an ``int`` or, now and then, as a ``float``, a numpy
+  ``int64`` or a ``bool``.
 
 A drawn kernel may fail when run: an out-of-bounds index, NaN stored
 into an int array, a math domain error, a variable assigned only on one
@@ -58,6 +62,7 @@ _UNARY = ("NEG", "ABS", "NOT", "LOG", "EXP", "SQRT", "SIGMOID", "SIN",
           "COS")
 _CONSTANTS = st.one_of(
     st.integers(-9, 9),
+    st.booleans(),
     st.sampled_from([0.5, -2.25, 3.75, 1e18, 2**40,
                      float("inf"), float("-inf"), float("nan")]),
 )
@@ -121,9 +126,12 @@ def _draw_expr(draw, names, indices, depth):
 
 
 def _draw_index(draw, names, indices, depth):
-    """Mostly an in-bounds index; sometimes any expression."""
-    if draw(st.integers(0, 7)) == 0:
+    """Mostly an in-bounds index; sometimes any expression or a bool."""
+    choice = draw(st.integers(0, 7))
+    if choice == 0:
         return _draw_expr(draw, names, indices, depth - 1)
+    if choice == 1:
+        return ("const", draw(st.booleans()))
     return draw(st.sampled_from(indices))
 
 
@@ -323,7 +331,10 @@ def kernels(draw):
         cdfg = _HAND_BUILT[shape](draw)
     else:
         cdfg = _structured_kernel(draw, n)
-    return cdfg, _draw_memory(draw, n), {"n": n}
+    # Only a parameter passed as an exact int may skip int() in the
+    # compiled engine.
+    size = draw(st.sampled_from((int, int, int, float, np.int64, bool)))(n)
+    return cdfg, _draw_memory(draw, n), {"n": size}
 
 
 @st.composite

@@ -1,4 +1,5 @@
-"""Every module under ``src/repro`` is reachable from the command line.
+"""Every module under ``src/repro`` is reachable from the command line,
+and every name a module imports is read.
 
 The walk starts at ``repro.cli`` and ``repro.__main__`` and follows the
 static import graph: each module's source is parsed, and every import
@@ -7,16 +8,24 @@ statement counts, including those inside functions.  Importing
 the module ``a.b`` when there is one.  The package uses absolute imports
 only; a relative one stops the walk.  A module the walk never reaches is
 code that only its own tests run.
+
+An import binds names; a module that never reads one (string annotations
+count as reads) imports it for nothing.  A package's ``__init__.py``
+imports to re-export, and so does a module whose name another file in
+the repository imports from it; both are exempt.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, Iterator
+from typing import Dict, Iterator, Set, Tuple
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 ROOTS = ("repro.cli", "repro.__main__")
+#: the repository's Python trees, whose imports may re-export a name
+TREES = ("src", "tests", "benchmarks", "perfbench", "examples")
 
 
 def package_modules() -> Dict[str, Path]:
@@ -67,3 +76,62 @@ def test_every_module_is_reachable_from_the_cli():
         f"no import path from {' or '.join(ROOTS)} reaches: "
         f"{', '.join(unreached)}"
     )
+
+
+def bound_names(tree: ast.AST) -> Iterator[Tuple[int, str]]:
+    """The line and name of every binding an import statement makes."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and \
+                node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def read_names(tree: ast.AST) -> Set[str]:
+    """Every name ``tree`` reads, inside string annotations too."""
+    names: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation = node.returns
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotation = node.annotation
+        else:
+            continue
+        for part in ast.walk(annotation) if annotation else ():
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                names |= read_names(ast.parse(part.value, mode="eval"))
+    return names
+
+
+def imported_from() -> Set[Tuple[str, str]]:
+    """``(module, name)`` of every ``from module import name`` in the
+    repository's Python trees."""
+    pairs = set()
+    for tree in TREES:
+        for path in (ROOT / tree).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom) and node.module:
+                    pairs.update((node.module, alias.name)
+                                 for alias in node.names)
+    return pairs
+
+
+def test_every_imported_name_is_read():
+    exported = imported_from()
+    unread = []
+    for module, path in package_modules().items():
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads = read_names(tree)
+        unread.extend(
+            f"{path.relative_to(SRC)}:{line}: {name}"
+            for line, name in bound_names(tree)
+            if name not in reads and (module, name) not in exported
+        )
+    assert not unread, "imported but never read: " + ", ".join(unread)

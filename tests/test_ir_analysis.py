@@ -26,13 +26,6 @@ class TestLoopNest:
         assert len(inner) == 1
         assert inner[0].depth == 2
 
-    def test_loop_of_block(self, imperfect_kernel):
-        nests = imperfect_kernel.loop_nests()
-        inner = imperfect_kernel.innermost_loops()[0]
-        for bid in inner.own_blocks(nests):
-            found = imperfect_kernel.loop_of_block(bid)
-            assert found is not None and found.header == inner.header
-
     def test_levels_inner_to_outer(self, imperfect_kernel):
         levels = imperfect_kernel.levels_inner_to_outer()
         assert [lvl[0].depth for lvl in levels] == [2, 1]

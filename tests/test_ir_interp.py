@@ -6,7 +6,9 @@ list-backed int64/float64 memory, with innermost loops as Python
 over numpy memory) on kernels drawn by the shared :mod:`kernel_fuzz`
 strategy, errors included, and on named cases for the store, bounds,
 read-before-assignment and step-budget semantics that list-backed
-memory and structured control flow must keep.
+memory and structured control flow must keep, and for the values that
+must not count as proven Python ints: bools and parameters passed as
+anything but an ``int``.
 """
 
 import contextlib
@@ -18,10 +20,13 @@ import pytest
 from hypothesis import given, settings
 
 from kernel_fuzz import graph_kernels, kernels
-from repro.errors import InterpreterError
+from repro.errors import InterpreterError, IRError
 from repro.ir.builder import KernelBuilder
-from repro.ir.interp import Interpreter, _Layout
+from repro.ir.interp import (Interpreter, _LIST_KINDS, _Layout, _compiled,
+                             _proven_ints)
+from repro.ir.ops import Opcode
 from repro.workloads import get_workload
+from repro.workloads.suite import ALL_WORKLOADS
 
 
 class TestBasics:
@@ -368,3 +373,112 @@ class TestListBackedSemantics:
                 assert run(memory, params, max_steps=steps).steps == steps
                 with pytest.raises(InterpreterError, match="exceeded"):
                     run(memory, params, max_steps=steps - 1)
+
+
+class TestProvenInts:
+    """``int()`` is skipped only on values proven to be exact ints."""
+
+    def test_bool_literal_index_reads_as_one(self):
+        # list[True] is list[1], but the error must name x[1].
+        k = KernelBuilder("flag_index")
+        k.array("x")
+        k.set("v", k.load("x", True))
+        cdfg = k.build()
+        memory = {"x": np.zeros(1, dtype=np.int64)}
+        for engine in ("compiled", "walking"):
+            with pytest.raises(InterpreterError) as excinfo:
+                Interpreter(cdfg, engine=engine).run(memory)
+            assert str(excinfo.value) == (
+                "flag_index/entry: out-of-bounds access x[1]")
+
+    @pytest.mark.parametrize("index, outcome", [
+        (1.9, 20), (-0.5, 10), (2.5, "out-of-bounds access o[2]"),
+    ])
+    def test_float_parameter_index_truncates(self, index, outcome):
+        cdfg, _ = _load_kernel()
+        memory = {"o": np.array([10, 20], dtype=np.int64)}
+        got = _assert_engines_agree(cdfg, memory, {"i": index})
+        if isinstance(outcome, str):
+            assert got[0] is InterpreterError and got[1].endswith(outcome)
+        else:
+            assert got[2]["x"] == (int, repr(outcome))
+
+    def test_int_then_float_parameter(self):
+        # The compiled function proves n an int only for a call that
+        # passes one; n = 3.0 must not reuse that function.
+        k = KernelBuilder("last")
+        k.array("o")
+        n = k.param("n")
+        k.store("o", n - 1, n)
+        k.set("x", k.load("o", n - 1))
+        cdfg = k.build()
+        memory = {"o": np.zeros(3, dtype=np.int64)}
+        for size in (3, 3.0):
+            outcome = _assert_engines_agree(cdfg, memory, {"n": size})
+            assert outcome[2]["x"] == (int, "3")
+
+    @pytest.mark.parametrize("divisor", [3, 1, -3, 0])
+    def test_division_by_a_literal_truncates(self, divisor):
+        # An int divided by an int literal above zero divides inline;
+        # any other divisor keeps the helper and its zero-divisor error.
+        k = KernelBuilder("divide")
+        for name in ("a", "q", "r"):
+            k.array(name)
+        with k.loop("i", 0, 4) as i:
+            a = k.load("a", i)
+            k.store("q", i, a / divisor)
+            k.store("r", i, a % divisor)
+        dividends = [-7, 7, -6, 0]
+        memory = {name: np.array(dividends if name == "a" else [0] * 4,
+                                 dtype=np.int64) for name in ("a", "q", "r")}
+        outcome = _assert_engines_agree(k.build(), memory, {})
+        if divisor == 0:
+            assert outcome == (IRError, "division by zero in DFG evaluation")
+            return
+        quotients = [int(a / divisor) for a in dividends]  # toward zero
+        remainders = [a - q * divisor for a, q in zip(dividends, quotients)]
+        assert outcome[-1]["q"][1] == np.array(quotients).tobytes()
+        assert outcome[-1]["r"][1] == np.array(remainders).tobytes()
+
+    def test_workload_memory_traffic_is_proven_int(self):
+        # Every built-in kernel indexes memory and fills its int64
+        # arrays with values the type pass proves int.
+        unproven = []
+        for workload in ALL_WORKLOADS:
+            inst = workload.instance("tiny")
+            cdfg = inst.cdfg
+            kind_of = {name: _LIST_KINDS.get(inst.memory[name].dtype,
+                                             "numpy")
+                       for name in cdfg.arrays}
+            loose = frozenset(name for name, value in inst.params.items()
+                              if type(value) is not int)
+            ints = _proven_ints(cdfg, kind_of, loose)
+            for block in cdfg.blocks:
+                for node in block.dfg.nodes:
+                    checked = []
+                    if node.opcode in (Opcode.LOAD, Opcode.STORE):
+                        checked.append(("index", node.operands[0]))
+                    if node.opcode is Opcode.STORE and \
+                            kind_of[node.array] == "int":
+                        checked.append(("value", node.operands[1]))
+                    unproven.extend(
+                        f"{workload.short} {block.name} n{node.node_id} "
+                        f"{node.opcode.name} {node.array} {what}"
+                        for what, operand in checked
+                        if operand not in ints[block.block_id])
+        assert not unproven, "not proven int: " + "; ".join(unproven)
+
+    def test_hough_divides_inline(self):
+        inst = get_workload("ht").instance("tiny")
+        cdfg = inst.cdfg
+        kinds = tuple(_LIST_KINDS[inst.memory[name].dtype]
+                      for name in cdfg.arrays)
+        ints = _proven_ints(cdfg, dict(zip(cdfg.arrays, kinds)), frozenset())
+        divisions = [(block, node) for block in cdfg.blocks
+                     for node in block.dfg.nodes if node.opcode is Opcode.DIV]
+        assert [block.dfg.nodes[node.operands[1]].value
+                for block, node in divisions] == [256]
+        (block, node), = divisions
+        assert node.operands[0] in ints[block.block_id]
+        kernel = _compiled(cdfg, kinds, frozenset())
+        assert "_DIV" not in kernel.__code__.co_names
