@@ -52,8 +52,10 @@ def engine_cache_dir(tmp_path_factory):
 def warm_suite(scale):
     """Run every workload once up front so benchmarks time the experiment
     logic, not first-touch trace construction."""
-    from repro.experiments.common import SuiteContext
+    from repro.engine.executor import default_engine
+    from repro.workloads import ALL_WORKLOADS
 
-    context = SuiteContext.get(scale)
-    context.all()
-    return context
+    engine = default_engine()
+    for workload in ALL_WORKLOADS:
+        engine.kernel(workload.short.lower(), scale, 0)
+    return engine

@@ -1,9 +1,9 @@
 """The Marionette execution model, with per-feature toggles.
 
-Three switches mirror the paper's ablation structure:
+Proactive PE Configuration is always on (Fig. 11's "Marionette PE" has
+it too), so configuration never shows; two switches mirror the paper's
+ablation structure:
 
-* ``proactive`` — Proactive PE Configuration (Fig. 11's "Marionette PE"
-  always has it; switching it off recovers a visible configuration phase);
 * ``control_network`` — the dedicated CS-Benes network (Fig. 12): control
   transfers drop from the data path's ~6 cycles to 1;
 * ``agile`` — Agile PE Assignment (Fig. 14): outer-BB pipelines built by the
@@ -31,10 +31,10 @@ from repro.ir.cfg import BlockRole
 class MarionetteModel(ArchModel):
     """Marionette with feature toggles (defaults: everything on)."""
 
-    def __init__(self, params: ArchParams, *, proactive: bool = True,
+    def __init__(self, params: ArchParams, *,
                  control_network: bool = True, agile: bool = True,
                  name: Optional[str] = None) -> None:
-        label = name or self._label(proactive, control_network, agile)
+        label = name or self._label(control_network, agile)
         super().__init__(params, ModelConfig(
             name=label,
             arms_share_pes=True,          # steering merges branch arms
@@ -48,7 +48,7 @@ class MarionetteModel(ArchModel):
                 else params.data_net_latency
             ),
             uses_ccu=False,
-            config_visible=not proactive,
+            config_visible=False,         # proactive PE configuration
             outer_pipelined=agile,
             loop_fifo=agile,
             unroll_spare=agile,
@@ -58,8 +58,8 @@ class MarionetteModel(ArchModel):
         self._schedules: Dict[str, Schedule] = {}
 
     @staticmethod
-    def _label(proactive: bool, network: bool, agile: bool) -> str:
-        if proactive and network and agile:
+    def _label(network: bool, agile: bool) -> str:
+        if network and agile:
             return "Marionette"
         parts = ["Marionette PE"]
         if network:

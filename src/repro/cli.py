@@ -69,6 +69,8 @@ from repro.baselines.base import KernelInstance
 from repro.ir import analysis
 from repro.workloads import ALL_WORKLOADS, get_workload
 
+#: ``repro experiment`` slugs: ``EXPERIMENT_MODULES`` in paper order, then
+#: the ablations.
 _EXPERIMENTS = (
     "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
     "table4", "table6", "ablations",
@@ -744,38 +746,16 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.experiments import (
-        ablations,
-        fig11_pe_models,
-        fig12_control_network,
-        fig13_network_scaling,
-        fig14_agile,
-        fig15_utilization,
-        fig16_balance,
-        fig17_sota,
-        table4_area,
-        table6_network_area,
-    )
+    from repro.experiments import ablations
+    from repro.experiments.report import EXPERIMENT_MODULES
 
-    if args.name == "fig13":
-        fig13_network_scaling.run().print()
-    elif args.name == "table4":
-        table4_area.run().print()
-    elif args.name == "table6":
-        table6_network_area.run().print()
-    elif args.name == "ablations":
-        for result in ablations.run(args.scale):
+    module = dict(zip(_EXPERIMENTS, EXPERIMENT_MODULES + (ablations,)))[
+        args.name]
+    if module is ablations:   # one table per study
+        for result in module.run(args.scale):
             result.print()
             print()
     else:
-        module = {
-            "fig11": fig11_pe_models,
-            "fig12": fig12_control_network,
-            "fig14": fig14_agile,
-            "fig15": fig15_utilization,
-            "fig16": fig16_balance,
-            "fig17": fig17_sota,
-        }[args.name]
         module.run(args.scale).print()
     return 0
 

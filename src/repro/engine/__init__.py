@@ -36,7 +36,6 @@ from repro.engine.executor import (
     BenchProfiler,
     Engine,
     EngineStats,
-    KernelRun,
     default_engine,
     set_default_engine,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "Engine",
     "EngineStats",
     "HTTPBackend",
-    "KernelRun",
     "LocalBackend",
     "MODEL_REGISTRY",
     "MemoryBackend",

@@ -5,17 +5,21 @@ deterministic lists of :class:`~repro.engine.spec.RunResult`:
 
 * **functional traces** (the expensive part — interpreting a workload and
   verifying it against its reference) are computed once per
-  (workload, scale, seed), shared by every architecture model and every
-  parameter sweep, and survive across processes in the content-addressed
-  :class:`~repro.engine.cache.TraceCache`;
+  (workload, scale, seed) by :func:`_trace_job`, shared by every
+  architecture model and every parameter sweep, and survive across
+  processes in the content-addressed
+  :class:`~repro.engine.cache.TraceCache`; every kernel is built from its
+  trace payload by :func:`_kernel_from_payload`, in a worker or in
+  :meth:`Engine.kernel`;
 * **cycle results** are cached under the full spec identity (params +
   model + engine version), so re-running a report with a warm cache does
   no model evaluation either;
 * :meth:`Engine.stream` is the one pricing path: it yields ``(index,
   RunResult)`` pairs as results become available — cached specs first,
   then each spec the moment its own trace lands (with ``jobs > 1``,
-  traces and model evaluations share one ``multiprocessing`` pool) —
-  and every input position is yielded exactly once;
+  traces and model evaluations share one ``ProcessPoolExecutor``, the
+  pool :meth:`Engine.prefetch_traces` also computes traces on) — and
+  every input position is yielded exactly once;
 * :meth:`Engine.execute` collects that stream in spec order, so
   parallel, serial and streamed runs are indistinguishable downstream.
 
@@ -48,42 +52,10 @@ from repro.engine.cache import TraceCache
 from repro.engine.spec import RunResult, RunSpec, trace_cache_key
 from repro.errors import ConfigurationError, EngineError
 from repro.ir.trace import DynamicTrace
-from repro.workloads import Workload, WorkloadInstance, get_workload
+from repro.workloads import get_workload
 
 #: (workload short name, scale, seed) — identity of one functional trace.
 TraceKey = Tuple[str, str, int]
-
-
-class KernelRun:
-    """One workload's cached execution (kernel + trace).
-
-    ``instance`` (the input/reference binding) is built lazily: on a warm
-    trace cache, experiments that only need the kernel never pay for
-    random input generation and the Python reference implementation.
-    """
-
-    def __init__(self, workload: Workload, kernel: KernelInstance,
-                 scale: str, seed: int,
-                 instance: Optional[WorkloadInstance] = None) -> None:
-        self.workload = workload
-        self.kernel = kernel
-        self.scale = scale
-        self.seed = seed
-        self._instance = instance
-
-    @property
-    def instance(self) -> WorkloadInstance:
-        """The workload's input/reference binding.
-
-        On a cache-hit path this rebinds fresh inputs without
-        re-interpreting or re-checking — the trace was verified against
-        the reference when it was recorded.
-        """
-        if self._instance is None:
-            self._instance = self.workload.instance(
-                self.scale, seed=self.seed
-            )
-        return self._instance
 
 
 @dataclass
@@ -107,7 +79,8 @@ class EngineStats:
 
 
 # ----------------------------------------------------------------------
-# Worker-process entry points (module-level: picklable under spawn too)
+# Pool entry points (module-level: picklable under spawn too); the
+# trace and kernel builders also run in process
 # ----------------------------------------------------------------------
 _WORKER_KERNELS: Dict[TraceKey, KernelInstance] = {}
 
@@ -128,7 +101,11 @@ def _init_worker(documents: Dict[str, dict]) -> None:
 
 
 def _trace_job(key: TraceKey) -> Tuple[TraceKey, dict]:
-    """Interpret one workload, verify it, return its trace payload."""
+    """Interpret one workload, verify it, return its trace payload.
+
+    The engine's one trace computation, in a pool worker or in process;
+    the interpreted instance is dropped with it.
+    """
     short, scale, seed = key
     try:
         instance = get_workload(short).instance(scale, seed=seed)
@@ -139,6 +116,7 @@ def _trace_job(key: TraceKey) -> Tuple[TraceKey, dict]:
 
 
 def _kernel_from_payload(key: TraceKey, payload: dict) -> KernelInstance:
+    """The engine's one kernel builder: a fresh CDFG plus the trace."""
     short, scale, _seed = key
     workload = get_workload(short)
     cdfg = workload.build(workload.sizes(scale))
@@ -216,26 +194,10 @@ class Engine:
         self.cache = TraceCache(cache_dir, backend=backend)
         self.stats = EngineStats()
         self._trace_payloads: Dict[TraceKey, dict] = {}
-        self._instances: Dict[TraceKey, WorkloadInstance] = {}
         self._kernels: Dict[TraceKey, KernelInstance] = {}
-        self._kernel_runs: Dict[TraceKey, KernelRun] = {}
         self._cycles: Dict[RunSpec, CycleResult] = {}
 
     # -- traces ----------------------------------------------------------
-    def _compute_trace(self, key: TraceKey) -> None:
-        """Interpret + verify one workload in-process, cache the trace."""
-        short, scale, seed = key
-        try:
-            instance = get_workload(short).instance(scale, seed=seed)
-            instance.check()
-            payload = instance.run().trace.to_payload()
-        except EngineError:
-            raise
-        except Exception as error:
-            raise _trace_error(key, error) from error
-        self._instances[key] = instance
-        self._store_trace(key, payload)
-
     def _store_trace(self, key: TraceKey, payload: dict) -> None:
         self._trace_payloads[key] = payload
         self.cache.put(trace_cache_key(*key), payload)
@@ -272,50 +234,31 @@ class Engine:
 
     def _ensure_traces(self, keys: Set[TraceKey]) -> None:
         missing = [k for k in sorted(keys) if not self._lookup_trace(k)]
-        if not missing:
-            return
         if self.jobs > 1 and len(missing) > 1:
-            ctx = _pool_context()
-            with ctx.Pool(
-                min(self.jobs, len(missing)),
-                initializer=_init_worker,
-                initargs=(self._kernel_documents(missing),),
-            ) as pool:
-                computed = list(pool.imap_unordered(_trace_job, missing))
-            for key, payload in computed:
-                self._store_trace(key, payload)
+            # The pricing pool with no specs to price: traces only.
+            for _pair in self._stream_parallel(
+                    {key: [] for key in missing}, [], missing, {}):
+                pass
         else:
             for key in missing:
-                self._compute_trace(key)
+                self._store_trace(*_trace_job(key))
 
-    def _kernel(self, key: TraceKey) -> KernelInstance:
+    def kernel(self, workload: str, scale: str, seed: int
+               ) -> KernelInstance:
+        """One workload's kernel and verified trace (cached at every layer).
+
+        ``workload`` is a spec's workload name, used verbatim like
+        :meth:`RunSpec.trace_key`.  The kernel is built from the trace
+        payload, exactly as a pool worker builds it, so a cold and a warm
+        cache hand out the same kernel.
+        """
+        key = (workload, scale, seed)
         if key not in self._kernels:
             self._ensure_traces({key})
-            payload = self._trace_payloads[key]
-            instance = self._instances.get(key)
-            if instance is not None:
-                cdfg = instance.cdfg
-            else:
-                short, scale, _seed = key
-                workload = get_workload(short)
-                cdfg = workload.build(workload.sizes(scale))
-            self._kernels[key] = KernelInstance(
-                cdfg, DynamicTrace.from_payload(payload)
+            self._kernels[key] = _kernel_from_payload(
+                key, self._trace_payloads[key]
             )
         return self._kernels[key]
-
-    def kernel_run(self, workload: Workload, scale: str = "small",
-                   seed: int = 0) -> KernelRun:
-        """One workload's verified execution (cached at every layer)."""
-        key = (workload.short.lower(), scale, seed)
-        if key not in self._kernel_runs:
-            self._ensure_traces({key})
-            self._kernel_runs[key] = KernelRun(
-                workload=workload, kernel=self._kernel(key),
-                scale=scale, seed=seed,
-                instance=self._instances.get(key),
-            )
-        return self._kernel_runs[key]
 
     # -- cycle results ---------------------------------------------------
     def _lookup_cycles(self, spec: RunSpec) -> Tuple[Optional[CycleResult],
@@ -392,8 +335,8 @@ class Engine:
             return
         for key in ready + missing:
             if key not in self._trace_payloads:
-                self._compute_trace(key)
-            kernel = self._kernel(key)
+                self._store_trace(*_trace_job(key))
+            kernel = self.kernel(*key)
             for spec in groups[key]:
                 try:
                     outcome = spec.model.build(spec.params).simulate(kernel)
@@ -423,7 +366,7 @@ class Engine:
                 # chunk, not per parameter point.
                 payload = self._trace_payloads[key]
                 specs = groups[key]
-                size = -(-len(specs) // min(len(specs), workers))
+                size = max(1, -(-len(specs) // workers))
                 submitted = []
                 for start in range(0, len(specs), size):
                     chunk = specs[start:start + size]
@@ -512,7 +455,7 @@ class Engine:
         key = (str(workload), str(scale), int(seed))
         if self._lookup_trace(key):
             return False
-        self._compute_trace(key)
+        self._store_trace(*_trace_job(key))
         return True
 
     # -- run accounting --------------------------------------------------

@@ -5,9 +5,9 @@ enumerates declarative :class:`~repro.engine.spec.RunSpec` combinations and
 hands them to an :class:`~repro.engine.executor.Engine`, which caches
 functional traces (the expensive part) on disk, shares them across all nine
 experiments and every parameter sweep, and optionally fans the model
-evaluations out over worker processes.  :class:`SuiteContext` remains as a
-thin per-(scale, seed) view over the engine for code that needs the
-verified workload instances themselves.
+evaluations out over worker processes.  Figures that analyse a trace
+itself (Fig. 11's branch fractions, Fig. 15's utilization) take the
+:class:`~repro.baselines.base.KernelInstance` from :meth:`Engine.kernel`.
 
 Results are plain :class:`ExperimentResult` tables that render to aligned
 ASCII, mirroring the rows/series of the paper's figures.
@@ -18,15 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.arch.params import ArchParams, DEFAULT_PARAMS
-from repro.engine.executor import Engine, KernelRun, default_engine
+from repro.engine.executor import Engine, default_engine
 from repro.engine.spec import ModelSpec, RunResult, RunSpec
-from repro.workloads import (
-    ALL_WORKLOADS,
-    INTENSIVE_WORKLOADS,
-    NON_INTENSIVE_WORKLOADS,
-    Workload,
-)
 
 #: Canonical model specs shared across experiments, so figures that price
 #: the same configuration (e.g. the bare Marionette PE in Figs. 11/12/14/16)
@@ -75,50 +68,6 @@ def execute_specs(specs: Sequence[RunSpec],
     """Run ``specs`` on ``engine`` (default: the shared process engine)."""
     engine = engine or default_engine()
     return ResultTable(engine.execute(specs))
-
-
-class SuiteContext:
-    """Cached workload executions for one (scale, seed, params) view.
-
-    Functional traces are keyed by (workload, scale, seed) inside the
-    engine — parameter sweeps share them — so this class is only a
-    convenience binding of a scale/seed pair to the engine.
-    """
-
-    _cache: Dict[tuple, "SuiteContext"] = {}
-
-    def __init__(self, scale: str = "small", seed: int = 0,
-                 params: ArchParams = DEFAULT_PARAMS,
-                 engine: Optional[Engine] = None) -> None:
-        self.scale = scale
-        self.seed = seed
-        self.params = params
-        self._engine = engine
-
-    @property
-    def engine(self) -> Engine:
-        return self._engine or default_engine()
-
-    @classmethod
-    def get(cls, scale: str = "small", seed: int = 0,
-            params: ArchParams = DEFAULT_PARAMS) -> "SuiteContext":
-        key = (scale, seed, params)
-        if key not in cls._cache:
-            cls._cache[key] = cls(scale, seed, params)
-        return cls._cache[key]
-
-    # ------------------------------------------------------------------
-    def run_of(self, workload: Workload) -> KernelRun:
-        return self.engine.kernel_run(workload, self.scale, self.seed)
-
-    def intensive(self) -> List[KernelRun]:
-        return [self.run_of(w) for w in INTENSIVE_WORKLOADS]
-
-    def non_intensive(self) -> List[KernelRun]:
-        return [self.run_of(w) for w in NON_INTENSIVE_WORKLOADS]
-
-    def all(self) -> List[KernelRun]:
-        return [self.run_of(w) for w in ALL_WORKLOADS]
 
 
 @dataclass

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.arch.params import ArchParams, DEFAULT_PARAMS
-from repro.engine.executor import Engine
+from repro.engine.executor import Engine, default_engine
 from repro.engine.spec import RunSpec
 from repro.ir import analysis
 from repro.perf.speedup import geomean
@@ -25,7 +25,6 @@ from repro.experiments.common import (
     MARIONETTE_PE,
     VON_NEUMANN,
     ExperimentResult,
-    SuiteContext,
     execute_specs,
 )
 
@@ -44,8 +43,8 @@ def specs(scale: str = "small", seed: int = 0,
 def run(scale: str = "small", seed: int = 0,
         params: ArchParams = DEFAULT_PARAMS,
         engine: Optional[Engine] = None) -> ExperimentResult:
+    engine = engine or default_engine()
     table = execute_specs(specs(scale, seed, params), engine)
-    context = SuiteContext(scale, seed, params, engine)
 
     result = ExperimentResult(
         experiment="Figure 11",
@@ -56,8 +55,9 @@ def run(scale: str = "small", seed: int = 0,
     )
     speedups_vn = []
     speedups_df = []
-    for run_ in context.intensive():
-        short = run_.workload.short.lower()
+    for workload in INTENSIVE_WORKLOADS:
+        short = workload.short.lower()
+        kernel = engine.kernel(short, scale, seed)
         cycles = {
             "vn": table.cycles(RunSpec(short, scale, seed,
                                        VON_NEUMANN, params)),
@@ -67,10 +67,10 @@ def run(scale: str = "small", seed: int = 0,
                                       MARIONETTE_PE, params)),
         }
         under_branch = 100.0 * analysis.ops_under_branch_fraction(
-            run_.kernel.cdfg, run_.kernel.trace
+            kernel.cdfg, kernel.trace
         )
         result.rows.append({
-            "kernel": run_.workload.short,
+            "kernel": workload.short,
             "von_neumann": 1.0,
             "dataflow": cycles["vn"] / cycles["df"],
             "marionette_pe": cycles["vn"] / cycles["m"],

@@ -7,23 +7,30 @@ because control flow tolerates more latency than the data path.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.arch.network.area import delay_model, scaling_series, stages_for_array
+from repro.arch.params import ArchParams, DEFAULT_PARAMS
 from repro.engine.executor import Engine
 from repro.engine.spec import RunSpec
 from repro.experiments.common import ExperimentResult
 
+#: Control network stage counts and synthesis frequencies the figure sweeps.
+STAGE_RANGE = (3, 5, 7, 9, 11, 13, 15, 17, 19)
+FREQUENCIES_GHZ = (0.5, 1.0, 2.0)
+
 
 def specs(scale: str = "small", seed: int = 0,
-          params=None) -> List[RunSpec]:
+          params: ArchParams = DEFAULT_PARAMS) -> List[RunSpec]:
     """Analytic experiment: no workload simulations required."""
     return []
 
 
-def run(stage_range: Sequence[int] = (3, 5, 7, 9, 11, 13, 15, 17, 19),
-        frequencies_ghz: Sequence[float] = (0.5, 1.0, 2.0),
+def run(scale: str = "small", seed: int = 0,
+        params: ArchParams = DEFAULT_PARAMS,
         engine: Optional[Engine] = None) -> ExperimentResult:
+    """The sweep is analytic: ``scale``, ``seed``, ``params`` and
+    ``engine`` are accepted for the common protocol and ignored."""
     result = ExperimentResult(
         experiment="Figure 13",
         title="Control network delay vs stages and synthesis frequency",
@@ -32,7 +39,7 @@ def run(stage_range: Sequence[int] = (3, 5, 7, 9, 11, 13, 15, 17, 19),
         paper_claim="latency grows slowly with stages; single-cycle at "
                     "500 MHz for the 4x4 prototype (19 stages)",
     )
-    for point in scaling_series(stage_range, frequencies_ghz):
+    for point in scaling_series(STAGE_RANGE, FREQUENCIES_GHZ):
         result.rows.append(point)
     prototype = delay_model(stages_for_array(16), 0.5)
     result.summary = {

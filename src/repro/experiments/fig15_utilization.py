@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.arch.params import ArchParams, DEFAULT_PARAMS
-from repro.engine.executor import Engine
+from repro.engine.executor import Engine, default_engine
 from repro.engine.spec import RunSpec
 from repro.perf.utilization import outer_bb_utilization, pipeline_utilization
 from repro.workloads import get_workload
@@ -20,7 +20,6 @@ from repro.experiments.common import (
     MARIONETTE_AGILE,
     MARIONETTE_PE,
     ExperimentResult,
-    SuiteContext,
     execute_specs,
 )
 
@@ -39,8 +38,8 @@ def specs(scale: str = "small", seed: int = 0,
 def run(scale: str = "small", seed: int = 0,
         params: ArchParams = DEFAULT_PARAMS,
         engine: Optional[Engine] = None) -> ExperimentResult:
+    engine = engine or default_engine()
     table = execute_specs(specs(scale, seed, params), engine)
-    context = SuiteContext(scale, seed, params, engine)
     result = ExperimentResult(
         experiment="Figure 15",
         title="Outer-BB PE utilization and pipeline utilization",
@@ -53,7 +52,7 @@ def run(scale: str = "small", seed: int = 0,
     outer_gains = []
     pipe_gains = []
     for name in FIG15_KERNELS:
-        run_ = context.run_of(get_workload(name))
+        kernel = engine.kernel(name, scale, seed)
         base_result = table.result(
             RunSpec(name, scale, seed, MARIONETTE_PE, params)
         )
@@ -61,10 +60,10 @@ def run(scale: str = "small", seed: int = 0,
             RunSpec(name, scale, seed, MARIONETTE_AGILE, params)
         )
         outer_orig = outer_bb_utilization(
-            run_.kernel, base_result, params, agile=False
+            kernel, base_result, params, agile=False
         )
         outer_new = outer_bb_utilization(
-            run_.kernel, agile_result, params, agile=True
+            kernel, agile_result, params, agile=True
         )
         pipe_orig = pipeline_utilization(base_result)
         pipe_new = pipeline_utilization(agile_result)
@@ -73,7 +72,7 @@ def run(scale: str = "small", seed: int = 0,
         outer_gains.append(outer_gain)
         pipe_gains.append(pipe_gain)
         result.rows.append({
-            "kernel": run_.workload.short,
+            "kernel": get_workload(name).short,
             "outer_util_orig_pct": 100.0 * outer_orig,
             "outer_util_agile_pct": 100.0 * outer_new,
             "outer_util_gain": outer_gain,

@@ -78,22 +78,6 @@ def all_specs(scale: str = "small", seed: int = 0,
     return specs
 
 
-#: Experiment modules whose ``run`` takes no scale/seed: the area tables
-#: are parameter-only, and the network-scaling figure is fully analytic.
-_PARAMS_ONLY_MODULES = frozenset({table4_area, table6_network_area})
-_ANALYTIC_MODULES = frozenset({fig13_network_scaling})
-
-
-def _run_module(module, scale: str, seed: int, engine: Engine,
-                params: ArchParams = DEFAULT_PARAMS) -> ExperimentResult:
-    """One experiment's table, respecting the module's run signature."""
-    if module in _PARAMS_ONLY_MODULES:
-        return module.run(params=params, engine=engine)
-    if module in _ANALYTIC_MODULES:
-        return module.run(engine=engine)
-    return module.run(scale, seed, params=params, engine=engine)
-
-
 def run_all(scale: str = "small", seed: int = 0,
             engine: Optional[Engine] = None,
             params: ArchParams = DEFAULT_PARAMS,
@@ -108,10 +92,8 @@ def run_all(scale: str = "small", seed: int = 0,
     engine = engine or default_engine()
     # one batch: parallel + cached
     engine.execute(all_specs(scale, seed, params, kernels))
-    results = [
-        _run_module(module, scale, seed, engine, params)
-        for module in EXPERIMENT_MODULES
-    ]
+    results = [module.run(scale, seed, params, engine)
+               for module in EXPERIMENT_MODULES]
     if kernels:
         from repro.kernels.bench import run_section
 
@@ -144,8 +126,7 @@ def assemble_stream(pairs: Iterable[Tuple[int, object]],
     # order: paper experiments first, then the external-kernel section.
     sections: List[Tuple[set, Callable[[], ExperimentResult]]] = [
         (set(module.specs(scale, seed, params)),
-         lambda module=module: _run_module(
-             module, scale, seed, engine, params))
+         lambda module=module: module.run(scale, seed, params, engine))
         for module in EXPERIMENT_MODULES
     ]
     if kernels:

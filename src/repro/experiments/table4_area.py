@@ -21,8 +21,11 @@ def specs(scale: str = "small", seed: int = 0,
     return []
 
 
-def run(params: ArchParams = DEFAULT_PARAMS,
+def run(scale: str = "small", seed: int = 0,
+        params: ArchParams = DEFAULT_PARAMS,
         engine: Optional[Engine] = None) -> ExperimentResult:
+    """Parameter-only: ``scale``, ``seed`` and ``engine`` are accepted
+    for the common protocol and ignored."""
     result = ExperimentResult(
         experiment="Table 4",
         title="Area and power breakdown (28 nm)",

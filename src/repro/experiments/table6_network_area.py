@@ -24,8 +24,11 @@ def specs(scale: str = "small", seed: int = 0,
     return []
 
 
-def run(params: ArchParams = DEFAULT_PARAMS,
+def run(scale: str = "small", seed: int = 0,
+        params: ArchParams = DEFAULT_PARAMS,
         engine: Optional[Engine] = None) -> ExperimentResult:
+    """Parameter-only: ``scale``, ``seed`` and ``engine`` are accepted
+    for the common protocol and ignored."""
     result = ExperimentResult(
         experiment="Table 6",
         title="Network area vs computing fabric (28 nm, 32-bit, 4x4)",

@@ -14,6 +14,7 @@ live-out variables are named bindings to node ids (held by the enclosing
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -68,7 +69,7 @@ class DFG:
 
     def __init__(self) -> None:
         self.nodes: List[Node] = []
-        self._const_cache: Dict[float, NodeId] = {}
+        self._const_cache: Dict[Tuple[type, float, float], NodeId] = {}
         self._input_cache: Dict[str, NodeId] = {}
 
     # ------------------------------------------------------------------
@@ -110,8 +111,13 @@ class DFG:
         return node_id
 
     def const(self, value: float) -> NodeId:
-        """Return a (deduplicated) constant node."""
-        key = value
+        """Return a (deduplicated) constant node.
+
+        Keyed by exact type and sign, not by ``==``: ``x / 2`` divides
+        C-style and ``x / 2.0`` does not, and ``x * 0.0`` and
+        ``x * -0.0`` give zeros of different signs.
+        """
+        key = (type(value), value, math.copysign(1.0, value))
         if key not in self._const_cache:
             self._const_cache[key] = self.add(Opcode.CONST, value=value)
         return self._const_cache[key]

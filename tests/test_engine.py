@@ -7,6 +7,7 @@ deterministic result ordering, and the declarative spec layer.
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -19,8 +20,8 @@ from repro.engine import (
     TraceCache,
     fingerprint,
 )
+from repro.engine.spec import trace_cache_key
 from repro.errors import ConfigurationError
-from repro.workloads import get_workload
 
 VN = ModelSpec.make("von_neumann")
 MARIONETTE = ModelSpec.make("marionette")
@@ -139,10 +140,9 @@ class TestEngineCaching:
     def test_kernel_run_from_warm_cache_skips_interpretation(self, tmp_path):
         Engine(cache_dir=tmp_path).execute(_specs())
         warm = Engine(cache_dir=tmp_path)
-        run = warm.kernel_run(get_workload("gemm"), "tiny", 0)
+        kernel = warm.kernel("gemm", "tiny", 0)
         assert warm.stats.traces_computed == 0
-        assert run.kernel.trace.total_block_execs > 0
-        assert run.instance.cdfg.name == run.kernel.cdfg.name
+        assert kernel.trace.total_block_execs > 0
 
 
 class TestParallelExecution:
@@ -171,3 +171,38 @@ class TestParallelExecution:
         warm.execute(_specs())
         assert warm.stats.traces_computed == 0
         assert warm.stats.simulations == 0
+
+
+class TestParallelTraces:
+    """``prefetch_traces`` with ``jobs > 1`` computes on the pricing pool."""
+
+    def test_cold_prefetch_computes_each_trace_once(self):
+        specs = _specs() + _specs(scale="small")
+        keys = sorted({spec.trace_key() for spec in specs})
+        serial, parallel = Engine(jobs=1), Engine(jobs=2)
+        for engine in (serial, parallel):
+            engine.prefetch_traces(specs)
+            engine.prefetch_traces(specs)  # resident now: no new work
+            assert engine.stats.traces_computed == len(keys) == 4
+            assert engine.stats.trace_cache_hits == 0
+        for key in keys:
+            payload = serial.cache.get(trace_cache_key(*key))
+            assert payload is not None
+            assert parallel.cache.get(trace_cache_key(*key)) == payload
+
+    def test_parallel_profile_matches_serial(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.experiments.report import all_specs
+
+        outputs = {}
+        for jobs in (1, 2):
+            profile = tmp_path / f"profile_{jobs}.json"
+            assert main(["bench", "--scale", "tiny", "--jobs", str(jobs),
+                         "--profile", "--profile-out", str(profile)]) == 0
+            outputs[jobs] = capsys.readouterr().out
+            trace = json.loads(profile.read_text(encoding="utf-8")
+                               )["phases"][0]
+            distinct = len({spec.trace_key() for spec in all_specs("tiny")})
+            assert trace["phase"] == "trace"
+            assert trace["stats_delta"]["traces_computed"] == distinct
+        assert outputs[1] == outputs[2]

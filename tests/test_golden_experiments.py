@@ -52,7 +52,7 @@ def dispatch_shares(engine: Engine, scale: str) -> Dict[str, tuple]:
     a region head.  Reads the traces the engine already holds."""
     shares = {}
     for workload in ALL_WORKLOADS:
-        kernel = engine.kernel_run(workload, scale, SEED).kernel
+        kernel = engine.kernel(workload.short.lower(), scale, SEED)
         heads = _Layout(kernel.cdfg).heads  # what the generator used
         trace = kernel.trace
         dispatches = 1 + sum(count for (_, dst), count

@@ -30,6 +30,12 @@ class TestConstruction:
         assert dfg.const(7) == dfg.const(7)
         assert dfg.const(7) != dfg.const(8)
 
+    def test_const_keyed_by_type_and_zero_sign(self):
+        dfg = DFG()
+        nodes = [dfg.const(v) for v in (2, 2.0, True, 1, 0.0, -0.0)]
+        assert len(set(nodes)) == len(nodes)
+        assert dfg.const(-0.0) == nodes[-1]
+
     def test_input_deduplicated(self):
         dfg = DFG()
         assert dfg.input("v") == dfg.input("v")

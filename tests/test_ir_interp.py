@@ -163,6 +163,26 @@ class TestEngineEquivalence:
         assert list(result.array("o")[:4]) == [1.5, -2.0, 1.5, -2.0]
         assert np.isnan(result.array("o")[4:]).all()
 
+    @pytest.mark.parametrize("engine", ["compiled", "walking"])
+    def test_int_and_float_constants_stay_apart(self, engine):
+        # 2 == 2.0, but an int divisor divides C-style and a float does not.
+        k = KernelBuilder("halves")
+        x = k.param("x")
+        k.set("a", x / 2)
+        k.set("b", x / 2.0)
+        env = Interpreter(k.build(), engine=engine).run({}, {"x": 7}).env
+        assert (repr(env["a"]), repr(env["b"])) == ("3", "3.5")
+
+    @pytest.mark.parametrize("engine", ["compiled", "walking"])
+    def test_signed_zero_constants_stay_apart(self, engine):
+        # 0.0 == -0.0, but they multiply to zeros of different signs.
+        k = KernelBuilder("zeros")
+        x = k.param("x")
+        k.set("p", x * 0.0)
+        k.set("q", x * -0.0)
+        env = Interpreter(k.build(), engine=engine).run({}, {"x": 7.0}).env
+        assert (repr(env["p"]), repr(env["q"])) == ("0.0", "-0.0")
+
     def test_forty_deep_loop_nest(self):
         # One Python while loop at most: CPython refuses more than 20
         # statically nested loops, and the builder nests 40.
