@@ -51,7 +51,7 @@ from repro.arch.params import ArchParams
 from repro.compiler.place import place_block
 from repro.ir.analysis import LoopDynamics, loop_dynamics
 from repro.ir.cdfg import CDFG, LoopNest
-from repro.ir.cfg import BlockId, BlockRole, Branch
+from repro.ir.cfg import BlockId, Branch
 from repro.ir.ops import Opcode
 from repro.ir.trace import DynamicTrace
 
@@ -67,15 +67,27 @@ class KernelInstance:
         self.trace = trace
         self.dynamics: Dict[BlockId, LoopDynamics] = loop_dynamics(cdfg, trace)
         self.nests = cdfg.loop_nests()
-        self._arm_groups = self._find_arm_groups()
         self._recurrence: Dict[BlockId, int] = {}
         self._threaded: Dict[BlockId, int] = {}
         self._serial_sibling: Dict[BlockId, bool] = {}
 
     def recurrence_of(self, nest: LoopNest) -> int:
-        """Cached :meth:`recurrence_chain`."""
+        """Latency of the longest loop-carried control/address dependence
+        over the nest's own blocks (cached).
+
+        A variable assigned in the loop and read *earlier in iteration
+        order* (or by the header condition) carries a value between
+        iterations.  If that value feeds a branch condition or a memory
+        address, the next iteration cannot issue until the chain resolves —
+        the paper's "data-dependent pipeline II" (Section 7.3: FFT and
+        Viterbi are limited to II = 2; CRC/ADPCM/Merge Sort are "only
+        partially pipelined").  Pure arithmetic accumulators (GEMM's
+        ``acc``) do not constrain the II: they reduce in place on one PE.
+
+        Returns the chain latency in cycles (0 when no such recurrence).
+        """
         if nest.header not in self._recurrence:
-            self._recurrence[nest.header] = self.recurrence_chain(nest)
+            self._recurrence[nest.header] = self._recurrence_over(nest.own)
         return self._recurrence[nest.header]
 
     def threaded_recurrence(self, nest: LoopNest) -> int:
@@ -87,13 +99,10 @@ class KernelInstance:
         overlap, no armed-pipeline reuse, whatever the scheduler does.
         """
         if nest.header not in self._threaded:
-            self._threaded[nest.header] = self._recurrence_over(
-                nest.header, set(nest.blocks)
-            )
+            self._threaded[nest.header] = self._recurrence_over(nest.blocks)
         return self._threaded[nest.header]
 
-    def _recurrence_over(self, header_id: BlockId,
-                         blocks: Set[BlockId]) -> int:
+    def _recurrence_over(self, blocks: Set[BlockId]) -> int:
         """Carried control/address chain over an explicit block set.
 
         Two passes over one iteration (block-id order = program order):
@@ -257,55 +266,18 @@ class KernelInstance:
                 return True
         return False
 
-    def placement_ii(self, block_id: BlockId, params: ArchParams) -> int:
-        """II one block's DFG sustains when spatially mapped on the grid
-        (FU sharing + mesh congestion), shared by every execution model so
-        that mapping quality does not skew the architecture comparison.
-        :func:`~repro.compiler.place.place_block` memoises the placement."""
-        return place_block(self.cdfg.block(block_id), params).ii
-
-    # -- loop-carried recurrences -----------------------------------------
-    def recurrence_chain(self, nest: LoopNest) -> int:
-        """Latency of the longest loop-carried control/address dependence.
-
-        A variable assigned in the loop and read *earlier in iteration
-        order* (or by the header condition) carries a value between
-        iterations.  If that value feeds a branch condition or a memory
-        address, the next iteration cannot issue until the chain resolves —
-        the paper's "data-dependent pipeline II" (Section 7.3: FFT and
-        Viterbi are limited to II = 2; CRC/ADPCM/Merge Sort are "only
-        partially pipelined").  Pure arithmetic accumulators (GEMM's
-        ``acc``) do not constrain the II: they reduce in place on one PE.
-
-        Returns the chain latency in cycles (0 when no such recurrence).
-        """
-        return self._recurrence_over(
-            nest.header, nest.own_blocks(self.nests)
-        )
-
     @property
     def name(self) -> str:
         return self.cdfg.name
 
     # -- static structure ------------------------------------------------
-    def _find_arm_groups(self) -> List[Tuple[BlockId, BlockId]]:
-        groups = []
-        for block in self.cdfg.blocks:
-            term = block.terminator
-            if isinstance(term, Branch) and not term.is_loop_branch:
-                t, f = term.if_true, term.if_false
-                if (self.cdfg.block(t).role is BlockRole.BRANCH_ARM
-                        and self.cdfg.block(f).role is BlockRole.BRANCH_ARM):
-                    groups.append((t, f))
-        return groups
-
     def ops_of_blocks(self, blocks: Set[BlockId], *,
                       merge_arms: bool) -> int:
         """Static FU ops over ``blocks``; merged arms count once (max)."""
         total = 0
         in_arms: Set[BlockId] = set()
         if merge_arms:
-            for t, f in self._arm_groups:
+            for t, f in self.cdfg.arm_pairs().values():
                 if t in blocks and f in blocks:
                     total += max(self.cdfg.block(t).op_count,
                                  self.cdfg.block(f).op_count)
@@ -314,9 +286,6 @@ class KernelInstance:
             if bid not in in_arms:
                 total += self.cdfg.block(bid).op_count
         return total
-
-    def own_blocks(self, nest: LoopNest) -> Set[BlockId]:
-        return nest.own_blocks(self.nests)
 
     def iteration_depth(self, blocks: Set[BlockId],
                         transfer: int) -> int:
@@ -350,22 +319,6 @@ class KernelInstance:
                 return True
             return True  # computed in the header itself
         return False
-
-    def flat_blocks(self) -> List[BlockId]:
-        """Blocks outside every loop with real work."""
-        in_loops: Set[BlockId] = set()
-        for nest in self.nests.values():
-            in_loops |= nest.blocks
-        return [
-            b.block_id for b in self.cdfg.blocks
-            if b.block_id not in in_loops and b.op_count > 0
-        ]
-
-    def root_nests(self) -> List[LoopNest]:
-        return [n for n in self.nests.values() if n.parent is None]
-
-    def total_static_ops(self) -> int:
-        return self.cdfg.total_op_count
 
 
 # ----------------------------------------------------------------------
@@ -518,18 +471,21 @@ class ArchModel:
     def body_ii(self, kernel: KernelInstance, nest: LoopNest) -> int:
         """Initiation interval of one iteration of ``nest``'s own blocks:
         resource sharing over the resident op set, plus mapping congestion
-        (shared across models), plus any token-coupled configuration."""
+        (one memoised placement per block, shared across models so that
+        mapping quality does not skew the comparison), plus any
+        token-coupled configuration."""
         cfg = self.config
         if cfg.static_whole_kernel:
-            resident = kernel.total_static_ops()
+            resident = kernel.cdfg.total_op_count
         else:
             resident = kernel.ops_of_blocks(
-                kernel.own_blocks(nest), merge_arms=cfg.arms_share_pes
+                nest.own, merge_arms=cfg.arms_share_pes
             )
         ii = max(1, math.ceil(resident / self.params.n_pes))
-        for bid in kernel.own_blocks(nest):
-            if kernel.cdfg.block(bid).op_count > 1:
-                ii = max(ii, kernel.placement_ii(bid, self.params))
+        for bid in nest.own:
+            block = kernel.cdfg.block(bid)
+            if block.op_count > 1:
+                ii = max(ii, place_block(block, self.params).ii)
         ii = max(ii, self.recurrence_ii(kernel, nest))
         return ii + cfg.per_token_config
 
@@ -564,11 +520,10 @@ class ArchModel:
         if self.config.static_whole_kernel:
             # The whole kernel competes for PEs; spare room is what is left
             # after every block is resident.
-            ops = kernel.total_static_ops()
+            ops = kernel.cdfg.total_op_count
         else:
             ops = kernel.ops_of_blocks(
-                kernel.own_blocks(nest),
-                merge_arms=self.config.arms_share_pes,
+                nest.own, merge_arms=self.config.arms_share_pes
             )
         if ops == 0:
             return 1
@@ -590,21 +545,21 @@ class ArchModel:
     def _overflows(self, kernel: KernelInstance) -> bool:
         return (
             self.config.static_whole_kernel
-            and kernel.total_static_ops() > self.params.n_pes
+            and kernel.cdfg.total_op_count > self.params.n_pes
         )
 
     def _drain_of(self, kernel: KernelInstance, nest: LoopNest) -> int:
         return kernel.iteration_depth(
-            kernel.own_blocks(nest), self.params.data_net_latency
+            nest.own, self.params.data_net_latency
         )
 
     def _outer_iter_cost(self, kernel: KernelInstance,
                          nest: LoopNest) -> int:
         """Serial per-iteration cost of a non-innermost loop's own work."""
         cfg = self.config
-        own = kernel.own_blocks(nest)
-        ops = kernel.ops_of_blocks(own, merge_arms=cfg.arms_share_pes)
-        depth = kernel.iteration_depth(own, self.params.data_net_latency)
+        ops = kernel.ops_of_blocks(nest.own, merge_arms=cfg.arms_share_pes)
+        depth = kernel.iteration_depth(nest.own,
+                                       self.params.data_net_latency)
         if cfg.outer_pe_limit is not None and ops > cfg.outer_pe_limit:
             # Too few PEs for the outer DFG: ops serialise on them.
             depth = max(
@@ -626,15 +581,16 @@ class ArchModel:
         """Price the whole kernel execution."""
         breakdowns: List[LoopBreakdown] = []
         total = 0
-        for nest in kernel.root_nests():
-            breakdown = self._loop_cycles(
-                kernel, nest, breakdowns, parent_entries=None
-            )
-            total += breakdown.total_cycles
+        for nest in kernel.nests.values():
+            if nest.parent is None:
+                breakdown = self._loop_cycles(
+                    kernel, nest, breakdowns, parent_entries=None
+                )
+                total += breakdown.total_cycles
 
         flat = 0
         cfg = self.config
-        for bid in kernel.flat_blocks():
+        for bid in kernel.cdfg.flat_blocks():
             block = kernel.cdfg.block(bid)
             execs = kernel.trace.execs_of(bid)
             per_exec = (

@@ -18,7 +18,8 @@ are produced by the actual mapping algorithm, not by a closed-form guess.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+import weakref
+from typing import Optional
 
 from repro.arch.params import ArchParams
 from repro.baselines.base import ArchModel, KernelInstance, ModelConfig
@@ -55,7 +56,8 @@ class MarionetteModel(ArchModel):
         ))
         self.agile = agile
         self._scheduler = MarionetteScheduler(params, enable_agile=agile)
-        self._schedules: Dict[str, Schedule] = {}
+        #: kernel object -> its schedule (two kernels may share a name)
+        self._schedule_of = weakref.WeakKeyDictionary()
 
     @staticmethod
     def _label(network: bool, agile: bool) -> str:
@@ -70,19 +72,16 @@ class MarionetteModel(ArchModel):
 
     # ------------------------------------------------------------------
     def _schedule_for(self, kernel: KernelInstance) -> Schedule:
-        if kernel.name not in self._schedules:
-            self._schedules[kernel.name] = self._scheduler.schedule(
-                kernel.cdfg
-            )
-        return self._schedules[kernel.name]
+        if kernel not in self._schedule_of:
+            self._schedule_of[kernel] = self._scheduler.schedule(kernel.cdfg)
+        return self._schedule_of[kernel]
 
     # ------------------------------------------------------------------
     def body_ii(self, kernel: KernelInstance, nest: LoopNest) -> int:
         """II from the real placements of the nest's own blocks."""
         schedule = self._schedule_for(kernel)
-        own = kernel.own_blocks(nest)
         iis = []
-        for bid in own:
+        for bid in nest.own:
             placement = schedule.placement_of(bid)
             if placement is not None and placement.op_count > 0:
                 iis.append(placement.ii)
@@ -100,7 +99,7 @@ class MarionetteModel(ArchModel):
             return 1
         schedule = self._schedule_for(kernel)
         unrolls = []
-        for bid in kernel.own_blocks(nest):
+        for bid in nest.own:
             if kernel.cdfg.block(bid).role is BlockRole.LOOP_HEADER:
                 continue  # the loop operator replicates with its body
             placement = schedule.placement_of(bid)

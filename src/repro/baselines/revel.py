@@ -42,9 +42,7 @@ class RevelModel(ArchModel):
             # Outer BBs share the single tagged-dataflow PE: the outer
             # pipeline II is the op count serialised on it, plus the tag
             # stage.
-            ops = kernel.ops_of_blocks(
-                kernel.own_blocks(nest), merge_arms=True
-            )
+            ops = kernel.ops_of_blocks(nest.own, merge_arms=True)
             ii = max(ii, ops * self.params.t_execute // max(1, self.OUTER_PES))
             ii += self.params.t_config
         return ii

@@ -28,7 +28,7 @@ from repro.errors import PlacementError
 from repro.arch.params import ArchParams
 from repro.arch.topology import Coord, Grid
 from repro.ir.cdfg import CDFG, LoopNest
-from repro.ir.cfg import BasicBlock, BlockId, BlockRole, Branch
+from repro.ir.cfg import BasicBlock, BlockId, BlockRole
 from repro.compiler.mapping import BBPlacement, LevelSchedule, Schedule
 from repro.compiler.place import place_block
 from repro.compiler.reshape import pe_waste, reshape_placement, unroll_placement
@@ -54,23 +54,24 @@ class MarionetteScheduler:
         for nest in ordered:
             result.levels.append(self._schedule_nest(cdfg, nest, result))
 
-        loop_blocks: Set[BlockId] = set()
-        for nest in nests.values():
-            loop_blocks |= nest.blocks
-        for block in cdfg.blocks:
-            if block.block_id in loop_blocks or block.op_count == 0:
-                continue
-            result.flat[block.block_id] = place_block(block, self.params)
+        for bid in cdfg.flat_blocks():
+            result.flat[bid] = place_block(cdfg.block(bid), self.params)
         return result
 
     # ------------------------------------------------------------------
     def _schedule_nest(self, cdfg: CDFG, nest: LoopNest,
                        partial: Schedule) -> LevelSchedule:
         level = LevelSchedule(depth=nest.depth)
-        own = sorted(nest.own_blocks(cdfg.loop_nests()))
+        own = sorted(nest.own)
         free: List[Coord] = list(self.grid)
 
-        merged_arms = self._merge_groups(cdfg, own)
+        # Arm pairs of this level's branches: arm -> [leader, other].
+        merged_arms: Dict[BlockId, List[BlockId]] = {}
+        for branch, arms in cdfg.arm_pairs().items():
+            if {branch, *arms} <= nest.own:
+                leader = max(arms, key=lambda b: cdfg.block(b).op_count)
+                other = arms[0] if arms[1] == leader else arms[1]
+                merged_arms[leader] = merged_arms[other] = [leader, other]
         placed_ids: Set[BlockId] = set()
         order = sorted(
             own, key=lambda b: -cdfg.block(b).op_count
@@ -123,24 +124,6 @@ class MarionetteScheduler:
             pool = coords[len(coords) - self.params.nonlinear_pes:]
             widened = region_list + [c for c in pool if c not in region_list]
             return place_block(block, self.params, widened)
-
-    def _merge_groups(self, cdfg: CDFG,
-                      own: Sequence[BlockId]) -> Dict[BlockId, List[BlockId]]:
-        """Sibling branch arms inside the level: leader -> group."""
-        own_set = set(own)
-        groups: Dict[BlockId, List[BlockId]] = {}
-        for block_id in own:
-            term = cdfg.block(block_id).terminator
-            if not isinstance(term, Branch) or term.is_loop_branch:
-                continue
-            arms = [t for t in (term.if_true, term.if_false)
-                    if t in own_set and cdfg.block(t).role is BlockRole.BRANCH_ARM]
-            if len(arms) == 2:
-                leader = max(arms, key=lambda b: cdfg.block(b).op_count)
-                other = arms[0] if arms[1] == leader else arms[1]
-                groups[leader] = [leader, other]
-                groups[other] = [leader, other]
-        return groups
 
     # ------------------------------------------------------------------
     def _expand(self, cdfg: CDFG, nest: LoopNest, level: LevelSchedule,

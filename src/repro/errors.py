@@ -33,10 +33,6 @@ class PlacementError(CompilationError):
     """A DFG could not be placed onto the PE grid."""
 
 
-class RoutingError(CompilationError):
-    """A data or control edge could not be routed."""
-
-
 class EncodingError(ReproError):
     """ISA encoding or decoding failed."""
 

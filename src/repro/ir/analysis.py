@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Set
 
 from repro.ir.cdfg import CDFG
-from repro.ir.cfg import BlockId, Branch
+from repro.ir.cfg import BlockId
 from repro.ir.trace import DynamicTrace
 
 
@@ -64,26 +64,15 @@ def branch_nesting_depth(cdfg: CDFG) -> int:
     """Maximum nesting depth of non-loop branches.
 
     Measured structurally: for each divergent branch block, count how many
-    other divergent branches it is "under" (inside the divergent region of).
+    other divergent branches it is "under" (inside the region of; no
+    region holds its own branch).
     """
-    branch_blocks = cdfg.branch_blocks()
-    if not branch_blocks:
-        return 0
-    depth: Dict[BlockId, int] = {}
-    regions: Dict[BlockId, Set[BlockId]] = {}
-    for block in branch_blocks:
-        term = block.terminator
-        assert isinstance(term, Branch)
-        r_true = cdfg._forward_region(term.if_true, block.block_id)
-        r_false = cdfg._forward_region(term.if_false, block.block_id)
-        regions[block.block_id] = r_true.symmetric_difference(r_false)
-    for block in branch_blocks:
-        depth[block.block_id] = 1 + sum(
-            1
-            for other, region in regions.items()
-            if other != block.block_id and block.block_id in region
-        )
-    return max(depth.values())
+    regions = cdfg.branch_regions()
+    return max(
+        (1 + sum(branch in region for region in regions.values())
+         for branch in regions),
+        default=0,
+    )
 
 
 def serial_loop_count(cdfg: CDFG) -> int:
@@ -103,10 +92,9 @@ def ops_under_branch_fraction(cdfg: CDFG, trace: DynamicTrace) -> float:
 
 def innermost_loop_blocks(cdfg: CDFG) -> Set[BlockId]:
     """Blocks belonging to innermost loops (candidate pipeline bodies)."""
-    nests = cdfg.loop_nests()
     out: Set[BlockId] = set()
     for nest in cdfg.innermost_loops():
-        out |= nest.own_blocks(nests)
+        out |= nest.own
     return out
 
 

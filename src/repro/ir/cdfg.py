@@ -1,4 +1,5 @@
-"""The combined CDFG: a CFG whose blocks embed DFGs, plus loop-nest analysis.
+"""The combined CDFG: a CFG whose blocks embed DFGs, plus the kernel's
+structure analyses (loop nests, branch regions, arm pairs, flat blocks).
 
 :class:`LoopNest` is the unit the Marionette scheduler works at (paper
 Fig. 8): scheduling proceeds innermost loop level to outermost, mapping the
@@ -24,6 +25,7 @@ class LoopNest:
         depth: Nesting depth; 1 for outermost loops.
         parent: Header id of the enclosing loop, or ``None``.
         children: Headers of directly nested loops.
+        own: Blocks of this loop level that belong to no inner loop.
     """
 
     header: BlockId
@@ -31,22 +33,17 @@ class LoopNest:
     depth: int = 1
     parent: Optional[BlockId] = None
     children: List[BlockId] = field(default_factory=list)
-
-    def own_blocks(self, nests: Dict[BlockId, "LoopNest"]) -> Set[BlockId]:
-        """Blocks belonging to this loop level but not to any inner loop."""
-        inner: Set[BlockId] = set()
-        for child in self.children:
-            inner |= nests[child].blocks
-        return self.blocks - inner
+    own: Set[BlockId] = field(default_factory=set)
 
 
 class CDFG:
     """A kernel: control flow graph + per-block data flow graphs.
 
     A CDFG is sealed when :meth:`~repro.ir.builder.KernelBuilder.build`
-    returns it: nothing mutates its CFG or DFGs afterwards, so the
-    structural analyses below (loop nests, back edges, under-branch
-    blocks) are computed once and cached without invalidation.
+    returns it: nothing mutates its CFG or DFGs afterwards, so it is the
+    one home of the kernel's structural facts (loop nests with their own
+    blocks, branch regions, arm pairs, flat blocks), each computed once
+    and cached without invalidation.
     """
 
     def __init__(self, name: str, cfg: CFG,
@@ -59,8 +56,12 @@ class CDFG:
         #: scratchpad array names referenced by LOAD/STORE
         self.arrays: Tuple[str, ...] = tuple(arrays)
         self._loop_nests: Optional[Dict[BlockId, LoopNest]] = None
-        self._back_edges: Optional[FrozenSet[Tuple[BlockId, BlockId]]] = None
+        self._branch_regions: Optional[
+            Dict[BlockId, FrozenSet[BlockId]]] = None
         self._under_branch: Optional[FrozenSet[BlockId]] = None
+        self._arm_pairs: Optional[
+            Dict[BlockId, Tuple[BlockId, BlockId]]] = None
+        self._flat_blocks: Optional[Tuple[BlockId, ...]] = None
 
     # ------------------------------------------------------------------
     # Convenience accessors
@@ -119,6 +120,10 @@ class CDFG:
                 depth += 1
                 cursor = nests[cursor].parent
             nests[header].depth = depth
+        for nest in nests.values():
+            nest.own = nest.blocks.difference(
+                *(nests[child].blocks for child in nest.children)
+            )
         return nests
 
     def max_loop_depth(self) -> int:
@@ -128,18 +133,18 @@ class CDFG:
     def innermost_loops(self) -> List[LoopNest]:
         return [n for n in self.loop_nests().values() if not n.children]
 
-    def levels_inner_to_outer(self) -> List[List[LoopNest]]:
-        """Loop nests grouped by depth, innermost (deepest) first."""
-        nests = self.loop_nests()
-        if not nests:
-            return []
-        max_depth = max(n.depth for n in nests.values())
-        levels: List[List[LoopNest]] = []
-        for depth in range(max_depth, 0, -1):
-            level = [n for n in nests.values() if n.depth == depth]
-            if level:
-                levels.append(sorted(level, key=lambda n: n.header))
-        return levels
+    def flat_blocks(self) -> Tuple[BlockId, ...]:
+        """Blocks outside every loop that hold FU operations, in block
+        order.  Computed once and cached."""
+        if self._flat_blocks is None:
+            in_loops: Set[BlockId] = set()
+            for nest in self.loop_nests().values():
+                in_loops |= nest.blocks
+            self._flat_blocks = tuple(
+                b.block_id for b in self.blocks
+                if b.block_id not in in_loops and b.op_count > 0
+            )
+        return self._flat_blocks
 
     # ------------------------------------------------------------------
     # Control structure queries used by the execution models
@@ -150,11 +155,10 @@ class CDFG:
         This is the paper's *Imperfect Loop* form: computation present in
         outer loop bodies (Section 3.1).
         """
-        nests = self.loop_nests()
-        for nest in nests.values():
+        for nest in self.loop_nests().values():
             if not nest.children:
                 continue
-            for bid in nest.own_blocks(nests):
+            for bid in nest.own:
                 block = self.block(bid)
                 if block.role is BlockRole.LOOP_HEADER and bid == nest.header:
                     continue
@@ -171,47 +175,69 @@ class CDFG:
                 out.append(block)
         return out
 
-    def under_branch_blocks(self) -> FrozenSet[BlockId]:
-        """Blocks control-dependent on a non-loop branch (branch arms/merges
-        reached before the merge point re-joins).
+    def branch_regions(self) -> Dict[BlockId, FrozenSet[BlockId]]:
+        """Divergent branch block -> the blocks control-dependent on it
+        (branch arms, and merges reached before the paths re-join).
 
-        Computed structurally: for each divergent branch, the blocks reachable
-        from exactly one of the two arms before reaching a common
-        post-dominator are "under" the branch.  Builder roles give the same
-        answer for builder-produced CDFGs; this stays correct for hand-built
+        Computed structurally: the blocks reachable from exactly one of
+        the two arms, walking forwards without re-entering the branch or
+        crossing a loop back edge.  Builder roles give the same answer
+        for builder-produced CDFGs; this stays correct for hand-built
         graphs too.  Computed once and cached.
         """
+        if self._branch_regions is None:
+            branches = self.branch_blocks()
+            back = (frozenset(self.cfg.back_edges()) if branches
+                    else frozenset())
+
+            def reach(start: BlockId, stop: BlockId) -> Set[BlockId]:
+                seen: Set[BlockId] = set()
+                stack = [start]
+                while stack:
+                    bid = stack.pop()
+                    if bid in seen or bid == stop:
+                        continue
+                    seen.add(bid)
+                    stack.extend(succ for succ in self.cfg.successors(bid)
+                                 if (bid, succ) not in back)
+                return seen
+
+            regions: Dict[BlockId, FrozenSet[BlockId]] = {}
+            for block in branches:
+                term = block.terminator
+                assert isinstance(term, Branch)
+                regions[block.block_id] = frozenset(
+                    reach(term.if_true, block.block_id)
+                    ^ reach(term.if_false, block.block_id)
+                )
+            self._branch_regions = regions
+        return self._branch_regions
+
+    def under_branch_blocks(self) -> FrozenSet[BlockId]:
+        """Blocks under some divergent branch: the union of
+        :meth:`branch_regions`.  Computed once and cached."""
         if self._under_branch is None:
-            under: Set[BlockId] = set()
+            self._under_branch = frozenset().union(
+                *self.branch_regions().values()
+            )
+        return self._under_branch
+
+    def arm_pairs(self) -> Dict[BlockId, Tuple[BlockId, BlockId]]:
+        """Divergent branch block -> its ``(if_true, if_false)`` targets,
+        for the branches whose targets are both builder branch arms:
+        control-exclusive blocks that may share one PE lane (paper
+        Fig. 8, ``checkBranchDivergence``).  Computed once and cached."""
+        if self._arm_pairs is None:
+            pairs: Dict[BlockId, Tuple[BlockId, BlockId]] = {}
             for block in self.branch_blocks():
                 term = block.terminator
                 assert isinstance(term, Branch)
-                reach_true = self._forward_region(term.if_true,
-                                                  block.block_id)
-                reach_false = self._forward_region(term.if_false,
-                                                   block.block_id)
-                under |= reach_true.symmetric_difference(reach_false)
-            self._under_branch = frozenset(under)
-        return self._under_branch
-
-    def _forward_region(self, start: BlockId, stop: BlockId) -> Set[BlockId]:
-        """Blocks reachable from ``start`` without passing through ``stop``
-        or traversing loop back edges (the back-edge set is cached)."""
-        if self._back_edges is None:
-            self._back_edges = frozenset(self.cfg.back_edges())
-        back = self._back_edges
-        seen: Set[BlockId] = set()
-        stack = [start]
-        while stack:
-            bid = stack.pop()
-            if bid in seen or bid == stop:
-                continue
-            seen.add(bid)
-            for succ in self.cfg.successors(bid):
-                if (bid, succ) in back:
-                    continue
-                stack.append(succ)
-        return seen
+                arms = (term.if_true, term.if_false)
+                if all(self.block(arm).role is BlockRole.BRANCH_ARM
+                       for arm in arms):
+                    pairs[block.block_id] = arms
+            self._arm_pairs = pairs
+        return self._arm_pairs
 
     # ------------------------------------------------------------------
     # Validation / repr

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import IRError
 from repro.ir.dfg import DFG, NodeId
@@ -107,12 +107,60 @@ class BasicBlock:
         )
 
 
+def _dominator_tree(
+    root: BlockId,
+    successors: Callable[[BlockId], Sequence[BlockId]],
+    predecessors: Callable[[BlockId], Sequence[BlockId]],
+) -> Dict[BlockId, BlockId]:
+    """Immediate dominator of every node reachable from ``root`` along
+    ``successors`` (``root`` maps to itself): the algorithm of Cooper,
+    Harvey and Kennedy.  ``predecessors`` gives each node's in-edges in
+    the same direction, so swapping the two computes post-dominators."""
+    order: List[BlockId] = []  # postorder from the root
+    seen = {root}
+    stack = [(root, iter(successors(root)))]
+    while stack:
+        node, todo = stack[-1]
+        for succ in todo:
+            if succ not in seen:
+                seen.add(succ)
+                stack.append((succ, iter(successors(succ))))
+                break
+        else:
+            stack.pop()
+            order.append(node)
+    rank = {node: index for index, node in enumerate(order)}
+    idom: Dict[BlockId, BlockId] = {root: root}
+
+    def meet(a: BlockId, b: BlockId) -> BlockId:
+        while a != b:
+            while rank[a] < rank[b]:
+                a = idom[a]
+            while rank[b] < rank[a]:
+                b = idom[b]
+        return a
+
+    changed = True
+    while changed:
+        changed = False
+        for node in reversed(order[:-1]):
+            new: Optional[BlockId] = None
+            for pred in predecessors(node):
+                if pred in idom:
+                    new = pred if new is None else meet(pred, new)
+            if idom.get(node) != new:
+                idom[node] = new
+                changed = True
+    return idom
+
+
 class CFG:
     """A control flow graph over :class:`BasicBlock`.
 
-    Provides dominator computation (iterative dataflow algorithm) and natural
-    loop discovery via back edges; both are pure structure, independent of the
-    builder's role annotations.
+    Provides dominators and post-dominators (one Cooper-Harvey-Kennedy
+    routine, run forwards from the entry and backwards from the exits) and
+    natural loop discovery via back edges; all are pure structure,
+    independent of the builder's role annotations.
     """
 
     def __init__(self) -> None:
@@ -162,99 +210,32 @@ class CFG:
                 out.append((block.block_id, succ))
         return out
 
-    def reachable(self) -> Set[BlockId]:
-        """Blocks reachable from the entry."""
+    def immediate_dominators(self) -> Dict[BlockId, Optional[BlockId]]:
+        """Immediate dominator per block reachable from the entry
+        (``None`` for the entry); unreachable blocks are left out."""
         if self.entry is None:
-            return set()
-        seen: Set[BlockId] = set()
-        stack = [self.entry]
-        while stack:
-            bid = stack.pop()
-            if bid in seen:
-                continue
-            seen.add(bid)
-            stack.extend(self.blocks[bid].successors())
-        return seen
-
-    def reverse_postorder(self) -> List[BlockId]:
-        """Reverse postorder over reachable blocks (good for dataflow)."""
-        if self.entry is None:
-            return []
-        visited: Set[BlockId] = set()
-        order: List[BlockId] = []
-
-        def visit(bid: BlockId) -> None:
-            stack: List[Tuple[BlockId, int]] = [(bid, 0)]
-            while stack:
-                node, idx = stack[-1]
-                if node not in visited:
-                    visited.add(node)
-                succs = self.blocks[node].successors()
-                if idx < len(succs):
-                    stack[-1] = (node, idx + 1)
-                    nxt = succs[idx]
-                    if nxt not in visited:
-                        stack.append((nxt, 0))
-                else:
-                    order.append(node)
-                    stack.pop()
-
-        visit(self.entry)
-        order.reverse()
-        return order
+            return {}
+        idom = _dominator_tree(self.entry, self.successors,
+                               self.predecessors().__getitem__)
+        idom[self.entry] = None
+        return idom
 
     def dominators(self) -> Dict[BlockId, Set[BlockId]]:
-        """Dominator sets via the classic iterative algorithm.
+        """Dominator sets, read off the dominator tree.
 
         ``dom[b]`` is the set of blocks that dominate ``b`` (including ``b``).
         Unreachable blocks are excluded.
         """
-        if self.entry is None:
-            return {}
-        rpo = self.reverse_postorder()
-        reachable = set(rpo)
-        preds = self.predecessors()
-        universe = set(rpo)
-        dom: Dict[BlockId, Set[BlockId]] = {
-            bid: {bid} if bid == self.entry else set(universe) for bid in rpo
-        }
-        changed = True
-        while changed:
-            changed = False
-            for bid in rpo:
-                if bid == self.entry:
-                    continue
-                reachable_preds = [p for p in preds[bid] if p in reachable]
-                if reachable_preds:
-                    new = set.intersection(
-                        *(dom[p] for p in reachable_preds)
-                    )
-                else:  # pragma: no cover - entry handled above
-                    new = set()
-                new.add(bid)
-                if new != dom[bid]:
-                    dom[bid] = new
-                    changed = True
+        idom = self.immediate_dominators()
+        dom: Dict[BlockId, Set[BlockId]] = {}
+        for bid in idom:
+            chain: Set[BlockId] = set()
+            cursor: Optional[BlockId] = bid
+            while cursor is not None:
+                chain.add(cursor)
+                cursor = idom[cursor]
+            dom[bid] = chain
         return dom
-
-    def immediate_dominators(self) -> Dict[BlockId, Optional[BlockId]]:
-        """Immediate dominator per block (``None`` for the entry)."""
-        dom = self.dominators()
-        idom: Dict[BlockId, Optional[BlockId]] = {}
-        for bid, doms in dom.items():
-            if bid == self.entry:
-                idom[bid] = None
-                continue
-            strict = doms - {bid}
-            # The idom is the strict dominator that every other strict
-            # dominator dominates (the closest one).
-            candidate = None
-            for d in strict:
-                if all(other in dom[d] for other in strict):
-                    candidate = d
-                    break
-            idom[bid] = candidate
-        return idom
 
     def immediate_post_dominators(self) -> Dict[BlockId, Optional[BlockId]]:
         """Immediate post-dominator per block that reaches a ``Halt``.
@@ -262,51 +243,18 @@ class CFG:
         A block post-dominates ``b`` when every path from ``b`` to a
         ``Halt`` passes through it.  ``Halt`` blocks, and blocks whose
         paths reach different ``Halt`` blocks before any common block, map
-        to ``None``; blocks that never halt are left out.  This is the
-        dominance algorithm of Cooper, Harvey and Kennedy, run backwards
-        from a virtual exit that follows every ``Halt``.
+        to ``None``; blocks that never halt are left out.  These are the
+        dominators of the reversed graph, rooted at a virtual exit that
+        follows every ``Halt``.
         """
         exit_ = -1
         preds = self.predecessors()
         preds[exit_] = [b.block_id for b in self.blocks
                         if isinstance(b.terminator, Halt)]
-        # Postorder of the reversed graph, from the virtual exit.
-        order: List[BlockId] = []
-        seen = {exit_}
-        stack = [(exit_, iter(preds[exit_]))]
-        while stack:
-            node, todo = stack[-1]
-            for pred in todo:
-                if pred not in seen:
-                    seen.add(pred)
-                    stack.append((pred, iter(preds[pred])))
-                    break
-            else:
-                stack.pop()
-                order.append(node)
-        rank = {node: index for index, node in enumerate(order)}
-        ipdom: Dict[BlockId, BlockId] = {exit_: exit_}
-
-        def meet(a: BlockId, b: BlockId) -> BlockId:
-            while a != b:
-                while rank[a] < rank[b]:
-                    a = ipdom[a]
-                while rank[b] < rank[a]:
-                    b = ipdom[b]
-            return a
-
-        changed = True
-        while changed:
-            changed = False
-            for node in reversed(order[:-1]):
-                succs = self.blocks[node].successors() or (exit_,)
-                new: Optional[BlockId] = None
-                for succ in succs:
-                    if succ in ipdom:
-                        new = succ if new is None else meet(succ, new)
-                if ipdom.get(node) != new:
-                    ipdom[node] = new
-                    changed = True
+        ipdom = _dominator_tree(
+            exit_, preds.__getitem__,
+            lambda bid: self.blocks[bid].successors() or (exit_,),
+        )
         return {node: None if d == exit_ else d
                 for node, d in ipdom.items() if node != exit_}
 

@@ -30,7 +30,7 @@ def _outer_blocks(kernel: KernelInstance) -> Set[BlockId]:
     out: Set[BlockId] = set()
     for nest in kernel.nests.values():
         if nest.children:
-            out |= nest.own_blocks(kernel.nests)
+            out |= nest.own
     return out
 
 
@@ -55,11 +55,9 @@ def outer_bb_utilization(kernel: KernelInstance, result: CycleResult,
         for breakdown in result.breakdowns:
             if breakdown.innermost and breakdown.unroll > 1:
                 share = (breakdown.unroll - 1) / breakdown.unroll
-                nest = kernel.nests[breakdown.header]
+                own = kernel.nests[breakdown.header].own
                 inner_ops += int(
-                    share * kernel.trace.dynamic_ops_in(
-                        kernel.cdfg, nest.own_blocks(kernel.nests)
-                    )
+                    share * kernel.trace.dynamic_ops_in(kernel.cdfg, own)
                 )
         busy += inner_ops * params.t_execute
     capacity = outer_pes * max(1, result.cycles)

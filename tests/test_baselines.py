@@ -22,7 +22,7 @@ from repro.baselines import (
     TIAModel,
     VonNeumannModel,
 )
-from repro.baselines.base import KernelInstance
+from repro.baselines.base import ArchModel, KernelInstance, ModelConfig
 from repro.compiler.place import place_block
 from repro.ir.builder import KernelBuilder
 from repro.ir.interp import Interpreter
@@ -124,7 +124,7 @@ class TestMechanisms:
         von_neumann = VonNeumannModel(params)
         ms = kernels["MS"]
         inner = [n for n in ms.nests.values() if not n.children][0]
-        resident_ii = math.ceil(ms.total_static_ops() / params.n_pes)
+        resident_ii = math.ceil(ms.cdfg.total_op_count / params.n_pes)
         assert von_neumann.body_ii(ms, inner) >= resident_ii
 
     def test_ops_merged_vs_full(self, kernels):
@@ -133,20 +133,20 @@ class TestMechanisms:
             n for n in branchy.nests.values()
             if not n.children and any(
                 branchy.cdfg.block(b).role.value == "branch_arm"
-                for b in n.own_blocks(branchy.nests)
+                for b in n.own
             )
         ]
         assert inner
-        blocks = inner[0].own_blocks(branchy.nests)
+        blocks = inner[0].own
         merged = branchy.ops_of_blocks(blocks, merge_arms=True)
         full = branchy.ops_of_blocks(blocks, merge_arms=False)
         assert merged < full
 
     def test_placement_memo_keys_on_the_nonlinear_pool(self):
-        """``placement_ii`` memoises ``place_block``, which also reads
+        """``body_ii`` reads the ``place_block`` memo, which also reads
         ``nonlinear_pes``: four nonlinear ops in one body place at a
         different II on four nonlinear PEs than on one, and one kernel
-        instance queried both ways must answer both ways."""
+        instance priced both ways must answer both ways."""
         k = KernelBuilder("nonlinear_body")
         k.array("x")
         k.array("o")
@@ -162,13 +162,41 @@ class TestMechanisms:
             if any(node.info.op_class is OpClass.NONLINEAR
                    for node in block.dfg.fu_nodes)
         )
+        (nest,) = kernel.nests.values()
         expected = {}
         for pes in (4, 1, 4, 1):
             params = replace(ArchParams(), nonlinear_pes=pes)
             expected[pes] = place_block(body, params).ii
-            assert kernel.placement_ii(body.block_id, params) \
-                == expected[pes]
+            model = ArchModel(params, ModelConfig(name="plain"))
+            assert model.body_ii(kernel, nest) == expected[pes]
         assert expected[1] > expected[4]
+
+    def test_shared_model_keeps_same_named_kernels_apart(self):
+        """One Marionette model pricing two different kernels that share
+        a name gives each the cycles a fresh model gives it: the cached
+        schedule belongs to the kernel object, not to its name."""
+        def same_name(steps):
+            k = KernelBuilder("same_name")
+            n = k.param("n")
+            k.array("x")
+            k.array("o")
+            with k.loop("i", 0, n) as i:
+                v = k.load("x", i)
+                for _ in range(steps):
+                    v = v * 3 + 1
+                k.store("o", i, v * 2)
+            cdfg = k.build()
+            memory = {"x": np.arange(64), "o": np.zeros(64, dtype=np.int64)}
+            trace = Interpreter(cdfg).run(memory, {"n": 64}).trace
+            return KernelInstance(cdfg, trace)
+
+        params = ArchParams()
+        short, chained = same_name(0), same_name(6)
+        shared = MarionetteModel(params)
+        fresh = [MarionetteModel(params).simulate(k).cycles
+                 for k in (short, chained)]
+        assert [shared.simulate(k).cycles for k in (short, chained)] == fresh
+        assert fresh[0] < fresh[1]
 
 
 class TestInvariants:

@@ -1,10 +1,14 @@
 """CDFG structural analyses: forward regions, under-branch sets,
-imperfect-loop detection on crafted graph shapes."""
+imperfect-loop detection on crafted graph shapes, and the laws that tie
+the cached structure facts together on generated kernels."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.ir.builder import KernelBuilder
 from repro.ir.cfg import BlockRole
+
+from kernel_fuzz import graph_kernels, kernels
 
 
 def names_of(cdfg, ids):
@@ -49,6 +53,39 @@ class TestUnderBranch:
         under = names_of(branchy_kernel,
                          branchy_kernel.under_branch_blocks())
         assert not any("merge" in name for name in under)
+
+
+class TestStructureLaws:
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(graph_kernels(), kernels()))
+    def test_cached_facts_agree_with_the_graph(self, case):
+        cdfg = case[0]
+        nests = cdfg.loop_nests()
+        for nest in nests.values():
+            inner = set()
+            for child in nest.children:
+                inner |= nests[child].blocks
+            assert nest.own == nest.blocks - inner
+        regions = cdfg.branch_regions()
+        assert set(regions) == {b.block_id for b in cdfg.branch_blocks()}
+        for branch, region in regions.items():
+            assert branch not in region
+        assert cdfg.under_branch_blocks() == frozenset().union(
+            *regions.values())
+        in_loops = set()
+        for nest in nests.values():
+            in_loops |= nest.blocks
+        assert cdfg.flat_blocks() == tuple(
+            b.block_id for b in cdfg.blocks
+            if b.block_id not in in_loops and b.op_count > 0
+        )
+        pairs = cdfg.arm_pairs()
+        assert set(pairs) <= set(regions)
+        for branch, pair in pairs.items():
+            term = cdfg.block(branch).terminator
+            assert pair == (term.if_true, term.if_false)
+            assert all(cdfg.block(arm).role is BlockRole.BRANCH_ARM
+                       for arm in pair)
 
 
 class TestImperfectDetection:

@@ -34,8 +34,7 @@ class TestScheduler:
     def test_deepest_level_wins_resolution(self, params, imperfect_kernel):
         schedule = MarionetteScheduler(params).schedule(imperfect_kernel)
         inner = imperfect_kernel.innermost_loops()[0]
-        nests = imperfect_kernel.loop_nests()
-        for bid in inner.own_blocks(nests):
+        for bid in inner.own:
             block = imperfect_kernel.block(bid)
             if block.op_count == 0:
                 continue

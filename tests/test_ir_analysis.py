@@ -8,7 +8,25 @@ from repro.ir.cdfg import CDFG
 from repro.ir.cfg import BlockRole, Branch, CFG, Halt, Jump
 from repro.ir.interp import Interpreter
 from repro.ir.ops import Opcode
-from repro.workloads import get_workload
+from repro.workloads import ALL_WORKLOADS, get_workload
+
+#: workload -> (branch nesting depth, imperfect, divergent branches,
+#: under-branch blocks) of its ``tiny`` CDFG
+STRUCTURE = {
+    "MS": (1, True, 1, 2),
+    "FFT": (0, True, 0, 0),
+    "VI": (1, True, 1, 2),
+    "NW": (1, True, 3, 6),
+    "HT": (1, True, 1, 5),
+    "CRC": (1, True, 1, 2),
+    "ADPCM": (1, False, 9, 18),
+    "SCD": (1, True, 6, 12),
+    "LDPC": (2, True, 6, 13),
+    "GEMM": (0, True, 0, 0),
+    "CO": (0, False, 0, 0),
+    "SI": (0, False, 0, 0),
+    "GP": (0, False, 0, 0),
+}
 
 
 def _run(cdfg, memory, params):
@@ -25,10 +43,6 @@ class TestLoopNest:
         inner = imperfect_kernel.innermost_loops()
         assert len(inner) == 1
         assert inner[0].depth == 2
-
-    def test_levels_inner_to_outer(self, imperfect_kernel):
-        levels = imperfect_kernel.levels_inner_to_outer()
-        assert [lvl[0].depth for lvl in levels] == [2, 1]
 
 
 class TestBranchStructure:
@@ -47,6 +61,16 @@ class TestBranchStructure:
         assert analysis.branch_nesting_depth(ms.cdfg) >= 1
         adpcm = get_workload("adpcm").instance("tiny")
         assert analysis.branch_nesting_depth(adpcm.cdfg) >= 1
+
+    def test_structure_facts_of_every_workload(self):
+        facts = {}
+        for workload in ALL_WORKLOADS:
+            cdfg = workload.instance("tiny").cdfg
+            facts[workload.short] = (
+                analysis.branch_nesting_depth(cdfg), cdfg.is_imperfect(),
+                len(cdfg.branch_blocks()), len(cdfg.under_branch_blocks()),
+            )
+        assert facts == STRUCTURE
 
 
 class TestLoopDynamics:

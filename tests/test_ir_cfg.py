@@ -1,7 +1,7 @@
 """Unit tests for CFG structure: dominators, back edges, natural loops.
 
-Dominator sets are cross-checked against networkx's independent
-implementation on randomly generated graphs.
+Immediate dominators and post-dominators are cross-checked against
+networkx's independent implementation on randomly generated graphs.
 """
 
 import networkx as nx
@@ -59,15 +59,11 @@ class TestStructure:
         assert len(diamond().edges()) == 4
 
     def test_reachable(self):
+        # Dominators cover exactly the blocks reachable from the entry.
         cfg = diamond()
         dead = cfg.new_block("dead")
         dead.terminator = Halt()
-        assert dead.block_id not in cfg.reachable()
-
-    def test_reverse_postorder_starts_at_entry(self):
-        rpo = simple_loop().reverse_postorder()
-        assert rpo[0] == 0
-        assert set(rpo) == {0, 1, 2, 3}
+        assert set(cfg.dominators()) == {0, 1, 2, 3}
 
 
 class TestDominators:
@@ -165,14 +161,13 @@ class TestAgainstNetworkx:
         graph = nx.DiGraph()
         graph.add_nodes_from(b.block_id for b in cfg.blocks)
         graph.add_edges_from(cfg.edges())
-        reachable = cfg.reachable()
         ours = cfg.immediate_dominators()
         theirs = nx.immediate_dominators(graph, cfg.entry)
-        for bid in reachable:
-            if bid == cfg.entry:
-                assert ours[bid] is None
-            else:
-                assert ours[bid] == theirs[bid], f"block {bid}"
+        # Older networkx releases map the root to itself.
+        theirs.pop(cfg.entry, None)
+        assert ours.pop(cfg.entry) is None
+        # Both cover exactly the blocks reachable from the entry.
+        assert ours == theirs
 
     @settings(max_examples=60, deadline=None)
     @given(random_cfg())
