@@ -176,40 +176,28 @@ class CDFG:
         return out
 
     def branch_regions(self) -> Dict[BlockId, FrozenSet[BlockId]]:
-        """Divergent branch block -> the blocks control-dependent on it
-        (branch arms, and merges reached before the paths re-join).
-
-        Computed structurally: the blocks reachable from exactly one of
-        the two arms, walking forwards without re-entering the branch or
-        crossing a loop back edge.  Builder roles give the same answer
-        for builder-produced CDFGs; this stays correct for hand-built
-        graphs too.  Computed once and cached.
+        """Divergent branch block -> the blocks under it: those reachable
+        forwards from either arm without passing the branch itself or its
+        immediate post-dominator, where the two paths re-join.  A branch
+        with no post-dominator walks to the end.  The merge is the one the
+        compiled interpreter's ``if``/``else`` goes on at, and a loop
+        nested inside an arm is under the branch.  Computed once and
+        cached.
         """
         if self._branch_regions is None:
             branches = self.branch_blocks()
-            back = (frozenset(self.cfg.back_edges()) if branches
-                    else frozenset())
-
-            def reach(start: BlockId, stop: BlockId) -> Set[BlockId]:
-                seen: Set[BlockId] = set()
-                stack = [start]
-                while stack:
-                    bid = stack.pop()
-                    if bid in seen or bid == stop:
-                        continue
-                    seen.add(bid)
-                    stack.extend(succ for succ in self.cfg.successors(bid)
-                                 if (bid, succ) not in back)
-                return seen
-
+            ipdom = self.cfg.immediate_post_dominators() if branches else {}
             regions: Dict[BlockId, FrozenSet[BlockId]] = {}
             for block in branches:
-                term = block.terminator
-                assert isinstance(term, Branch)
-                regions[block.block_id] = frozenset(
-                    reach(term.if_true, block.block_id)
-                    ^ reach(term.if_false, block.block_id)
-                )
+                stop = (block.block_id, ipdom.get(block.block_id))
+                seen: Set[BlockId] = set()
+                stack = list(block.successors())
+                while stack:
+                    bid = stack.pop()
+                    if bid not in seen and bid not in stop:
+                        seen.add(bid)
+                        stack.extend(self.cfg.successors(bid))
+                regions[block.block_id] = frozenset(seen)
             self._branch_regions = regions
         return self._branch_regions
 

@@ -36,16 +36,22 @@ index), ALU, compare, select and abs ops over loads, the loop variable
 and small immediates, an optional register accumulator, and a store.
 Every drawn run is in bounds and error-free in the interpreter, so a
 law over it compares results only.
+
+:func:`priced` interprets a draw of any of the three under a small step
+budget and prices it on execution models, skipping the draws the
+interpreter rejects.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import strategies as st
+from hypothesis import reject, strategies as st
 
+from repro.baselines.base import KernelInstance
 from repro.ir.builder import KernelBuilder
 from repro.ir.cdfg import CDFG
 from repro.ir.cfg import CFG, BlockRole, Branch, Halt, Jump
+from repro.ir.interp import Interpreter
 from repro.ir.ops import Opcode
 
 ARRAYS = ("a", "b", "o")
@@ -423,3 +429,27 @@ def loop_kernels(draw):
     else:
         memory = {name: rng.normal(size=n) * 10 for name in ARRAYS}
     return k.build(), memory, {"n": n}
+
+
+# ----------------------------------------------------------------------
+# Pricing a draw on execution models
+# ----------------------------------------------------------------------
+#: Block executions a priced draw may take; a drawn graph that spins
+#: would otherwise run to the interpreter's default budget of 50 million.
+PRICING_STEPS = 2_000
+
+
+def priced(case, models):
+    """Interpret a drawn ``(cdfg, memory, params)`` under
+    :data:`PRICING_STEPS` and price it on each of ``models`` (name ->
+    model): ``(kernel, {name: CycleResult})``.  A draw whose run fails
+    or exceeds the budget is rejected, so hypothesis draws another."""
+    cdfg, memory, params = case
+    try:
+        trace = Interpreter(cdfg).run(memory, params,
+                                      max_steps=PRICING_STEPS).trace
+    except Exception:  # any way a drawn run may fail (module docstring)
+        reject()
+    kernel = KernelInstance(cdfg, trace)
+    return kernel, {name: model.simulate(kernel)
+                    for name, model in models.items()}

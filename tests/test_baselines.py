@@ -1,7 +1,8 @@
 """Execution-model tests: mechanisms, invariants, and paper-shape checks.
 
 The per-mechanism tests pin the behaviours the architecture comparison is
-built from; the invariant tests sweep every model over every workload.
+built from; the invariant tests sweep every model over every workload,
+and five of them also over generated kernels.
 """
 
 import math
@@ -9,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from repro.arch.params import ArchParams
 from repro.baselines import (
@@ -29,7 +30,12 @@ from repro.ir.interp import Interpreter
 from repro.ir.ops import OpClass
 from repro.workloads import ALL_WORKLOADS, INTENSIVE_WORKLOADS, get_workload
 
-from kernel_fuzz import loop_kernels
+from kernel_fuzz import (graph_kernels, kernels as drawn_kernels,
+                         loop_kernels, priced)
+
+#: Draws from every generator: the simulator's loop class, builder nests
+#: with the hand-built shapes, and arbitrary graphs.
+GENERATED = st.one_of(loop_kernels(), drawn_kernels(), graph_kernels())
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +61,18 @@ def all_models():
         "REV": RevelModel(params),
         "RIP": RipTideModel(params),
         "ideal": IdealModel(params),
+    }
+
+
+@pytest.fixture(scope="module")
+def feature_ladder():
+    """Marionette with neither feature, with the control network, and
+    with both."""
+    params = ArchParams()
+    return {
+        "base": MarionetteModel(params, control_network=False, agile=False),
+        "cn": MarionetteModel(params, control_network=True, agile=False),
+        "full": MarionetteModel(params),
     }
 
 
@@ -209,15 +227,13 @@ class TestInvariants:
                 cycles = model.simulate(kernel).cycles
                 assert bound <= cycles * 1.02 + 2, (short, name)
 
-    def test_every_feature_helps_or_is_neutral(self, kernels):
-        params = ArchParams()
-        base = MarionetteModel(params, control_network=False, agile=False)
-        cn = MarionetteModel(params, control_network=True, agile=False)
-        full = MarionetteModel(params)
+    def test_every_feature_helps_or_is_neutral(self, kernels,
+                                              feature_ladder):
         for short, kernel in kernels.items():
-            b = base.simulate(kernel).cycles
-            assert cn.simulate(kernel).cycles <= b, short
-            assert full.simulate(kernel).cycles <= b, short
+            cycles = {name: model.simulate(kernel).cycles
+                      for name, model in feature_ladder.items()}
+            assert cycles["cn"] <= cycles["base"], short
+            assert cycles["full"] <= cycles["base"], short
 
     def test_utilization_bounded(self, kernels, all_models):
         for kernel in kernels.values():
@@ -252,6 +268,53 @@ class TestInvariants:
                 model.simulate(kernel).cycles
                 == model.simulate(kernel).cycles
             )
+
+
+class TestLawsOnGeneratedKernels:
+    """Five of the invariants above on generated kernels, whose
+    hand-built and arbitrary graphs reach shapes no workload has: a
+    branch that leaves or restarts its loop, several exits, irreducible
+    cycles.  Ideal's lower bound stays on the built-ins: generated draws
+    still break it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(GENERATED)
+    def test_every_feature_helps_or_is_neutral(self, feature_ladder, case):
+        cycles = {name: result.cycles for name, result
+                  in priced(case, feature_ladder)[1].items()}
+        assert cycles["cn"] <= cycles["base"]
+        assert cycles["full"] <= cycles["base"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(GENERATED)
+    def test_utilization_bounded(self, all_models, case):
+        for name, result in priced(case, all_models)[1].items():
+            assert 0.0 <= result.utilization <= 1.0, name
+
+    @settings(max_examples=40, deadline=None)
+    @given(GENERATED)
+    def test_cycles_positive_and_breakdowns_cover_loops(self, all_models,
+                                                        case):
+        kernel, results = priced(case, all_models)
+        for name, result in results.items():
+            assert result.cycles >= 1, name
+            assert len(result.breakdowns) == len(kernel.nests), name
+
+    @settings(max_examples=40, deadline=None)
+    @given(GENERATED)
+    def test_busy_cycles_equal_dynamic_work(self, all_models, case):
+        kernel, results = priced(case, all_models)
+        expected = (kernel.trace.dynamic_op_count(kernel.cdfg)
+                    * ArchParams().t_execute)
+        for name, result in results.items():
+            assert result.busy_pe_cycles == expected, name
+
+    @settings(max_examples=40, deadline=None)
+    @given(GENERATED)
+    def test_deterministic(self, all_models, case):
+        # The second interpretation builds a new kernel, so no model
+        # reuses what it cached per kernel for the first.
+        assert priced(case, all_models)[1] == priced(case, all_models)[1]
 
 
 def check_pipeline_arithmetic(models, kernel):

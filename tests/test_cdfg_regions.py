@@ -1,14 +1,18 @@
-"""CDFG structural analyses: forward regions, under-branch sets,
-imperfect-loop detection on crafted graph shapes, and the laws that tie
-the cached structure facts together on generated kernels."""
+"""CDFG structural analyses: branch regions (the blocks before a
+branch's immediate post-dominator) on builder kernels, on the hand-built
+shapes and against networkx, under-branch sets, imperfect-loop detection
+on crafted graph shapes, and the laws that tie the cached structure
+facts together on generated kernels."""
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ir.builder import KernelBuilder
-from repro.ir.cfg import BlockRole
+from repro.ir.cfg import BlockRole, Halt
 
-from kernel_fuzz import graph_kernels, kernels
+from kernel_fuzz import (_loop_exit_kernel, _two_entry_kernel,
+                         graph_kernels, kernels)
 
 
 def names_of(cdfg, ids):
@@ -53,6 +57,62 @@ class TestUnderBranch:
         under = names_of(branchy_kernel,
                          branchy_kernel.under_branch_blocks())
         assert not any("merge" in name for name in under)
+
+
+def regions_by_name(cdfg):
+    return {cdfg.block(branch).name: names_of(cdfg, region)
+            for branch, region in cdfg.branch_regions().items()}
+
+
+class TestHandBuiltShapes:
+    """The hand-built shapes of ``kernel_fuzz``, whose drawn statements
+    and tests never change the graph."""
+
+    @settings(max_examples=5, deadline=None)
+    @given(st.composite(_loop_exit_kernel)(False))
+    def test_continue(self, cdfg):
+        # Both arms of body re-join at head, its post-dominator.
+        assert regions_by_name(cdfg) == {"body": {"rest"}}
+
+    @settings(max_examples=5, deadline=None)
+    @given(st.composite(_loop_exit_kernel)(True))
+    def test_break(self, cdfg):
+        # done post-dominates body; whether head runs again depends on
+        # the branch.
+        assert regions_by_name(cdfg) == {"body": {"head", "rest"}}
+
+    @settings(max_examples=5, deadline=None)
+    @given(st.composite(_two_entry_kernel)())
+    def test_two_entry(self, cdfg):
+        # Every path from fork, a and b re-joins only at done.
+        assert regions_by_name(cdfg) == {
+            "fork": {"a", "b"}, "a": {"b"}, "b": {"a"}}
+
+
+class TestAgainstNetworkx:
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(graph_kernels(), kernels()))
+    def test_regions_match_networkx(self, case):
+        # Post-dominators are dominators of the reversed graph, rooted at
+        # a virtual exit that follows every Halt.  A region is each arm
+        # that is no stop, plus all it reaches once the branch and its
+        # post-dominator are removed.
+        cdfg = case[0]
+        graph = nx.DiGraph()
+        graph.add_nodes_from(b.block_id for b in cdfg.blocks)
+        graph.add_edges_from(cdfg.cfg.edges())
+        reverse = graph.reverse()
+        reverse.add_edges_from(("exit", b.block_id) for b in cdfg.blocks
+                               if isinstance(b.terminator, Halt))
+        ipdom = nx.immediate_dominators(reverse, "exit")
+        expected = {}
+        for block in cdfg.branch_blocks():
+            stops = {block.block_id, ipdom.get(block.block_id)}
+            rest = graph.subgraph(set(graph) - stops)
+            expected[block.block_id] = set().union(*(
+                {arm} | nx.descendants(rest, arm)
+                for arm in block.successors() if arm not in stops))
+        assert cdfg.branch_regions() == expected
 
 
 class TestStructureLaws:
