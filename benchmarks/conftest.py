@@ -12,13 +12,13 @@ Registered engine benchmarks:
 * ``test_engine_speedup.py`` — asserts the warm-cache (+parallel) report
   run beats the serial seed path, using the session-scoped
   ``engine_cache_dir`` below as its on-disk cache;
-* ``test_shard_lane.py`` — the sharded CI lane example: the ablation
-  sweep split ``--shard 1/2`` / ``2/2`` against one shared cache,
+* ``test_shard_lane.py`` — the sharded CI lane example: the report's
+  specs split ``--shard 1/2`` / ``2/2`` against one shared cache,
   exports merged and checked byte-identical against the unsharded
   golden run;
 * ``test_dispatch_lane.py`` — the dispatched CI lane example: a
   localhost ``repro serve`` coordinator + worker processes pulling the
-  ablation sweep dynamically over the HTTP cache backend, checked
+  report's specs dynamically over the HTTP cache backend, checked
   byte-identical against the unsharded golden run (plus a 2-worker
   speedup assertion on multi-core hosts);
 * ``test_streaming_latency.py`` — asserts that on a cold engine the

@@ -1,8 +1,8 @@
-"""Dispatched CI lane example: the ablation sweep on a worker fleet.
+"""Dispatched CI lane example: the report's specs on a worker fleet.
 
 This is the dynamic counterpart of ``test_shard_lane.py``: instead of a
 static fingerprint-prefix partition, a localhost ``repro serve``
-coordinator hands the ablation sweep's specs to worker *processes* that
+coordinator hands the report's specs to worker *processes* that
 pull work as they go idle (two tasks per lease round trip, acks
 piggybacked on the next lease) and share every trace and cycle record
 through the HTTP cache backend.  The assembled tables must be
@@ -27,7 +27,7 @@ from repro.engine import Engine, HTTPBackend, MemoryBackend, result_payload
 from repro.engine.distributed.coordinator import Coordinator
 from repro.engine.distributed.server import DistributedServer
 from repro.engine.distributed.worker import CoordinatorClient, dispatch_job
-from repro.experiments import ablations
+from repro.experiments import report
 
 SEED = 0
 SRC_DIR = str(Path(repro.__file__).parents[1])
@@ -61,7 +61,7 @@ def _fleet_run(specs, n_workers: int):
         # Assemble the tables exactly as `repro bench --dispatch` does:
         # a local replay against the fleet's shared cache.
         replay = Engine(backend=HTTPBackend(server.url))
-        results = ablations.run(specs[0].scale, SEED, engine=replay)
+        results = report.run_all(specs[0].scale, SEED, engine=replay)
         assert replay.stats.simulations == 0       # pure cache replay
         assert replay.stats.traces_computed == 0
     finally:
@@ -74,10 +74,10 @@ def _fleet_run(specs, n_workers: int):
 
 
 def test_dispatch_lane_matches_golden_and_scales(scale):
-    specs = ablations.specs(scale, SEED)
+    specs = report.all_specs(scale, SEED)
     golden = [
         result_payload(result)
-        for result in ablations.run(scale, SEED, engine=Engine(jobs=2))
+        for result in report.run_all(scale, SEED, engine=Engine(jobs=2))
     ]
 
     one_worker, results_one, stats_one = _fleet_run(specs, 1)

@@ -1,4 +1,4 @@
-"""Sharded CI lane example: the ablation sweep split across two shards.
+"""Sharded CI lane example: the report's specs split across two shards.
 
 This is the recipe docs/ENGINE.md documents for CI: each lane runs one
 fingerprint-prefix shard of a sweep against a shared content-addressed
@@ -18,19 +18,19 @@ from repro.engine import (
     shard_export_document,
     shard_specs,
 )
-from repro.experiments import ablations
+from repro.experiments import report
 
 SEED = 0
 SHARDS = 2
 
 
-def test_sharded_ablation_sweep_matches_unsharded_golden(scale, tmp_path):
-    specs = ablations.specs(scale, SEED)
+def test_sharded_report_matches_unsharded_golden(scale, tmp_path):
+    specs = report.all_specs(scale, SEED)
 
     # The golden reference: one unsharded engine, as `repro bench` runs it.
     golden = [
         result_payload(result)
-        for result in ablations.run(scale, SEED, engine=Engine(jobs=2))
+        for result in report.run_all(scale, SEED, engine=Engine(jobs=2))
     ]
 
     # Two shard lanes, as two CI jobs would run them: disjoint spec
@@ -47,7 +47,7 @@ def test_sharded_ablation_sweep_matches_unsharded_golden(scale, tmp_path):
     merged = merge_shard_documents(documents)
     merge_engine = Engine()
     merge_engine.cache.preload(merged["entries"])
-    results = ablations.run(scale, SEED, engine=merge_engine)
+    results = report.run_all(scale, SEED, engine=merge_engine)
 
     # Reassembly is pure cache replay...
     assert merge_engine.stats.traces_computed == 0

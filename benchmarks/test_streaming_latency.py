@@ -13,13 +13,13 @@ from __future__ import annotations
 import time
 
 from repro.engine import Engine
-from repro.experiments import ablations
+from repro.experiments import report
 
 SEED = 0
 
 
 def test_stream_first_result_beats_batch_completion(scale):
-    specs = ablations.specs(scale, SEED)
+    specs = report.all_specs(scale, SEED)
 
     batch = Engine(jobs=2)
     start = time.perf_counter()

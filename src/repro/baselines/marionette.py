@@ -2,7 +2,7 @@
 
 Proactive PE Configuration is always on (Fig. 11's "Marionette PE" has
 it too), so configuration never shows; two switches mirror the paper's
-ablation structure:
+feature-by-feature breakdown:
 
 * ``control_network`` — the dedicated CS-Benes network (Fig. 12): control
   transfers drop from the data path's ~6 cycles to 1;

@@ -34,7 +34,7 @@ Commands:
   entry counts, per-run hit rates from the persisted run log; pruning
   by age, stale engine version, or size budget;
 * ``experiment NAME [--scale S]`` — one experiment (fig11..fig17,
-  table4, table6, ablations);
+  table4, table6);
 * ``workloads [--scale S]`` — run + verify the benchmark suite, printing
   each kernel's control flow profile (Table 1 / Table 5 view);
 * ``simulate KERNEL [--scale S]`` — price one kernel on every
@@ -69,11 +69,10 @@ from repro.baselines.base import KernelInstance
 from repro.ir import analysis
 from repro.workloads import ALL_WORKLOADS, get_workload
 
-#: ``repro experiment`` slugs: ``EXPERIMENT_MODULES`` in paper order, then
-#: the ablations.
+#: ``repro experiment`` slugs: ``EXPERIMENT_MODULES`` in paper order.
 _EXPERIMENTS = (
     "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
-    "table4", "table6", "ablations",
+    "table4", "table6",
 )
 
 
@@ -746,17 +745,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.experiments import ablations
     from repro.experiments.report import EXPERIMENT_MODULES
 
-    module = dict(zip(_EXPERIMENTS, EXPERIMENT_MODULES + (ablations,)))[
-        args.name]
-    if module is ablations:   # one table per study
-        for result in module.run(args.scale):
-            result.print()
-            print()
-    else:
-        module.run(args.scale).print()
+    module = dict(zip(_EXPERIMENTS, EXPERIMENT_MODULES))[args.name]
+    module.run(args.scale).print()
     return 0
 
 
@@ -1160,7 +1152,3 @@ def main(argv: List[str] = None) -> int:
         # tracebacks — match the exit code of the argparse-level errors.
         print(f"error: {error}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

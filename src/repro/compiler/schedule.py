@@ -40,7 +40,7 @@ class MarionetteScheduler:
     def __init__(self, params: ArchParams, *, enable_agile: bool = True) -> None:
         self.params = params
         self.grid = Grid(params.rows, params.cols)
-        #: reshape/unroll of spare PEs on/off (the Fig. 14 ablation)
+        #: reshape/unroll of spare PEs on/off (Fig. 14's comparison)
         self.enable_agile = enable_agile
 
     # ------------------------------------------------------------------

@@ -37,7 +37,6 @@ from repro.engine.executor import (
     Engine,
     EngineStats,
     default_engine,
-    set_default_engine,
 )
 from repro.engine.export import (
     backend_export_document,
@@ -84,7 +83,6 @@ __all__ = [
     "report_csv",
     "report_json",
     "result_payload",
-    "set_default_engine",
     "shard_export_document",
     "shard_of",
     "shard_specs",

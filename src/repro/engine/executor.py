@@ -581,9 +581,3 @@ def default_engine() -> Engine:
     if _DEFAULT is None:
         _DEFAULT = Engine()
     return _DEFAULT
-
-
-def set_default_engine(engine: Optional[Engine]) -> None:
-    """Replace (or, with None, reset) the process-wide default engine."""
-    global _DEFAULT
-    _DEFAULT = engine

@@ -1,10 +1,10 @@
-"""One module per paper table/figure, plus the ablation studies.
+"""One module per paper table/figure.
 
 Each figure/table module exposes ``specs(scale, seed, params)`` and
 ``run(scale, seed, params, engine) -> ExperimentResult`` (the analytic
-ones ignore ``scale`` and ``seed``) and can be executed directly
-(``python -m repro.experiments.fig11_pe_models``);
-:mod:`repro.experiments.report` regenerates everything.
+ones ignore ``scale`` and ``seed``).  ``repro experiment NAME`` prints
+one of them; :mod:`repro.experiments.report` regenerates everything
+(``repro report``).
 """
 
 from repro.experiments.common import ExperimentResult

@@ -53,9 +53,6 @@ class ResultTable:
             r.spec: r for r in results
         }
 
-    def run(self, spec: RunSpec) -> RunResult:
-        return self._by_spec[spec]
-
     def result(self, spec: RunSpec):
         return self._by_spec[spec].result
 

@@ -86,7 +86,3 @@ def run(scale: str = "small", seed: int = 0,
         "max speedup vs dataflow PE": max(speedups_df),
     }
     return result
-
-
-if __name__ == "__main__":  # pragma: no cover
-    run().print()

@@ -49,7 +49,3 @@ def run(scale: str = "small", seed: int = 0,
         ),
     }
     return result
-
-
-if __name__ == "__main__":  # pragma: no cover
-    run().print()

@@ -63,7 +63,3 @@ def run(scale: str = "small", seed: int = 0,
         "max Agile speedup": max(gains),
     }
     return result
-
-
-if __name__ == "__main__":  # pragma: no cover
-    run().print()

@@ -86,7 +86,3 @@ def run(scale: str = "small", seed: int = 0,
         "mean pipeline utilization gain": sum(pipe_gains) / len(pipe_gains),
     }
     return result
-
-
-if __name__ == "__main__":  # pragma: no cover
-    run().print()

@@ -73,7 +73,3 @@ def run(scale: str = "small", seed: int = 0,
             "dominant": dominant,
         })
     return result
-
-
-if __name__ == "__main__":  # pragma: no cover
-    run().print()

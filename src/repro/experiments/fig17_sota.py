@@ -92,7 +92,3 @@ def run(scale: str = "small", seed: int = 0,
         for k in non_intensive
     ])
     return result
-
-
-if __name__ == "__main__":  # pragma: no cover
-    run().print()

@@ -1,7 +1,8 @@
 """Run every experiment and emit the full evaluation report.
 
-``python -m repro.experiments.report [scale]`` regenerates all tables and
-figures in one pass (the payloads ``tests/golden/`` locks down).
+``repro report`` and ``repro bench`` regenerate all tables and figures
+in one pass through this module (the payloads ``tests/golden/`` locks
+down).
 
 :func:`run_all` collects the :class:`RunSpec` batches of every experiment
 first and executes them through one engine, so the nine figures share every
@@ -12,7 +13,6 @@ order.
 
 from __future__ import annotations
 
-import sys
 from typing import (
     Callable, Iterable, Iterator, List, Optional, Sequence, Tuple,
 )
@@ -202,12 +202,3 @@ def render_report(scale: str = "small", seed: int = 0,
     return render_results(
         run_all(scale, seed, engine=engine, params=params), scale, seed
     )
-
-
-def main() -> None:  # pragma: no cover - console entry
-    scale = sys.argv[1] if len(sys.argv) > 1 else "small"
-    print(render_report(scale))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

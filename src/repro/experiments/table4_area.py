@@ -46,7 +46,3 @@ def run(scale: str = "small", seed: int = 0,
         "total power mW": float(total["power_mw"]),
     }
     return result
-
-
-if __name__ == "__main__":  # pragma: no cover
-    run().print()

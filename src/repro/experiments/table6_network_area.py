@@ -50,7 +50,3 @@ def run(scale: str = "small", seed: int = 0,
                 100.0 * float(row["network_ratio"])
             )
     return result
-
-
-if __name__ == "__main__":  # pragma: no cover
-    run().print()

@@ -7,8 +7,7 @@ It executes :class:`~repro.isa.program.ArrayProgram` configurations and is
 used to validate the mechanisms cycle-by-cycle (configuration hidden
 behind computation, loop pipelining, branch steering).  The report's
 figures come from the trace-driven models in :mod:`repro.baselines`; this
-simulator serves ``repro run``, the control-FIFO-depth ablation and the
-tests.
+simulator serves ``repro run`` and the tests.
 
 Two stepping strategies share one behaviour: the default event-driven
 fast path (active-PE scheduling + cycle skipping) and the naive

@@ -2,7 +2,8 @@
 
 The per-mechanism tests pin the behaviours the architecture comparison is
 built from; the invariant tests sweep every model over every workload,
-and five of them also over generated kernels.
+and five of them also over generated kernels; the scaling tests price
+models on square and rectangular arrays of other sizes.
 """
 
 import math
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.arch.params import ArchParams
+from repro.arch.params import DEFAULT_PARAMS, ArchParams
 from repro.baselines import (
     DataflowModel,
     IdealModel,
@@ -418,3 +419,31 @@ class TestPaperShapes:
                 for r in ("SB", "REV", "RIP", "full")
             ]
             assert tia > max(others)
+
+
+class TestScaling:
+    @pytest.mark.parametrize("size", [2, 4, 8])
+    def test_models_work_at_any_array_size(self, size):
+        params = DEFAULT_PARAMS.scaled(size, size)
+        instance = get_workload("gemm").instance("tiny")
+        kernel = KernelInstance(instance.cdfg, instance.run().trace)
+        von_neumann = VonNeumannModel(params).simulate(kernel)
+        marionette = MarionetteModel(params).simulate(kernel)
+        assert von_neumann.cycles >= marionette.cycles
+        assert marionette.n_pes == size * size
+
+    def test_more_pes_never_slower_for_marionette(self):
+        instance = get_workload("gemm").instance("tiny")
+        kernel = KernelInstance(instance.cdfg, instance.run().trace)
+        cycles = []
+        for size in (2, 4, 8):
+            params = DEFAULT_PARAMS.scaled(size, size)
+            cycles.append(MarionetteModel(params).simulate(kernel).cycles)
+        assert cycles[0] >= cycles[1] >= cycles[2]
+
+    def test_rectangular_array(self):
+        params = DEFAULT_PARAMS.scaled(2, 8)
+        instance = get_workload("si").instance("tiny")
+        kernel = KernelInstance(instance.cdfg, instance.run().trace)
+        result = MarionetteModel(params).simulate(kernel)
+        assert result.cycles > 0

@@ -1,11 +1,12 @@
 """CLI smoke tests."""
 
 import json
+import re
 import shutil
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _EXPERIMENTS, main
 
 
 class TestCli:
@@ -19,13 +20,22 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Marionette" in out and "cycles" in out
 
-    def test_experiment_table4(self, capsys):
-        assert main(["experiment", "table4"]) == 0
-        assert "Table 4" in capsys.readouterr().out
-
-    def test_experiment_fig12_tiny(self, capsys):
-        assert main(["experiment", "fig12", "--scale", "tiny"]) == 0
-        assert "Figure 12" in capsys.readouterr().out
+    @pytest.mark.parametrize("slug", _EXPERIMENTS)
+    def test_experiment_prints_its_report_section(self, capsys, slug):
+        assert main(["report", "--scale", "tiny"]) == 0
+        report = capsys.readouterr().out
+        assert main(["experiment", slug, "--scale", "tiny"]) == 0
+        out = capsys.readouterr().out
+        # After its header the report holds every experiment's table in
+        # slug order, each opening with "== " and closing with a blank line.
+        starts = [m.start() + 1 for m in re.finditer(r"\n== ", report)]
+        assert len(starts) == len(_EXPERIMENTS)
+        ends = starts[1:] + [len(report)]
+        index = _EXPERIMENTS.index(slug)
+        assert report[starts[index]:ends[index]] == out + "\n"
+        kind, number = re.fullmatch(r"(fig|table)(\d+)", slug).groups()
+        name = {"fig": "Figure", "table": "Table"}[kind]
+        assert out.startswith(f"== {name} {number}: ")
 
     def test_bench_json_is_content_only_by_default(self, capsys):
         assert main(["bench", "--scale", "tiny", "--format", "json"]) == 0

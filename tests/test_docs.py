@@ -6,7 +6,8 @@ nested ones like ``cache stats``) and every flag that
 :func:`repro.cli.build_parser` defines must appear in the document, and
 — the reverse direction — every ``--flag`` token that any ``docs/*.md``
 file or the README mentions must actually exist in the parser, so
-removed flags cannot linger as documented fiction.  The README's
+removed flags cannot linger as documented fiction, and a row that lists
+an argument's values must list exactly the parser's choices.  The README's
 pointers into ``docs/`` are checked the same way, and so is every
 ``*.md`` file a package or test source names.
 """
@@ -46,6 +47,15 @@ def _flags_of(parser: argparse.ArgumentParser):
         for option in action.option_strings:
             if option not in _IGNORED_FLAGS:
                 yield option
+
+
+def _argument(parser: argparse.ArgumentParser, name: str):
+    """The action a docs table row names: a flag or a positional."""
+    for action in parser._actions:
+        if name in action.option_strings \
+                or name in (action.dest, action.metavar):
+            return action
+    raise AssertionError(f"{parser.prog} has no argument {name!r}")
 
 
 class TestCLIReference:
@@ -90,6 +100,32 @@ class TestCLIReference:
                 )
         assert not stale, (
             f"docs document flags the CLI does not define: {stale}"
+        )
+
+    def test_documented_choices_match_the_parser(self):
+        # A row that enumerates an argument's values ("one of `a` `b`")
+        # must list exactly the parser's choices, in order, so a value
+        # removed from the CLI cannot linger in the reference.
+        commands = dict(_walk_commands(build_parser()))
+        command = None
+        rows = 0
+        stale = {}
+        for line in CLI_DOC.read_text(encoding="utf-8").splitlines():
+            heading = re.match(r"#{2,3} `repro ([a-z ]+)`", line)
+            if heading:
+                command = commands[heading.group(1)]
+                continue
+            row = re.match(r"\| `([^`]+)` \|.*\| one of ((?:`[^`]*` ?)+)\|",
+                           line)
+            if row:
+                rows += 1
+                documented = re.findall(r"`([^`]*)`", row.group(2))
+                choices = list(_argument(command, row.group(1)).choices)
+                if documented != choices:
+                    stale[f"{command.prog} {row.group(1)}"] = documented
+        assert rows, "docs/CLI.md enumerates no argument's choices?"
+        assert not stale, (
+            f"docs/CLI.md choice lists differ from the parser's: {stale}"
         )
 
     def test_exit_code_conventions_are_documented(self):
