@@ -7,7 +7,6 @@ from repro.arch.network.mesh import DataMesh
 from repro.arch.network.area import (
     NetworkAreaModel,
     benes_switch_count,
-    crossbar_crosspoint_count,
     cs_switch_count,
     delay_model,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "DataMesh",
     "NetworkAreaModel",
     "benes_switch_count",
-    "crossbar_crosspoint_count",
     "cs_switch_count",
     "delay_model",
 ]

@@ -43,11 +43,6 @@ def cs_switch_count(n: int) -> int:
     return CSNetwork(_next_power_of_two(max(2, n))).switch_count
 
 
-def crossbar_crosspoint_count(n: int) -> int:
-    """Crosspoints in an ``n x n`` crossbar (the structure Benes avoids)."""
-    return n * n
-
-
 # ----------------------------------------------------------------------
 # Calibration constants (28 nm)
 # ----------------------------------------------------------------------
@@ -95,26 +90,6 @@ class NetworkAreaModel:
 
     def memory_interconnect_area(self) -> float:
         return MEMORY_INTERCONNECT_AREA_MM2 * (self.n_pes / 16)
-
-    def total_network_area(self) -> float:
-        """Total network area as counted by Table 6 (data + memory +
-        control)."""
-        return (
-            self.data_network_area()
-            + self.memory_interconnect_area()
-            + self.control_network_area()
-        )
-
-    def crossbar_equivalent_area(self) -> float:
-        """What a full crossbar control fabric would cost instead (the
-        design alternative rejected in Section 4.1).
-
-        Sized at the CS-Benes terminal count (4x the PEA width: PEA ports
-        plus controller/FIFO ports on both sides, Fig. 6(c)).
-        """
-        ports = 4 * self.n_pes
-        per_crosspoint = CTRL_SWITCH_AREA_MM2 / 4  # a 2x2 switch ~ 4 xpoints
-        return crossbar_crosspoint_count(ports) * per_crosspoint
 
 
 # ----------------------------------------------------------------------

@@ -46,9 +46,6 @@ class DataMesh:
         self.link_load: Dict[Link, int] = {}
 
     # ------------------------------------------------------------------
-    def reset(self) -> None:
-        self.link_load.clear()
-
     def route(self, src: Coord, dst: Coord) -> RoutedEdge:
         """Route with dimension-ordered (XY) routing, recording link load."""
         path = self.grid.xy_path(src, dst)
@@ -62,18 +59,6 @@ class DataMesh:
         if edge.hops == 0:
             return 0  # same PE, register forwarding
         return self.injection_latency + edge.hops * self.hop_latency + 1
-
-    def mean_transfer_latency(self) -> float:
-        """Average transfer latency between distinct PEs.
-
-        For the 4x4 prototype this evaluates to ~6 cycles, matching the
-        paper's data network annotation in Fig. 4(d).
-        """
-        return (
-            self.injection_latency
-            + self.grid.mean_distance() * self.hop_latency
-            + 1
-        )
 
     def max_link_load(self) -> int:
         """Worst per-link sharing; each shared link adds II pressure because

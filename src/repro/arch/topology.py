@@ -1,4 +1,4 @@
-"""PE grid topology: coordinates, neighbourhoods, and Manhattan geometry."""
+"""PE grid topology: coordinates, XY routes, and Manhattan geometry."""
 
 from __future__ import annotations
 
@@ -52,16 +52,6 @@ class Grid:
             for col in range(self.cols):
                 yield Coord(row, col)
 
-    def neighbours(self, coord: Coord) -> List[Coord]:
-        """North/south/east/west neighbours that exist."""
-        candidates = (
-            Coord(coord.row - 1, coord.col),
-            Coord(coord.row + 1, coord.col),
-            Coord(coord.row, coord.col - 1),
-            Coord(coord.row, coord.col + 1),
-        )
-        return [c for c in candidates if self.contains(c)]
-
     def xy_path(self, src: Coord, dst: Coord) -> List[Coord]:
         """Dimension-ordered (X then Y) route from ``src`` to ``dst``,
         inclusive of both endpoints."""
@@ -78,15 +68,3 @@ class Grid:
             cur = Coord(cur.row + step, cur.col)
             path.append(cur)
         return path
-
-    def mean_distance(self) -> float:
-        """Average Manhattan distance between distinct PEs (for latency
-        estimates)."""
-        coords = list(self)
-        total = 0
-        pairs = 0
-        for i, a in enumerate(coords):
-            for b in coords[i + 1:]:
-                total += a.manhattan(b)
-                pairs += 1
-        return total / pairs if pairs else 0.0

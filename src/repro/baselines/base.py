@@ -13,7 +13,7 @@ instead of once per entry.  A non-innermost loop adds the per-iteration
 cost of its outer basic blocks — either serialised between the inner-loop
 bursts (conventional architectures) or pipelined and overlapped with them
 (Agile PE Assignment; the two concurrent streams cost ``max`` instead of
-``sum``).
+``sum``) wherever that is no dearer than the serial schedule.
 
 The knobs in :class:`ModelConfig` are the paper's mechanisms:
 
@@ -46,7 +46,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
-from repro.errors import CompilationError
 from repro.arch.params import ArchParams
 from repro.compiler.place import place_block
 from repro.ir.analysis import LoopDynamics, loop_dynamics
@@ -419,11 +418,6 @@ class CycleResult:
             return 0.0
         return min(1.0, self.busy_pe_cycles / (self.cycles * self.n_pes))
 
-    def speedup_over(self, other: "CycleResult") -> float:
-        if self.cycles == 0:
-            raise CompilationError("zero-cycle result")
-        return other.cycles / self.cycles
-
     def to_payload(self) -> Dict[str, object]:
         """JSON-safe image (the engine's on-disk result cache)."""
         return {
@@ -664,20 +658,22 @@ class ArchModel:
             overlapped = False
         else:
             unroll = 1
+            per_iter = self._outer_iter_cost(kernel, nest)
+            own = entries * startup + iters * per_iter
+            overlapped = False
             if cfg.outer_pipelined and not threaded:
                 # The outer-BB pipeline runs concurrently with the inner
                 # bursts; Control FIFOs decouple them, so the two streams
-                # cost max(), not sum() — plus startups and drains.
-                outer_stream = iters * ii
-                own = (
+                # cost max(), not sum() — plus startups and drains.  The
+                # compiler keeps the serial schedule where it is cheaper:
+                # a loop entered for few or no iterations pays the drain
+                # for little or nothing.
+                pipelined = (
                     overhead_entries * (startup + drain)
-                    + max(0, outer_stream - child_cycles)
+                    + max(0, iters * ii - child_cycles)
                 )
-                overlapped = True
-            else:
-                per_iter = self._outer_iter_cost(kernel, nest)
-                own = entries * startup + iters * per_iter
-                overlapped = False
+                if pipelined <= own:
+                    own, overlapped = pipelined, True
 
         breakdown = LoopBreakdown(
             header=nest.header, depth=nest.depth, innermost=innermost,

@@ -6,17 +6,16 @@ Commands:
 * ``bench [--scale S] [--seed N] [--jobs N] [--cache-dir PATH]
   [--format ascii|json|csv] [--stream] [--shard K/N]
   [--export-shard PATH] [--merge-shards PATH...] [--dispatch URL]
-  [--arch FILE] [--arch-sweep DIR] [--prune-to-budget] [--profile]
-  [--profile-out PATH]`` — the full report through the parallel
-  experiment engine, with on-disk trace caching, machine-readable
-  exports, streaming per-spec progress, fingerprint-prefix sharding
-  across CI jobs (shard runs emit a mergeable export;
-  ``--merge-shards`` reassembles the canonical report, byte-identical
-  to an unsharded run), dynamic dispatch to a ``repro serve`` worker
-  fleet (``--dispatch``, also byte-identical), architecture selection
-  (``--arch FILE`` prices the whole evaluation on a loaded
-  architecture description; ``--arch-sweep DIR`` emits one report
-  section per spec file in deterministic filename order — see
+  [--arch FILE] [--arch-sweep DIR] [--profile] [--profile-out PATH]``
+  — the full report through the parallel experiment engine, with
+  on-disk trace caching, machine-readable exports, streaming per-spec
+  progress, fingerprint-prefix sharding across CI jobs (shard runs emit
+  a mergeable export; ``--merge-shards`` reassembles the canonical
+  report, byte-identical to an unsharded run), dynamic dispatch to a
+  ``repro serve`` worker fleet (``--dispatch``, also byte-identical),
+  architecture selection (``--arch FILE`` prices the whole evaluation
+  on a loaded architecture description; ``--arch-sweep DIR`` emits one
+  report section per spec file in deterministic filename order — see
   docs/ARCH.md), and phase profiling (``--profile`` times the trace /
   per-model simulate / assemble phases and writes a
   ``BENCH_<timestamp>.json`` perf-trajectory record — the report
@@ -30,9 +29,6 @@ Commands:
   [--reconnect S]`` — a pull-loop worker: lease up to N specs per
   round trip from a coordinator (acks piggyback on the next lease),
   compute against the shared cache, and acknowledge results;
-* ``cache stats|prune --cache-dir PATH`` — cache administration: size,
-  entry counts, per-run hit rates from the persisted run log; pruning
-  by age, stale engine version, or size budget;
 * ``experiment NAME [--scale S]`` — one experiment (fig11..fig17,
   table4, table6);
 * ``workloads [--scale S]`` — run + verify the benchmark suite, printing
@@ -42,8 +38,8 @@ Commands:
 
 ``bench`` report documents (all three formats) carry only content, so
 batch, ``--stream``, warm-cache, and shard-merged runs are
-byte-identical; diagnostics go to stderr, the cache run log, and the
-opt-in ``--stats`` JSON field.
+byte-identical; diagnostics go to stderr and the opt-in ``--stats``
+JSON field.
 """
 
 from __future__ import annotations
@@ -147,42 +143,6 @@ def _emit_streamed(pairs, args, params=DEFAULT_PARAMS,
         _emit_report(list(assembled), args)
 
 
-def _finish_bench_run(engine, args, **context) -> None:
-    """Per-run bookkeeping: persist stats, warn on (or, with
-    ``--prune-to-budget``, enforce) the cache size budget."""
-    from repro.engine.cache_admin import prune, size_budget_bytes, usage
-
-    engine.record_run(command="bench", scale=args.scale, seed=args.seed,
-                      jobs=args.jobs, **context)
-    if engine.cache.persistent:
-        # stat()-only walk: this runs on every bench invocation, so it
-        # must not JSON-parse the whole cache like `repro cache stats`.
-        entries, total_bytes = usage(engine.cache.root)
-        budget_bytes = size_budget_bytes()
-        if total_bytes > budget_bytes:
-            budget_mb = budget_bytes / (1024 * 1024)
-            size_mb = total_bytes / (1024 * 1024)
-            if getattr(args, "prune_to_budget", False):
-                report = prune(engine.cache.root,
-                               max_size_bytes=budget_bytes)
-                print(
-                    f"pruned {report.removed} cache entries "
-                    f"({report.removed_bytes} bytes) to fit the "
-                    f"{budget_mb:.0f} MiB budget; kept {report.kept} "
-                    f"({report.kept_bytes} bytes)",
-                    file=sys.stderr,
-                )
-            else:
-                print(
-                    f"warning: cache {engine.cache.root} holds "
-                    f"{size_mb:.1f} MiB across {entries} entries, over "
-                    f"the {budget_mb:.0f} MiB budget — reclaim space with "
-                    f"'repro cache prune --cache-dir {engine.cache.root} "
-                    f"--max-size-mb {budget_mb:.0f}'",
-                    file=sys.stderr,
-                )
-
-
 def _check_arch_paths(arch, arch_sweep) -> int:
     """Catch the two flags being fed each other's operand.
 
@@ -271,10 +231,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
               "nothing under --dispatch — fleet stats live at "
               "GET <URL>/queue/status", file=sys.stderr)
         return 2
-    if args.prune_to_budget and not args.cache_dir:
-        print("error: --prune-to-budget requires --cache-dir (there is "
-              "no local cache to prune)", file=sys.stderr)
-        return 2
     if args.profile and (args.stream or args.shard or args.merge_shards
                          or args.dispatch):
         print("error: --profile times the local batch phases — it cannot "
@@ -360,7 +316,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         _emit_report(results, args)
-        _finish_bench_run(engine, args, merged_shards=len(documents))
         return 0
 
     if args.arch_sweep:
@@ -420,14 +375,11 @@ def _bench_variant(args, progress, engine=None) -> int:
     desc = args.arch_desc
     params = desc.params if desc is not None else DEFAULT_PARAMS
     kernels = args.kernel_packages
-    context = {"arch": desc.name} if desc is not None else {}
-    if kernels:
-        context["kernels"] = len(kernels)
 
     if args.dispatch:
         # The fleet computes; _run_dispatch builds its own HTTP-backed
         # engine, so don't construct a local one just to discard it.
-        return _run_dispatch(args, progress, params, context, kernels)
+        return _run_dispatch(args, progress, params, kernels)
 
     if engine is None:
         engine = Engine(cache_dir=args.cache_dir, jobs=args.jobs)
@@ -466,12 +418,10 @@ def _bench_variant(args, progress, engine=None) -> int:
             + (f" -> {args.export_shard}" if args.export_shard else ""),
             file=sys.stderr,
         )
-        _finish_bench_run(engine, args, shard=f"{index}/{count}",
-                          **context)
         return 0
 
     if args.profile:
-        return _run_profiled(engine, args, params, context, kernels)
+        return _run_profiled(engine, args, params, kernels)
 
     if args.stream:
         from repro.experiments.report import stream_pairs
@@ -486,12 +436,10 @@ def _bench_variant(args, progress, engine=None) -> int:
         results = run_all(args.scale, args.seed, engine=engine,
                           params=params, kernels=kernels)
         _emit_report(results, args)
-    _finish_bench_run(engine, args, **context)
     return 0
 
 
-def _run_profiled(engine, args, params=DEFAULT_PARAMS,
-                  context: Dict[str, object] = {}, kernels=()) -> int:
+def _run_profiled(engine, args, params=DEFAULT_PARAMS, kernels=()) -> int:
     """``repro bench --profile``: the batch report with phase timings.
 
     Runs the same specs as a plain batch bench, split into timed phases
@@ -499,7 +447,7 @@ def _run_profiled(engine, args, params=DEFAULT_PARAMS,
     the cached-replay report assembly) and writes the machine-readable
     ``BENCH_<timestamp>.json`` perf-trajectory record.  The report on
     stdout stays byte-identical to an unprofiled run — the profile is a
-    side artifact, like the engine's run log.
+    side artifact.
     """
     import time
 
@@ -531,12 +479,10 @@ def _run_profiled(engine, args, params=DEFAULT_PARAMS,
               file=sys.stderr)
     print(f"profile: {document['total_seconds']:.3f}s total over "
           f"{len(specs)} specs -> {path}", file=sys.stderr)
-    _finish_bench_run(engine, args, profile=str(path), **context)
     return 0
 
 
-def _run_dispatch(args, progress, params=DEFAULT_PARAMS,
-                  context: Dict[str, object] = {}, kernels=()) -> int:
+def _run_dispatch(args, progress, params=DEFAULT_PARAMS, kernels=()) -> int:
     """``repro bench --dispatch URL``: run the sweep on a worker fleet.
 
     The specs go to the coordinator as one job; workers pull them
@@ -593,7 +539,6 @@ def _run_dispatch(args, progress, params=DEFAULT_PARAMS,
             f"{engine.stats.simulations} simulations locally",
             file=sys.stderr,
         )
-    _finish_bench_run(engine, args, dispatch=args.dispatch, **context)
     return 0
 
 
@@ -673,74 +618,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         f"{summary.sims} simulations, {summary.failures} failures",
         file=sys.stderr,
     )
-    return 0
-
-
-def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.engine.cache_admin import collect_stats, prune
-
-    if args.cache_command == "stats":
-        stats = collect_stats(args.cache_dir, budget_mb=args.budget_mb)
-        size_mb = stats.total_bytes / (1024 * 1024)
-        budget_mb = stats.budget_bytes / (1024 * 1024)
-        kinds = ", ".join(
-            f"{kind}: {count}" for kind, count in sorted(stats.by_kind.items())
-        ) or "empty"
-        versions = ", ".join(
-            f"v{version if version is not None else '?'}: {count}"
-            for version, count in sorted(
-                stats.by_version.items(), key=lambda item: str(item[0])
-            )
-        ) or "-"
-        print(f"cache {stats.root}")
-        print(f"  entries: {stats.entries} ({kinds})")
-        skipped = stats.by_kind.get("unknown", 0)
-        if skipped:
-            # Foreign or truncated files under the fan-out are not
-            # records; they are reported, not fatal, and `repro cache
-            # prune --drop-stale-versions` reclaims them.
-            print(f"  skipped: {skipped} unreadable or foreign "
-                  f"file{'s' if skipped != 1 else ''}")
-        print(f"  size: {stats.total_bytes} bytes ({size_mb:.2f} MiB), "
-              f"budget {budget_mb:.0f} MiB"
-              + (" [OVER BUDGET]" if stats.over_budget else ""))
-        print(f"  engine versions: {versions}")
-        print(f"  runs logged: {len(stats.runs)}")
-        if stats.runs:
-            informative = stats.last_informative_run()
-            record, rate = (informative if informative is not None
-                            else (stats.runs[-1], None))
-            rate_text = f"{100.0 * rate:.1f}%" if rate is not None else "n/a"
-            print(f"  last run: {record.get('command', '?')} "
-                  f"scale={record.get('scale', '?')} hit rate {rate_text}")
-            aggregate = stats.aggregate_hit_rate
-            if aggregate is not None:
-                print(f"  aggregate hit rate: {100.0 * aggregate:.1f}%")
-        if stats.over_budget:
-            print(
-                f"warning: cache exceeds its {budget_mb:.0f} MiB budget; "
-                f"reclaim space with 'repro cache prune --cache-dir "
-                f"{stats.root} --max-size-mb {budget_mb:.0f}'",
-                file=sys.stderr,
-            )
-        return 0
-
-    # prune
-    max_size_bytes = (int(args.max_size_mb * 1024 * 1024)
-                      if args.max_size_mb is not None else None)
-    report = prune(
-        args.cache_dir,
-        max_age_days=args.max_age_days,
-        stale_versions=args.drop_stale_versions,
-        max_size_bytes=max_size_bytes,
-    )
-    reasons = ", ".join(
-        f"{reason}: {count}" for reason, count in sorted(report.reasons.items())
-    )
-    print(f"pruned {report.removed} of {report.examined} entries "
-          f"({report.removed_bytes} bytes)"
-          + (f" [{reasons}]" if reasons else ""))
-    print(f"kept {report.kept} entries ({report.kept_bytes} bytes)")
     return 0
 
 
@@ -982,10 +859,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "them, see docs/KERNELS.md) and append a "
                               "'kernels' report section — composes with "
                               "--stream, --shard, and --dispatch")
-    p_bench.add_argument("--prune-to-budget", action="store_true",
-                         help="after the run, prune the cache down to "
-                              "the size budget instead of only warning "
-                              "(requires --cache-dir)")
     p_bench.add_argument("--profile", action="store_true",
                          help="time the run's phases (traces, per-model "
                               "simulation, report assembly) and write a "
@@ -1043,30 +916,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "worker — before giving up (0 fails on "
                                "the first transport error)")
     p_worker.set_defaults(fn=_cmd_worker)
-
-    p_cache = sub.add_parser("cache", help="cache administration")
-    cache_sub = p_cache.add_subparsers(dest="cache_command", required=True)
-    p_cstats = cache_sub.add_parser(
-        "stats", help="entry counts, size vs budget, per-run hit rates"
-    )
-    p_cstats.add_argument("--cache-dir", required=True)
-    p_cstats.add_argument("--budget-mb", type=float, default=None,
-                          help="size budget for the warning threshold "
-                               "(default: $REPRO_CACHE_BUDGET_MB or 512)")
-    p_cstats.set_defaults(fn=_cmd_cache)
-    p_cprune = cache_sub.add_parser(
-        "prune", help="delete records by age, stale version, or size budget"
-    )
-    p_cprune.add_argument("--cache-dir", required=True)
-    p_cprune.add_argument("--max-age-days", type=float, default=None,
-                          help="drop records older than this many days")
-    p_cprune.add_argument("--drop-stale-versions", action="store_true",
-                          help="drop records from other engine versions "
-                               "(and unreadable files)")
-    p_cprune.add_argument("--max-size-mb", type=float, default=None,
-                          help="evict oldest records until the cache "
-                               "fits this budget")
-    p_cprune.set_defaults(fn=_cmd_cache)
 
     p_exp = sub.add_parser("experiment", help="one table/figure")
     p_exp.add_argument("name", choices=_EXPERIMENTS)

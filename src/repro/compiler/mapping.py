@@ -99,8 +99,3 @@ class Schedule:
             if block in level.placements:
                 return level.placements[block]
         return self.flat.get(block)
-
-    def all_placements(self) -> List[BBPlacement]:
-        out = [p for level in self.levels for p in level.placements.values()]
-        out.extend(self.flat.values())
-        return out

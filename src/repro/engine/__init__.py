@@ -6,9 +6,7 @@ Layers (bottom up):
   enumeration of the (workload, scale, seed, model, params) space, spec
   fingerprints, and fingerprint-prefix sharding;
 * :mod:`repro.engine.cache` — content-addressed on-disk cache for
-  functional traces and cycle results, plus the per-run statistics log;
-* :mod:`repro.engine.cache_admin` — cache inventory, statistics, and
-  pruning (the ``repro cache`` subcommand);
+  functional traces and cycle results;
 * :mod:`repro.engine.executor` — the :class:`Engine`: batch execution
   (:meth:`Engine.execute`) and streaming execution (:meth:`Engine.stream`)
   with multiprocessing, deterministic result ordering, and run statistics;

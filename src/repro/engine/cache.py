@@ -6,11 +6,12 @@ seed, architecture parameters, model identity, engine version), so a
 change to any input lands on a different address and stale records are
 simply never read again.  Records are JSON *envelopes*
 ``{"key": ..., "payload": ...}`` under ``<root>/<hh>/<hash>.json``
-(two-level fan-out): the embedded key makes the store introspectable, so
-:mod:`repro.engine.cache_admin` can report per-kind statistics and prune
-by age, engine version, or size budget without guessing what a file is.
-Writes go through a temp file + rename so concurrent worker processes can
-share one directory.
+(two-level fan-out), so each record is self-describing.  Writes go
+through a temp file + rename so concurrent worker processes can share
+one directory.
+
+The directory is disposable: any record can be recomputed from its key,
+and deleting the directory reclaims the space.
 
 Storage is pluggable: the directory store described above is the
 :class:`~repro.engine.distributed.backend.LocalBackend`, one
@@ -26,29 +27,15 @@ usable as the engine's process-local memo when no directory is
 configured; :meth:`TraceCache.snapshot` / :meth:`TraceCache.preload`
 expose that layer so shard exports can ship a run's working set to a
 merge step on another machine.
-
-Alongside the records, a persistent cache keeps an append-only run log
-(``runs.jsonl``): one JSON line per engine run with its hit/miss
-counters, which ``repro cache stats`` turns into per-run and aggregate
-hit rates.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import hashlib
 import json
 import os
-import tempfile
-import time
-from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional
-
-try:                              # POSIX-only; the lock degrades to a
-    import fcntl                  # best-effort no-op elsewhere
-except ImportError:               # pragma: no cover
-    fcntl = None
+from typing import Dict, Mapping, Optional
 
 from repro.arch.params import ArchParams
 from repro.errors import ConfigurationError
@@ -57,25 +44,14 @@ from repro.errors import ConfigurationError
 #: model changed in a result-affecting way).  v2: records became
 #: ``{"key", "payload"}`` envelopes — v1 caches held raw payloads at the
 #: same addresses, which the envelope check would silently treat as
-#: misses; the bump moves every key to a fresh address and lets
-#: ``repro cache prune --drop-stale-versions`` reclaim the old files.
+#: misses; the bump moves every key to a fresh address.
 #: v3: the architecture-description layer added ``control_topology`` to
-#: every params token, so every cycle-record key changed shape; the bump
-#: makes the orphaned v2 records reclaimable instead of invisible.
+#: every params token, so every cycle-record key changed shape.
 #: v4: a trace record holds the entry block and the edge table instead
 #: of the per-step run list, so v3 trace records are never read.
-ENGINE_VERSION = 4
-
-#: Append-only per-run statistics log kept next to the records.
-RUN_LOG_NAME = "runs.jsonl"
-
-#: Compact the run log once it grows past this size...
-RUN_LOG_MAX_BYTES = 1 << 20
-
-#: ...keeping only this many newest records, so a long-lived shared
-#: cache directory's log stays bounded (the records themselves are the
-#: cache; the log is diagnostics).
-RUN_LOG_KEEP = 256
+#: v5: a model that pipelines outer loops keeps the serial schedule where
+#: that is cheaper, so a kernel with a zero-trip outer loop prices lower.
+ENGINE_VERSION = 5
 
 
 def params_token(params: ArchParams) -> Dict[str, object]:
@@ -95,9 +71,7 @@ class TraceCache:
     ``root`` keeps the historical constructor: a directory path backed
     by the atomic on-disk store.  ``backend`` accepts any
     ``CacheBackend`` (e.g. an HTTP client for a shared cache server);
-    the two are mutually exclusive.  Run-log bookkeeping is a property
-    of the *local directory* deployment — a remote backend's server owns
-    its own directory — so it stays tied to ``root``.
+    the two are mutually exclusive.
     """
 
     def __init__(self, root: Optional[os.PathLike] = None,
@@ -106,20 +80,13 @@ class TraceCache:
             raise ConfigurationError(
                 "TraceCache takes a directory root or a backend, not both"
             )
-        self.root = Path(root) if root is not None else None
-        if backend is None and self.root is not None:
+        if backend is None and root is not None:
             # Function-level import: repro.engine.cache is imported while
             # repro.engine.distributed initializes, and vice versa.
             from repro.engine.distributed.backend import LocalBackend
-            backend = LocalBackend(self.root)
+            backend = LocalBackend(root)
         self.backend = backend
         self._memory: Dict[str, object] = {}
-
-    @property
-    def persistent(self) -> bool:
-        """Whether this cache is backed by a *local* directory (and so
-        carries a run log and participates in size budgeting)."""
-        return self.root is not None
 
     # ------------------------------------------------------------------
     def get(self, key: Mapping[str, object]) -> Optional[object]:
@@ -162,92 +129,3 @@ class TraceCache:
         can replay a report assembly without recomputing anything.
         """
         self._memory.update(entries)
-
-    # -- per-run statistics log -----------------------------------------
-    @property
-    def run_log_path(self) -> Optional[Path]:
-        return self.root / RUN_LOG_NAME if self.root is not None else None
-
-    def record_run(self, record: Mapping[str, object]) -> None:
-        """Append one run record to ``runs.jsonl`` (persistent only).
-
-        The log self-compacts to its newest :data:`RUN_LOG_KEEP` records
-        once it exceeds :data:`RUN_LOG_MAX_BYTES`, so it cannot become
-        its own unbounded-growth footgun on a long-lived shared cache.
-        """
-        if self.root is None:
-            return
-        self.root.mkdir(parents=True, exist_ok=True)
-        entry = {"time": time.time()}
-        entry.update(record)
-        with self._run_log_lock():
-            with open(self.run_log_path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(entry, sort_keys=True) + "\n")
-            try:
-                oversized = (self.run_log_path.stat().st_size
-                             > RUN_LOG_MAX_BYTES)
-            except OSError:
-                return
-            if oversized:
-                self._compact_run_log()
-
-    @contextlib.contextmanager
-    def _run_log_lock(self) -> Iterator[None]:
-        """Serialize run-log mutations across processes.
-
-        Compaction replaces the file, so appends must not interleave with
-        it — parallel shard lanes sharing one cache directory would lose
-        records.  The lock lives on a side file that is never replaced
-        (locking ``runs.jsonl`` itself would pin a stale inode).
-        """
-        if fcntl is None:
-            yield
-            return
-        lock_path = self.root / (RUN_LOG_NAME + ".lock")
-        with open(lock_path, "w", encoding="utf-8") as handle:
-            fcntl.flock(handle, fcntl.LOCK_EX)
-            try:
-                yield
-            finally:
-                fcntl.flock(handle, fcntl.LOCK_UN)
-
-    def _compact_run_log(self) -> None:
-        """Rewrite the run log keeping only the newest records (atomic)."""
-        try:
-            lines = self.run_log_path.read_text(
-                encoding="utf-8"
-            ).splitlines()
-        except OSError:
-            return
-        kept = lines[-RUN_LOG_KEEP:]
-        fd, tmp = tempfile.mkstemp(
-            dir=self.root, prefix=".tmp-", suffix=".jsonl"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write("".join(line + "\n" for line in kept))
-            os.replace(tmp, self.run_log_path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def read_run_log(self) -> List[Dict[str, object]]:
-        """Every recorded run, oldest first (malformed lines skipped)."""
-        if self.root is None:
-            return []
-        try:
-            lines = self.run_log_path.read_text(encoding="utf-8").splitlines()
-        except OSError:
-            return []
-        records = []
-        for line in lines:
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(record, dict):
-                records.append(record)
-        return records

@@ -24,9 +24,9 @@ deterministic lists of :class:`~repro.engine.spec.RunResult`:
   parallel, serial and streamed runs are indistinguishable downstream.
 
 :attr:`Engine.stats` counts what actually ran — ``traces_computed`` is the
-number of workload functional simulations this engine performed.  With a
-persistent cache, :meth:`Engine.record_run` appends those counters to the
-cache's run log, where ``repro cache stats`` turns them into hit rates.
+number of workload functional simulations this engine performed;
+``repro bench --format json --stats`` and the ``--profile`` document
+report those counters.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ TraceKey = Tuple[str, str, int]
 
 @dataclass
 class EngineStats:
-    """What one engine actually computed (persisted to the run log)."""
+    """What one engine actually computed (``repro bench --stats``)."""
 
     traces_computed: int = 0   # workload functional simulations performed
     trace_cache_hits: int = 0  # traces served from the on-disk cache
@@ -457,20 +457,6 @@ class Engine:
             return False
         self._store_trace(*_trace_job(key))
         return True
-
-    # -- run accounting --------------------------------------------------
-    def record_run(self, **context: object) -> None:
-        """Persist this engine's counters to the cache run log.
-
-        ``context`` (command, scale, seed, jobs, shard, ...) is stored
-        alongside the :class:`EngineStats` so ``repro cache stats`` can
-        attribute hit rates to runs.  No-op without a persistent cache.
-        """
-        if not self.cache.persistent:
-            return
-        record = dict(context)
-        record["stats"] = self.stats.as_dict()
-        self.cache.record_run(record)
 
 
 # ----------------------------------------------------------------------

@@ -5,8 +5,9 @@ These produce the kernel-characterisation quantities the paper reports:
 * **operators under branch %** — the secondary axis of Fig. 11: the share of
   dynamically executed FU operators that live in branch-divergent regions
   (these are the operators a von Neumann PE wastes under Predication);
-* **control flow form metrics** — Table 1's qualitative rows (nested
-  branches, imperfect/nested/serial loops) derived from the CDFG structure;
+* **control flow form metrics** — the quantities behind Table 1's
+  qualitative rows (nested branches, imperfect/nested/serial loops)
+  derived from the CDFG structure;
 * **pipelineability** — how much of the dynamic work sits in long innermost
   loop bursts, which decides how much Agile PE Assignment can help.
 """
@@ -14,7 +15,7 @@ These produce the kernel-characterisation quantities the paper reports:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set
+from typing import Dict, Set
 
 from repro.ir.cdfg import CDFG
 from repro.ir.cfg import BlockId
@@ -37,27 +38,6 @@ class ControlFlowProfile:
     max_branch_nesting: int
     ops_under_branch_pct: float
     innermost_burst_ops_pct: float
-
-    def table1_row(self) -> Dict[str, str]:
-        """Qualitative Table 1 style description."""
-        if self.divergent_branches == 0:
-            branch = "N/A"
-        elif self.max_branch_nesting > 1:
-            branch = "Nested branches"
-        else:
-            branch = "Branches"
-        loops: List[str] = []
-        if self.max_loop_depth > 1:
-            loops.append("Imperfect nested" if self.imperfect else "Nested")
-        elif self.loop_count:
-            loops.append("Single loop")
-        if self.serial_loops > 1:
-            loops.append("Serial Loops")
-        return {
-            "workload": self.kernel,
-            "intensive_branch": branch,
-            "intensive_loop": ", ".join(loops) if loops else "N/A",
-        }
 
 
 def branch_nesting_depth(cdfg: CDFG) -> int:
@@ -124,13 +104,6 @@ class LoopDynamics:
     total_iterations: int
     depth: int
     innermost: bool
-
-    @property
-    def mean_trip_count(self) -> float:
-        """Average iterations per loop entry (pipeline burst length)."""
-        if self.entries == 0:
-            return 0.0
-        return self.total_iterations / self.entries
 
 
 def loop_dynamics(cdfg: CDFG, trace: DynamicTrace) -> Dict[BlockId, LoopDynamics]:

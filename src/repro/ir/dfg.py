@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import IRError
-from repro.ir.ops import Opcode, OpClass, op_info
+from repro.ir.ops import Opcode, op_info
 
 NodeId = int
 
@@ -150,15 +150,6 @@ class DFG:
         """Number of FU operations (the paper's "operators")."""
         return len(self.fu_nodes)
 
-    @property
-    def live_ins(self) -> List[str]:
-        """Live-in variable names, in first-use order."""
-        seen = []
-        for node in self.nodes:
-            if node.opcode is Opcode.INPUT and node.var not in seen:
-                seen.append(node.var)
-        return seen
-
     def consumers(self) -> Dict[NodeId, List[NodeId]]:
         """Map producer id -> list of consumer ids."""
         out: Dict[NodeId, List[NodeId]] = {n.node_id: [] for n in self.nodes}
@@ -178,29 +169,6 @@ class DFG:
             base = max((depth[o] for o in node.operands), default=0)
             depth[node.node_id] = base + node.info.latency
         return max(depth.values(), default=0)
-
-    def depth_of(self, node_id: NodeId) -> int:
-        """Accumulated latency from DFG inputs to the *output* of a node."""
-        depth: Dict[NodeId, int] = {}
-        for node in self.nodes:
-            base = max((depth[o] for o in node.operands), default=0)
-            depth[node.node_id] = base + node.info.latency
-        return depth[node_id]
-
-    def op_histogram(self) -> Dict[Opcode, int]:
-        """Opcode -> static count, FU ops only."""
-        hist: Dict[Opcode, int] = {}
-        for node in self.fu_nodes:
-            hist[node.opcode] = hist.get(node.opcode, 0) + 1
-        return hist
-
-    def nonlinear_op_count(self) -> int:
-        return sum(
-            1 for n in self.fu_nodes if n.info.op_class is OpClass.NONLINEAR
-        )
-
-    def memory_op_count(self) -> int:
-        return sum(1 for n in self.fu_nodes if n.info.is_memory)
 
     def validate(self) -> None:
         """Check structural invariants; raises :class:`IRError` on violation.

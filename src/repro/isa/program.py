@@ -113,9 +113,6 @@ class ArrayProgram:
             }
         return self._array_index
 
-    def total_entries(self) -> int:
-        return sum(len(p) for p in self.pe_programs.values())
-
     def validate(self) -> None:
         """Cross-reference checks: initial addresses exist; sender targets
         in range; referenced arrays declared."""

@@ -29,7 +29,6 @@ from repro.kernels.package import (
 from repro.kernels.export import package_from_workload
 from repro.kernels.registry import (
     document_for,
-    is_kernel_token,
     register,
     register_document,
     register_documents,
@@ -54,7 +53,6 @@ __all__ = [
     "dump_manifest",
     "from_document",
     "is_kernel_dir",
-    "is_kernel_token",
     "load_kernel",
     "load_kernel_suite",
     "package_from_workload",

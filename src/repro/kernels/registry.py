@@ -23,11 +23,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Mapping
 
 from repro.errors import ConfigurationError
-from repro.kernels.package import (
-    KERNEL_TOKEN_PREFIX,
-    KernelPackage,
-    from_document,
-)
+from repro.kernels.package import KernelPackage, from_document
 
 _PACKAGES: Dict[str, KernelPackage] = {}
 _WORKLOADS: Dict[str, object] = {}
@@ -76,7 +72,3 @@ def resolve_workload(token: str):
 def document_for(token: str) -> Dict[str, object]:
     """The canonical document to ship wherever the token travels."""
     return resolve(token).to_document()
-
-
-def is_kernel_token(name: str) -> bool:
-    return name.startswith(KERNEL_TOKEN_PREFIX)

@@ -5,7 +5,7 @@ from repro.perf.utilization import (
     outer_bb_utilization,
     pipeline_utilization,
 )
-from repro.perf.speedup import geomean, normalize
+from repro.perf.speedup import geomean
 
 __all__ = [
     "AreaPowerModel",
@@ -15,5 +15,4 @@ __all__ = [
     "outer_bb_utilization",
     "pipeline_utilization",
     "geomean",
-    "normalize",
 ]

@@ -73,14 +73,6 @@ class AreaPowerModel:
     def controller_area(self) -> float:
         return _CONTROLLER_AREA * (self.params.inst_scratchpad_kb / 2)
 
-    def total_area(self) -> float:
-        return sum((
-            self.ordinary_pe_area(), self.nonlinear_pe_area(),
-            self.data_network_area(), self.control_network_area(),
-            self.scratchpad_area(), self.memory_interconnect_area(),
-            self.control_fifo_area(), self.controller_area(),
-        ))
-
 
 def table4_rows(params: ArchParams = DEFAULT_PARAMS) -> List[Dict[str, object]]:
     """The Table 4 breakdown: (group, component, area mm^2, power mW)."""

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable
+from typing import Iterable
 
 from repro.errors import ReproError
 
@@ -16,11 +16,3 @@ def geomean(values: Iterable[float]) -> float:
     if any(v <= 0 for v in vals):
         raise ReproError(f"geomean needs positive values, got {vals}")
     return math.exp(sum(math.log(v) for v in vals) / len(vals))
-
-
-def normalize(cycles: Dict[str, int], baseline: str) -> Dict[str, float]:
-    """Speedups of every entry relative to ``baseline`` (higher = faster)."""
-    if baseline not in cycles:
-        raise ReproError(f"baseline {baseline!r} missing from {cycles}")
-    base = cycles[baseline]
-    return {name: base / value for name, value in cycles.items()}

@@ -109,11 +109,3 @@ class TestGridEdgeCases:
             grid.coord(4)
         with pytest.raises(ConfigurationError):
             grid.index(Coord(2, 0))
-
-    def test_single_pe_grid(self):
-        grid = Grid(1, 1)
-        assert grid.neighbours(Coord(0, 0)) == []
-        assert grid.mean_distance() == 0.0
-
-    def test_mean_distance_positive(self):
-        assert Grid(4, 4).mean_distance() > 0

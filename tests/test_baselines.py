@@ -217,6 +217,29 @@ class TestMechanisms:
         assert [shared.simulate(k).cycles for k in (short, chained)] == fresh
         assert fresh[0] < fresh[1]
 
+    def test_zero_trip_outer_loop_keeps_the_serial_schedule(self,
+                                                           feature_ladder):
+        """An outer loop entered once for no iteration would pay a whole
+        pipeline drain if Agile PE Assignment pipelined it; the serial
+        schedule pays only the startup, so the model keeps that one."""
+        k = KernelBuilder("zero_trip_nest")
+        n = k.param("n")
+        k.array("o")
+        with k.loop("i", 0, n) as i:
+            with k.loop("j", 0, n) as j:
+                k.store("o", i, j)
+        cdfg = k.build()
+        trace = Interpreter(cdfg).run({"o": np.zeros(1)}, {"n": 0}).trace
+        kernel = KernelInstance(cdfg, trace)
+        results = {name: model.simulate(kernel)
+                   for name, model in feature_ladder.items()}
+        outer = [b for b in results["full"].breakdowns if not b.innermost]
+        assert [(b.entries, b.iterations, b.overlapped)
+                for b in outer] == [(1, 0, False)]
+        assert outer[0].own_cycles == outer[0].startup
+        assert results["full"].cycles <= results["cn"].cycles
+        assert results["cn"].cycles <= results["base"].cycles
+
 
 class TestInvariants:
     def test_ideal_is_a_lower_bound(self, kernels, all_models):

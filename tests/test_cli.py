@@ -46,12 +46,31 @@ class TestCli:
         assert document["scale"] == "tiny" and len(
             document["experiments"]) == 9
 
-    def test_bench_json_stats_flag_attaches_engine_stats(self, capsys):
-        assert main(["bench", "--scale", "tiny", "--format", "json",
-                     "--stats"]) == 0
-        document = json.loads(capsys.readouterr().out)
+    def test_bench_json_stats_flag_attaches_engine_stats(self, tmp_path,
+                                                         capsys):
+        argv = ["bench", "--scale", "tiny", "--format", "json", "--stats",
+                "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        document = json.loads(captured.out)
+        assert captured.err == ""
         assert document["engine_stats"]["simulations"] > 0
         assert document["engine_stats"]["traces_computed"] > 0
+        # A second run against the same directory is a pure replay.
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        warm = json.loads(captured.out)
+        assert captured.err == ""
+        assert warm["engine_stats"]["traces_computed"] == 0
+        assert warm["engine_stats"]["simulations"] == 0
+        # The directory holds the content-addressed records and nothing
+        # else: no log, no lock file, no stray temp file.
+        files = sorted(path.relative_to(tmp_path).as_posix()
+                       for path in tmp_path.rglob("*") if path.is_file())
+        assert files
+        for name in files:
+            assert re.fullmatch(r"([0-9a-f]{2})/\1[0-9a-f]{62}\.json",
+                                name), name
 
     def test_stats_without_json_rejected(self, capsys):
         # --stats only affects the JSON document; dropping it silently
@@ -61,11 +80,6 @@ class TestCli:
         assert main(["bench", "--scale", "tiny", "--format", "csv",
                      "--stats"]) == 2
         assert "requires --format json" in capsys.readouterr().err
-
-    def test_prune_to_budget_requires_cache_dir(self, capsys):
-        assert main(["bench", "--scale", "tiny",
-                     "--prune-to-budget"]) == 2
-        assert "requires --cache-dir" in capsys.readouterr().err
 
     @pytest.mark.parametrize("jobs", [0, -4])
     def test_bench_jobs_below_one_exits_two(self, capsys, jobs):
@@ -127,26 +141,6 @@ class TestCli:
         assert main(["bench", "--scale", "tiny",
                      "--profile-out", "prof.json"]) == 2
         assert "requires --profile" in capsys.readouterr().err
-
-    def test_prune_to_budget_enforces_instead_of_warning(
-            self, tmp_path, monkeypatch, capsys):
-        from repro.engine.cache_admin import usage
-
-        # A budget small enough that any real run exceeds it.
-        monkeypatch.setenv("REPRO_CACHE_BUDGET_MB", "0.001")
-        cache_dir = str(tmp_path / "cache")
-        assert main(["bench", "--scale", "tiny",
-                     "--cache-dir", cache_dir]) == 0
-        warned = capsys.readouterr().err
-        assert "warning" in warned and "over" in warned
-        _entries, before = usage(cache_dir)
-        assert before > 1024
-        assert main(["bench", "--scale", "tiny", "--cache-dir", cache_dir,
-                     "--prune-to-budget"]) == 0
-        pruned = capsys.readouterr().err
-        assert "pruned" in pruned and "warning" not in pruned
-        _entries, after = usage(cache_dir)
-        assert after <= 1024 * 1.024  # the 0.001 MiB budget, enforced
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):

@@ -164,15 +164,3 @@ class TestModelEdgeCases:
         assert model_result.cycles >= 1
         assert model_result.breakdowns == []
 
-    def test_speedup_over(self):
-        from repro.baselines import IdealModel, VonNeumannModel
-        from repro.baselines.base import KernelInstance
-
-        instance = get_workload("gemm").instance("tiny")
-        kernel = KernelInstance(instance.cdfg, instance.run().trace)
-        params = ArchParams()
-        fast = IdealModel(params).simulate(kernel)
-        slow = VonNeumannModel(params).simulate(kernel)
-        assert fast.speedup_over(slow) >= 1.0
-        assert slow.speedup_over(fast) <= 1.0
-

@@ -75,22 +75,12 @@ class TestQueries:
         assert dfg.op_count == 1
         assert len(dfg) == 3
 
-    def test_live_ins_in_first_use_order(self):
-        dfg = DFG()
-        dfg.input("b")
-        dfg.input("a")
-        assert dfg.live_ins == ["b", "a"]
-
     def test_critical_path_of_chain(self):
         dfg = build_chain(5)
         assert dfg.critical_path_length() == 10  # 5 ADDs x 2 cycles
 
     def test_critical_path_empty(self):
         assert DFG().critical_path_length() == 0
-
-    def test_depth_of_intermediate(self):
-        dfg = build_chain(3)
-        assert dfg.depth_of(len(dfg.nodes) - 1) == 6
 
     def test_consumers(self):
         dfg = DFG()
@@ -99,19 +89,6 @@ class TestQueries:
         c = dfg.add(Opcode.ADD, (a, b))
         d = dfg.add(Opcode.MUL, (c, c))
         assert dfg.consumers()[c] == [d, d]
-
-    def test_op_histogram(self):
-        dfg = build_chain(4)
-        assert dfg.op_histogram() == {Opcode.ADD: 4}
-
-    def test_memory_and_nonlinear_counts(self):
-        dfg = DFG()
-        a = dfg.const(0)
-        dfg.add(Opcode.LOAD, (a,), array="m")
-        x = dfg.input("x")
-        dfg.add(Opcode.EXP, (x,))
-        assert dfg.memory_op_count() == 1
-        assert dfg.nonlinear_op_count() == 1
 
     def test_validate_passes_on_well_formed(self):
         build_chain(3).validate()

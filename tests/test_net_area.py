@@ -6,13 +6,12 @@ from repro.errors import ConfigurationError
 from repro.arch.network.area import (
     NetworkAreaModel,
     benes_switch_count,
-    crossbar_crosspoint_count,
     cs_switch_count,
     delay_model,
     scaling_series,
     stages_for_array,
 )
-from repro.perf.area import AreaPowerModel, table4_rows, table6_rows
+from repro.perf.area import table4_rows, table6_rows
 
 
 class TestCalibration:
@@ -27,17 +26,14 @@ class TestCalibration:
         )
 
     def test_total_network_near_table6(self):
-        total = NetworkAreaModel().total_network_area()
-        assert total == pytest.approx(0.0118, abs=0.0008)
-
-    def test_crossbar_far_larger_than_benes(self):
-        model = NetworkAreaModel()
-        assert model.crossbar_equivalent_area() > model.control_network_area()
+        marionette = next(row for row in table6_rows()
+                          if row["architecture"] == "Marionette")
+        assert marionette["network_area"] == pytest.approx(0.0118,
+                                                           abs=0.0008)
 
     def test_switch_count_helpers(self):
         assert benes_switch_count(64) == 352
         assert cs_switch_count(16) == 32
-        assert crossbar_crosspoint_count(32) == 1024
 
     def test_area_scales_with_pes(self):
         small = NetworkAreaModel(n_pes=16)
@@ -96,8 +92,12 @@ class TestTable4:
     def test_scaling_to_larger_array_increases_area(self):
         from repro.arch.params import ArchParams
 
-        big = ArchParams(rows=8, cols=8)
-        assert AreaPowerModel(big).total_area() > AreaPowerModel().total_area()
+        def total_area(params):
+            return next(row["area_mm2"] for row in table4_rows(params)
+                        if row["group"] == "Total")
+
+        assert total_area(ArchParams(rows=8, cols=8)) > total_area(
+            ArchParams())
 
 
 class TestTable6:

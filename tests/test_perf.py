@@ -6,7 +6,7 @@ from repro.errors import ReproError
 from repro.arch.params import ArchParams
 from repro.baselines import MarionetteModel
 from repro.baselines.base import KernelInstance
-from repro.perf.speedup import geomean, normalize
+from repro.perf.speedup import geomean
 from repro.perf.utilization import outer_bb_utilization, pipeline_utilization
 from repro.workloads import get_workload
 
@@ -21,14 +21,6 @@ class TestSpeedupHelpers:
             geomean([])
         with pytest.raises(ReproError):
             geomean([1.0, 0.0])
-
-    def test_normalize(self):
-        out = normalize({"a": 100, "b": 50}, "a")
-        assert out == {"a": 1.0, "b": 2.0}
-
-    def test_normalize_missing_baseline(self):
-        with pytest.raises(ReproError):
-            normalize({"a": 1}, "z")
 
 
 class TestUtilization:

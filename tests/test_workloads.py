@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ReproError
 from repro.ir import analysis
+from repro.ir.ops import OpClass
 from repro.workloads import (
     ALL_WORKLOADS,
     INTENSIVE_WORKLOADS,
@@ -138,7 +139,8 @@ class TestControlFlowForms:
     def test_nonlinear_kernel_uses_nonlinear_ops(self):
         cdfg = get_workload("si").instance("tiny").cdfg
         total = sum(
-            block.dfg.nonlinear_op_count() for block in cdfg.blocks
+            node.info.op_class is OpClass.NONLINEAR
+            for block in cdfg.blocks for node in block.dfg.fu_nodes
         )
         assert total >= 1
 
