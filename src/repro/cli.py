@@ -51,19 +51,6 @@ from typing import Dict, List
 
 from repro.arch.params import ArchParams, DEFAULT_PARAMS
 from repro.errors import ReproError
-from repro.baselines import (
-    DataflowModel,
-    IdealModel,
-    MarionetteModel,
-    RevelModel,
-    RipTideModel,
-    SoftbrainModel,
-    TIAModel,
-    VonNeumannModel,
-)
-from repro.baselines.base import KernelInstance
-from repro.ir import analysis
-from repro.workloads import ALL_WORKLOADS, get_workload
 
 #: ``repro experiment`` slugs: ``EXPERIMENT_MODULES`` in paper order.
 _EXPERIMENTS = (
@@ -630,15 +617,20 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_workloads(args: argparse.Namespace) -> int:
+    from repro.engine import Engine
+    from repro.ir import analysis
+    from repro.workloads import ALL_WORKLOADS
+
+    engine = Engine()
     header = (f"{'kernel':<8} {'group':<14} {'blocks':>6} {'ops':>5} "
               f"{'loops':>5} {'depth':>5} {'branches':>8} "
               f"{'under-branch%':>13} {'dyn ops':>9}")
     print(header)
     print("-" * len(header))
     for workload in ALL_WORKLOADS:
-        instance = workload.instance(args.scale)
-        instance.check()
-        profile = analysis.profile(instance.cdfg, instance.run().trace)
+        # The engine verifies each trace against the reference outputs.
+        kernel = engine.kernel(workload.short.lower(), args.scale, 0)
+        profile = analysis.profile(kernel.cdfg, kernel.trace)
         print(f"{workload.short:<8} {workload.group:<14} "
               f"{profile.blocks:>6} {profile.static_ops:>5} "
               f"{profile.loop_count:>5} {profile.max_loop_depth:>5} "
@@ -650,28 +642,33 @@ def _cmd_workloads(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.engine import Engine, ModelSpec, RunSpec
+    from repro.experiments.common import (
+        DATAFLOW,
+        MARIONETTE,
+        MARIONETTE_PE,
+        REVEL,
+        RIPTIDE,
+        SOFTBRAIN,
+        TIA,
+        VON_NEUMANN,
+    )
+    from repro.workloads import get_workload
+
     workload = get_workload(args.kernel)
-    instance = workload.instance(args.scale)
-    instance.check()
-    kernel = KernelInstance(instance.cdfg, instance.run().trace)
-    params = DEFAULT_PARAMS
-    models = [
-        VonNeumannModel(params),
-        DataflowModel(params),
-        SoftbrainModel(params),
-        TIAModel(params),
-        RevelModel(params),
-        RipTideModel(params),
-        MarionetteModel(params, control_network=False, agile=False),
-        MarionetteModel(params),
-        IdealModel(params),
-    ]
-    print(f"{workload.name} @ {args.scale}: {instance.cdfg.summary()}")
+    short = workload.short.lower()
+    engine = Engine()
+    kernel = engine.kernel(short, args.scale, 0)
+    models = (VON_NEUMANN, DATAFLOW, SOFTBRAIN, TIA, REVEL, RIPTIDE,
+              MARIONETTE_PE, MARIONETTE, ModelSpec.make("ideal"))
+    runs = engine.execute([RunSpec(short, args.scale, 0, model,
+                                   DEFAULT_PARAMS) for model in models])
+    print(f"{workload.name} @ {args.scale}: {kernel.cdfg.summary()}")
     baseline = None
-    for model in models:
-        cycles = model.simulate(kernel).cycles
+    for run in runs:
+        cycles = run.result.cycles
         baseline = baseline or cycles
-        print(f"  {model.config.name:<36} {cycles:>9} cycles "
+        print(f"  {run.result.arch:<36} {cycles:>9} cycles "
               f"({baseline / cycles:5.2f}x)")
     return 0
 
@@ -694,7 +691,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         desc = load_arch(args.arch)
         params, arch_name = desc.params, desc.name
     report = run_kernel(package, params=params, arch_name=arch_name,
-                        strategy=args.strategy,
                         max_cycles=args.max_cycles)
     if args.format == "json":
         print(json.dumps(report.to_document(), indent=2, sort_keys=True))
@@ -721,7 +717,7 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
 
 
 def _kernel_init(args: argparse.Namespace) -> int:
-    """``repro kernel init NAME``: scaffold (or export) a package."""
+    """``repro kernel init NAME``: scaffold a package from the template."""
     from pathlib import Path
 
     from repro.errors import ConfigurationError
@@ -733,25 +729,9 @@ def _kernel_init(args: argparse.Namespace) -> int:
             f"{out} already holds a kernel package — refusing to "
             f"overwrite it (pass --out for a fresh directory)"
         )
-    if args.from_workload:
-        from repro.kernels import package_from_workload
-
-        source = package_from_workload(
-            get_workload(args.from_workload), args.scale, seed=args.seed
-        )
-        # Rename through the document form so the result is re-validated
-        # (the package name is part of the fingerprint).
-        document = source.to_document()
-        document["name"] = args.name
-        document["description"] = (
-            f"exported from built-in workload "
-            f"{args.from_workload!r} @ {args.scale} seed={args.seed}"
-        )
-        package = from_document(document, "<kernel init --from>")
-    else:
-        package = from_document(
-            _init_template(args.name), "<kernel init template>"
-        )
+    package = from_document(
+        _init_template(args.name), "<kernel init template>"
+    )
     save_kernel(package, out)
     print(f"wrote kernel package {package.name!r} to {out} "
           f"(fingerprint {package.fingerprint()[:12]}) — check it with "
@@ -945,10 +925,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="price the kernel under this architecture "
                             "description instead of the default "
                             "parameters")
-    p_run.add_argument("--strategy", default="event",
-                       choices=("event", "naive"),
-                       help="array simulator scheduling strategy "
-                            "(both produce identical results)")
     p_run.add_argument("--format", default="ascii",
                        choices=("ascii", "json"))
     p_run.add_argument("--max-cycles", type=int, default=200_000,
@@ -974,17 +950,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_kinit.add_argument("name", metavar="NAME",
                          help="the kernel name (also the default output "
                               "directory)")
-    p_kinit.add_argument("--from", dest="from_workload", default=None,
-                         metavar="WORKLOAD",
-                         help="export a built-in workload instead of "
-                              "writing the scaffold template (the "
-                              "workload must fit the single-loop "
-                              "kernel class)")
-    p_kinit.add_argument("--scale", default="tiny",
-                         choices=("tiny", "small", "paper"),
-                         help="workload scale for --from exports")
-    p_kinit.add_argument("--seed", type=int, default=0,
-                         help="input seed for --from exports")
     p_kinit.add_argument("--out", default=None, metavar="DIR",
                          help="write the package here instead of ./NAME")
     p_kinit.set_defaults(fn=_cmd_kernel)

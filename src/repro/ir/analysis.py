@@ -1,21 +1,19 @@
 """Static + dynamic analyses over CDFGs and traces.
 
-These produce the kernel-characterisation quantities the paper reports:
-
 * **operators under branch %** — the secondary axis of Fig. 11: the share of
   dynamically executed FU operators that live in branch-divergent regions
   (these are the operators a von Neumann PE wastes under Predication);
-* **control flow form metrics** — the quantities behind Table 1's
-  qualitative rows (nested branches, imperfect/nested/serial loops)
-  derived from the CDFG structure;
-* **pipelineability** — how much of the dynamic work sits in long innermost
-  loop bursts, which decides how much Agile PE Assignment can help.
+* **control flow profile** — the per-kernel row ``repro workloads`` prints:
+  block, operator, loop and divergent-branch counts and the deepest loop
+  nesting, beside the under-branch share;
+* **loop dynamics** — each loop's entries and iterations in one execution,
+  which the execution models' loop pricing reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Set
+from typing import Dict
 
 from repro.ir.cdfg import CDFG
 from repro.ir.cfg import BlockId
@@ -32,33 +30,8 @@ class ControlFlowProfile:
     dynamic_ops: int
     loop_count: int
     max_loop_depth: int
-    imperfect: bool
-    serial_loops: int
     divergent_branches: int
-    max_branch_nesting: int
     ops_under_branch_pct: float
-    innermost_burst_ops_pct: float
-
-
-def branch_nesting_depth(cdfg: CDFG) -> int:
-    """Maximum nesting depth of non-loop branches.
-
-    Measured structurally: for each divergent branch block, count how many
-    other divergent branches it is "under" (inside the region of; no
-    region holds its own branch).
-    """
-    regions = cdfg.branch_regions()
-    return max(
-        (1 + sum(branch in region for region in regions.values())
-         for branch in regions),
-        default=0,
-    )
-
-
-def serial_loop_count(cdfg: CDFG) -> int:
-    """Number of sibling loops at the outermost loop level (serial loops)."""
-    nests = cdfg.loop_nests()
-    return sum(1 for nest in nests.values() if nest.parent is None)
 
 
 def ops_under_branch_fraction(cdfg: CDFG, trace: DynamicTrace) -> float:
@@ -68,23 +41,6 @@ def ops_under_branch_fraction(cdfg: CDFG, trace: DynamicTrace) -> float:
         return 0.0
     under = cdfg.under_branch_blocks()
     return trace.dynamic_ops_in(cdfg, under) / total
-
-
-def innermost_loop_blocks(cdfg: CDFG) -> Set[BlockId]:
-    """Blocks belonging to innermost loops (candidate pipeline bodies)."""
-    out: Set[BlockId] = set()
-    for nest in cdfg.innermost_loops():
-        out |= nest.own
-    return out
-
-
-def innermost_burst_fraction(cdfg: CDFG, trace: DynamicTrace) -> float:
-    """Dynamic share of FU ops executed inside innermost loop bodies."""
-    total = trace.dynamic_op_count(cdfg)
-    if total == 0:
-        return 0.0
-    inner = innermost_loop_blocks(cdfg)
-    return trace.dynamic_ops_in(cdfg, inner) / total
 
 
 @dataclass(frozen=True)
@@ -144,10 +100,6 @@ def profile(cdfg: CDFG, trace: DynamicTrace) -> ControlFlowProfile:
         dynamic_ops=trace.dynamic_op_count(cdfg),
         loop_count=len(nests),
         max_loop_depth=cdfg.max_loop_depth(),
-        imperfect=cdfg.is_imperfect(),
-        serial_loops=serial_loop_count(cdfg),
         divergent_branches=len(cdfg.branch_blocks()),
-        max_branch_nesting=branch_nesting_depth(cdfg),
         ops_under_branch_pct=100.0 * ops_under_branch_fraction(cdfg, trace),
-        innermost_burst_ops_pct=100.0 * innermost_burst_fraction(cdfg, trace),
     )

@@ -130,9 +130,6 @@ class CDFG:
         nests = self.loop_nests()
         return max((n.depth for n in nests.values()), default=0)
 
-    def innermost_loops(self) -> List[LoopNest]:
-        return [n for n in self.loop_nests().values() if not n.children]
-
     def flat_blocks(self) -> Tuple[BlockId, ...]:
         """Blocks outside every loop that hold FU operations, in block
         order.  Computed once and cached."""

@@ -26,7 +26,6 @@ from repro.kernels.package import (
     save_kernel,
     validate_manifest,
 )
-from repro.kernels.export import package_from_workload
 from repro.kernels.registry import (
     document_for,
     register,
@@ -55,7 +54,6 @@ __all__ = [
     "is_kernel_dir",
     "load_kernel",
     "load_kernel_suite",
-    "package_from_workload",
     "register",
     "register_document",
     "register_documents",

@@ -814,7 +814,7 @@ def load_kernel_suite(path) -> List[Tuple[Path, KernelPackage]]:
 
 
 # ----------------------------------------------------------------------
-# On-disk writing (repro kernel init, the workload exporter)
+# On-disk writing (repro kernel init)
 # ----------------------------------------------------------------------
 def _format_value(decl: ArrayDecl, value: object) -> str:
     if decl.dtype.startswith("int"):

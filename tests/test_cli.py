@@ -300,13 +300,6 @@ class TestKernelCli:
         assert captured.err.count("\n") == 1
         assert f"({opcode}) has no token input" in captured.err
 
-    def test_run_batch_strategy_exits_two(self, capsys):
-        # Only the event stepper and its naive reference exist.
-        with pytest.raises(SystemExit) as excinfo:
-            main(["run", "examples/kernels/saxpy", "--strategy", "batch"])
-        assert excinfo.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
-
     def test_init_scaffold_validates_and_refuses_overwrite(
             self, tmp_path, capsys):
         out = tmp_path / "fresh"
@@ -316,14 +309,6 @@ class TestKernelCli:
         capsys.readouterr()
         assert main(["kernel", "init", "fresh", "--out", str(out)]) == 2
         assert "refusing to overwrite" in capsys.readouterr().err
-
-    def test_init_from_workload_runs_and_passes(self, tmp_path, capsys):
-        out = tmp_path / "sig"
-        assert main(["kernel", "init", "sig", "--from", "sigmoid",
-                     "--scale", "tiny", "--out", str(out)]) == 0
-        capsys.readouterr()
-        assert main(["run", str(out)]) == 0
-        assert "verdict: PASS" in capsys.readouterr().out
 
     def test_bench_kernels_section_appears(self, capsys):
         assert main(["bench", "--scale", "tiny", "--format", "json",

@@ -33,7 +33,8 @@ class TestScheduler:
 
     def test_deepest_level_wins_resolution(self, params, imperfect_kernel):
         schedule = MarionetteScheduler(params).schedule(imperfect_kernel)
-        inner = imperfect_kernel.innermost_loops()[0]
+        inner, = (nest for nest in imperfect_kernel.loop_nests().values()
+                  if not nest.children)
         for bid in inner.own:
             block = imperfect_kernel.block(bid)
             if block.op_count == 0:

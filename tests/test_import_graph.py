@@ -1,5 +1,6 @@
 """Every module under ``src/repro`` is reachable from the command line,
-and every name a module imports is read.
+every name a module imports is read, and no module imports a private
+name from another.
 
 The walk starts at ``repro.cli`` and ``repro.__main__`` and follows the
 static import graph: each module's source is parsed, and every import
@@ -13,6 +14,9 @@ An import binds names; a module that never reads one (string annotations
 count as reads) imports it for nothing.  A package's ``__init__.py``
 imports to re-export, and so does a module whose name another file in
 the repository imports from it; both are exempt.
+
+A name with a leading underscore is its module's own business: a module
+that imports one from another ties itself to that module's internals.
 """
 
 from __future__ import annotations
@@ -135,3 +139,17 @@ def test_every_imported_name_is_read():
             if name not in reads and (module, name) not in exported
         )
     assert not unread, "imported but never read: " + ", ".join(unread)
+
+
+def test_no_module_imports_a_private_name():
+    private = []
+    for path in package_modules().values():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and \
+                    node.module.split(".")[0] == "repro":
+                private.extend(
+                    f"{path.relative_to(SRC)}:{node.lineno}: "
+                    f"{node.module}.{alias.name}"
+                    for alias in node.names if alias.name.startswith("_")
+                )
+    assert not private, "private names imported: " + ", ".join(private)

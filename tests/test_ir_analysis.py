@@ -7,26 +7,25 @@ from repro.ir.cdfg import CDFG
 from repro.ir.cfg import BlockRole, Branch, CFG, Halt, Jump
 from repro.ir.interp import Interpreter
 from repro.ir.ops import Opcode
-from repro.workloads import ALL_WORKLOADS, get_workload
+from repro.workloads import ALL_WORKLOADS
 
-#: workload -> (branch nesting depth, imperfect, divergent branches,
-#: under-branch blocks, loop depth) of its ``tiny`` CDFG; Table 1's loop
-#: forms show in the last column (ADPCM has a single loop, MS and GEMM
-#: imperfect nests)
+#: workload -> (imperfect, divergent branches, under-branch blocks, loop
+#: depth) of its ``tiny`` CDFG; Table 1's loop forms show in the first and
+#: last columns (ADPCM has a single loop, MS and GEMM imperfect nests)
 STRUCTURE = {
-    "MS": (1, True, 1, 2, 3),
-    "FFT": (0, True, 0, 0, 3),
-    "VI": (1, True, 1, 2, 3),
-    "NW": (1, True, 3, 6, 2),
-    "HT": (1, True, 1, 5, 3),
-    "CRC": (1, True, 1, 2, 2),
-    "ADPCM": (1, False, 9, 18, 1),
-    "SCD": (1, True, 6, 12, 2),
-    "LDPC": (2, True, 6, 13, 3),
-    "GEMM": (0, True, 0, 0, 3),
-    "CO": (0, False, 0, 0, 1),
-    "SI": (0, False, 0, 0, 1),
-    "GP": (0, False, 0, 0, 1),
+    "MS": (True, 1, 2, 3),
+    "FFT": (True, 0, 0, 3),
+    "VI": (True, 1, 2, 3),
+    "NW": (True, 3, 6, 2),
+    "HT": (True, 1, 5, 3),
+    "CRC": (True, 1, 2, 2),
+    "ADPCM": (False, 9, 18, 1),
+    "SCD": (True, 6, 12, 2),
+    "LDPC": (True, 6, 13, 3),
+    "GEMM": (True, 0, 0, 3),
+    "CO": (False, 0, 0, 1),
+    "SI": (False, 0, 0, 1),
+    "GP": (False, 0, 0, 1),
 }
 
 
@@ -41,7 +40,8 @@ class TestLoopNest:
 
     def test_nest_depths(self, imperfect_kernel):
         assert imperfect_kernel.max_loop_depth() == 2
-        inner = imperfect_kernel.innermost_loops()
+        inner = [nest for nest in imperfect_kernel.loop_nests().values()
+                 if not nest.children]
         assert len(inner) == 1
         assert inner[0].depth == 2
 
@@ -57,20 +57,13 @@ class TestBranchStructure:
         assert any("then" in n for n in names)
         assert any("else" in n for n in names)
 
-    def test_branch_nesting_depth(self):
-        ms = get_workload("ms").instance("tiny")
-        assert analysis.branch_nesting_depth(ms.cdfg) >= 1
-        adpcm = get_workload("adpcm").instance("tiny")
-        assert analysis.branch_nesting_depth(adpcm.cdfg) >= 1
-
     def test_structure_facts_of_every_workload(self):
         facts = {}
         for workload in ALL_WORKLOADS:
             cdfg = workload.instance("tiny").cdfg
             facts[workload.short] = (
-                analysis.branch_nesting_depth(cdfg), cdfg.is_imperfect(),
-                len(cdfg.branch_blocks()), len(cdfg.under_branch_blocks()),
-                cdfg.max_loop_depth(),
+                cdfg.is_imperfect(), len(cdfg.branch_blocks()),
+                len(cdfg.under_branch_blocks()), cdfg.max_loop_depth(),
             )
         assert facts == STRUCTURE
 
@@ -146,12 +139,7 @@ class TestProfile:
         result = _run(imperfect_kernel, memory, params)
         profile = analysis.profile(imperfect_kernel, result.trace)
         assert profile.kernel == "spmv"
-        assert profile.imperfect
         assert profile.max_loop_depth == 2
         assert profile.dynamic_ops == result.trace.dynamic_op_count(
             imperfect_kernel
         )
-
-    def test_serial_loops_counted(self):
-        scd = get_workload("scd").instance("tiny")
-        assert analysis.serial_loop_count(scd.cdfg) >= 2

@@ -11,10 +11,10 @@ tests are organised around its laws:
   torn JSON/CSV, undeclared arrays, undefined operands, shape
   mismatches) is a one-line :class:`ConfigurationError` naming its
   source, never a traceback;
-* **ingestion equivalence** — an exported built-in workload, run as an
-  external package, is bit-identical between the event-driven and naive
-  simulators, and the interpreter agrees with the committed expected
-  images;
+* **ingestion equivalence** — the shipped sigmoid package holds the SI
+  workload's tiny inputs and reference outputs bit for bit, and every
+  shipped package grades identically under the event-driven and naive
+  simulators;
 * **engine identity** — the package fingerprint rides inside the
   workload token, so the cache, the shard partition, and the dispatch
   wire form all distinguish kernels by content with no extra plumbing;
@@ -46,7 +46,6 @@ from repro.kernels import (
     from_document,
     load_kernel,
     load_kernel_suite,
-    package_from_workload,
     register,
     resolve,
     run_kernel,
@@ -264,34 +263,9 @@ class TestRegistry:
 
 
 # ----------------------------------------------------------------------
-# Exporter + differential ingestion (satellite: event == naive)
+# Verdicts
 # ----------------------------------------------------------------------
-class TestExportAndDifferential:
-    def test_exported_sigmoid_roundtrips_and_verifies(self):
-        package = package_from_workload(Sigmoid(), "tiny", seed=0)
-        assert package.name == "sigmoid"
-        again = from_document(package.to_document())
-        assert again.fingerprint() == package.fingerprint()
-
-    def test_unexportable_workload_is_one_line(self):
-        with pytest.raises(ConfigurationError) as error:
-            package_from_workload(get_workload("gemm"), "tiny")
-        assert "gemm" in _one_line(error)
-
-    def test_all_strategies_are_bit_identical(self):
-        package = package_from_workload(Sigmoid(), "tiny", seed=0)
-        reports = {
-            strategy: run_kernel(package, strategy=strategy)
-            for strategy in ("event", "naive")
-        }
-        assert all(r.passed for r in reports.values())
-        documents = {
-            strategy: {k: v for k, v in report.to_document().items()
-                       if k != "strategy"}
-            for strategy, report in reports.items()
-        }
-        assert documents["event"] == documents["naive"]
-
+class TestVerdicts:
     def test_failing_package_reports_first_bad_index(self):
         document = _saxpy_document()
         document["expected"]["y"][5] += 7
@@ -492,7 +466,7 @@ class TestShippedExamples:
         entries = load_kernel_suite(EXAMPLES_DIR)
         names = [package.name for _path, package in entries]
         assert len(names) >= 3
-        assert "sigmoid" in names      # exported from a built-in
+        assert "sigmoid" in names      # the SI workload's tiny instance
         assert "saxpy" in names        # hand-written
 
     def test_names_are_unique_and_fingerprints_distinct(self):
@@ -523,10 +497,17 @@ class TestShippedExamples:
                     rewritten[rel].read_bytes(), \
                     f"{path / rel} is not canonically formatted"
 
-    def test_exported_sigmoid_example_matches_the_workload(self):
+    def test_sigmoid_example_is_the_workload_at_tiny(self):
+        # The images are the SI workload's own; the tests below grade
+        # the package's program against them on the array.
         committed = load_kernel(EXAMPLES_DIR / "sigmoid")
-        regenerated = package_from_workload(Sigmoid(), "tiny", seed=0)
-        assert committed.fingerprint() == regenerated.fingerprint()
+        instance = Sigmoid().instance("tiny", seed=0)
+        for images, reference in ((committed.memory, instance.memory),
+                                  (committed.expected, instance.expected)):
+            assert sorted(images) == sorted(reference)
+            for name, values in images.items():
+                assert values.dtype == reference[name].dtype, name
+                assert np.array_equal(values, reference[name]), name
 
     @pytest.mark.parametrize("strategy", ["event", "naive"])
     def test_every_example_passes_on_the_array(self, strategy):
