@@ -23,8 +23,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.engine import Engine, HTTPBackend, MemoryBackend, result_payload
-from repro.engine.distributed.coordinator import Coordinator
+from repro.engine import Engine, result_payload
+from repro.engine.distributed import Coordinator, HTTPBackend, MemoryBackend
 from repro.engine.distributed.server import DistributedServer
 from repro.engine.distributed.worker import CoordinatorClient, dispatch_job
 from repro.experiments import report

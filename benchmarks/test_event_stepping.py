@@ -121,7 +121,7 @@ def test_bench_profile_emits_schema_valid_json(tmp_path, capsys):
     code = main([
         "bench", "--scale", "tiny",
         "--cache-dir", str(tmp_path / "cache"),
-        "--profile", "--profile-out", str(profile_path),
+        "--profile", str(profile_path),
     ])
     assert code == 0
     profiled_report = capsys.readouterr().out

@@ -5,21 +5,22 @@ Commands:
 * ``report [--scale S]`` — regenerate every table/figure;
 * ``bench [--scale S] [--seed N] [--jobs N] [--cache-dir PATH]
   [--format ascii|json|csv] [--stream] [--shard K/N]
-  [--export-shard PATH] [--merge-shards PATH...] [--dispatch URL]
-  [--arch FILE] [--arch-sweep DIR] [--profile] [--profile-out PATH]``
+  [--merge-shards PATH...] [--dispatch URL] [--arch FILE]
+  [--arch-sweep DIR] [--kernels DIR] [--profile [PATH]]``
   — the full report through the parallel experiment engine, with
   on-disk trace caching, machine-readable exports, streaming per-spec
-  progress, fingerprint-prefix sharding across CI jobs (shard runs emit
-  a mergeable export; ``--merge-shards`` reassembles the canonical
-  report, byte-identical to an unsharded run), dynamic dispatch to a
-  ``repro serve`` worker fleet (``--dispatch``, also byte-identical),
-  architecture selection (``--arch FILE`` prices the whole evaluation
-  on a loaded architecture description; ``--arch-sweep DIR`` emits one
-  report section per spec file in deterministic filename order — see
-  docs/ARCH.md), and phase profiling (``--profile`` times the trace /
-  per-model simulate / assemble phases and writes a
-  ``BENCH_<timestamp>.json`` perf-trajectory record — the report
-  itself is unchanged);
+  progress, fingerprint-prefix sharding across CI jobs (a shard run
+  prints a mergeable export on stdout; ``--merge-shards`` reassembles
+  the canonical report, byte-identical to an unsharded run), dynamic
+  dispatch to a ``repro serve`` worker fleet (``--dispatch``, also
+  byte-identical), architecture selection (``--arch FILE`` prices the
+  whole evaluation on a loaded architecture description;
+  ``--arch-sweep DIR`` emits one report section per spec file in
+  deterministic filename order — see docs/ARCH.md), and phase
+  profiling (``--profile [PATH]`` times the trace / per-model simulate
+  / assemble phases and writes a perf-trajectory record to PATH,
+  ``BENCH_<timestamp>.json`` by default — the report itself is
+  unchanged);
 * ``serve [--host H] [--port P] [--cache-dir PATH]
   [--lease-timeout S]`` — the distributed endpoint: an HTTP cache
   server (shards and workers share trace/cycle records live) plus the
@@ -90,44 +91,39 @@ def _report_meta(args) -> Dict[str, object]:
     return meta
 
 
-def _emit_report(results, args) -> None:
-    from repro.engine import report_csv, report_json
-    from repro.experiments.report import render_results
+def _emit(results, args) -> None:
+    """Print the report in ``args.format``: every mode's one emitter.
 
+    ``results`` is :func:`~repro.experiments.report.run_all`'s finished
+    list (batch: printed once the whole run is done) or
+    :func:`~repro.experiments.report.assemble`'s generator, whose ASCII
+    tables print the moment their last spec lands — the same bytes.
+    JSON and CSV documents are monolithic, so they consume ``results``
+    first and render at the end.
+    """
     if args.format == "ascii":
-        print(render_results(results, args.scale, args.seed))
-    elif args.format == "json":
+        from repro.experiments.report import report_lines
+
+        for line in report_lines(results, args.scale, args.seed):
+            print(line)
+        return
+    from repro.engine import report_csv, report_json
+
+    results = list(results)
+    if args.format == "json":
         stats = args.engine.stats.as_dict() if args.stats else None
         print(report_json(results, stats=stats, meta=_report_meta(args)))
     else:
         print(report_csv(results))
 
 
-def _emit_streamed(pairs, args, params=DEFAULT_PARAMS,
-                   kernels=()) -> None:
-    """Emit the report from a live stream of per-spec landings.
-
-    ASCII assembles *incrementally*: each experiment's table prints the
-    moment its last spec lands (in paper order), so early tables
-    surface while later experiments still compute — and the
-    concatenated output stays byte-identical to the batch report.  The
-    JSON/CSV documents are monolithic by design, so those formats
-    consume the stream first and render at the end.
-    """
-    from repro.experiments.report import assemble_stream, report_header
-
-    assembled = assemble_stream(pairs, args.scale, args.seed, args.engine,
-                                params, kernels)
-    if args.format == "ascii":
-        # The exact header render_results() writes, then each table as
-        # it becomes available.
-        for line in report_header(args.scale, args.seed):
-            print(line)
-        for result in assembled:
-            print(result.to_table())
-            print()
-    else:
-        _emit_report(list(assembled), args)
+def _landed(pairs, total: int, args):
+    """Pass ``(index, run result)`` pairs through, printing one progress
+    line per landed spec to stderr under ``--stream``."""
+    for done, pair in enumerate(pairs, 1):
+        if args.stream:
+            print(_progress_line(done, total, pair[1]), file=sys.stderr)
+        yield pair
 
 
 def _check_arch_paths(arch, arch_sweep) -> int:
@@ -179,7 +175,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
               "--merge-shards — the exports name the architecture they "
               "came from", file=sys.stderr)
         return 2
-    if args.arch_sweep and args.profile:
+    if args.arch_sweep and args.profile is not None:
         print("error: --profile times one batch run — it cannot be "
               "combined with --arch-sweep", file=sys.stderr)
         return 2
@@ -188,17 +184,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
               "JSON document — it cannot be combined with --arch-sweep",
               file=sys.stderr)
         return 2
-    if args.arch_sweep and args.export_shard:
-        print("error: --export-shard writes one file, but --arch-sweep "
-              "emits one shard export per variant — read them from "
-              "stdout (one JSON line each)", file=sys.stderr)
-        return 2
     if args.shard and args.merge_shards:
         print("error: --shard and --merge-shards are mutually exclusive",
               file=sys.stderr)
-        return 2
-    if args.export_shard and not args.shard:
-        print("error: --export-shard requires --shard", file=sys.stderr)
         return 2
     if args.dispatch and (args.shard or args.merge_shards):
         print("error: --dispatch is a complete execution mode — it "
@@ -218,20 +206,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
               "nothing under --dispatch — fleet stats live at "
               "GET <URL>/queue/status", file=sys.stderr)
         return 2
-    if args.profile and (args.stream or args.shard or args.merge_shards
-                         or args.dispatch):
+    if args.profile is not None and (args.stream or args.shard
+                                     or args.merge_shards
+                                     or args.dispatch):
         print("error: --profile times the local batch phases — it cannot "
               "be combined with --stream/--shard/--merge-shards/"
               "--dispatch", file=sys.stderr)
         return 2
-    if args.profile and args.stats:
+    if args.profile is not None and args.stats:
         print("error: --stats embeds engine counters in the stdout "
               "document, which the profiler's phased execution would "
               "skew — the per-phase deltas live in the --profile JSON "
               "instead", file=sys.stderr)
-        return 2
-    if args.profile_out and not args.profile:
-        print("error: --profile-out requires --profile", file=sys.stderr)
         return 2
     if args.shard and (args.format is not None or args.stats):
         print("error: --format/--stats have no effect with --shard — a "
@@ -257,9 +243,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
               "document — it requires --format json", file=sys.stderr)
         return 2
 
-    def progress(done: int, total: int, run_result) -> None:
-        print(_progress_line(done, total, run_result), file=sys.stderr)
-
     args.arch_desc = None
     args.arch_meta = None
     args.kernel_packages = ()
@@ -282,14 +265,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                   if merged["params"] is not None else DEFAULT_PARAMS)
         kernels = ()
         if merged.get("kernels"):
-            from repro.kernels import from_document, register
+            from repro.kernels import from_document
 
             kernels = tuple(
                 from_document(doc, "<merged shard export>")
                 for doc in merged["kernels"]
             )
-            for package in kernels:
-                register(package)
         engine = Engine(cache_dir=args.cache_dir, jobs=args.jobs)
         args.engine = engine
         engine.cache.preload(merged["entries"])
@@ -302,7 +283,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 f"{engine.stats.simulations} simulations locally",
                 file=sys.stderr,
             )
-        _emit_report(results, args)
+        _emit(results, args)
         return 0
 
     if args.arch_sweep:
@@ -329,19 +310,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                     print(f"# {header}")
                 # JSON sections carry the arch stanza inside the
                 # document instead of a header line.
-            code = _bench_variant(args, progress, engine=engine)
-            if code:
-                return code
+            _bench_variant(args, engine)
         print(f"arch sweep: {len(variants)} variant(s) from "
               f"{args.arch_sweep}", file=sys.stderr)
         return 0
 
     if args.arch:
         args.arch_desc = load_arch(args.arch)
-    return _bench_variant(args, progress)
+    _bench_variant(args)
+    return 0
 
 
-def _bench_variant(args, progress, engine=None) -> int:
+def _bench_variant(args, engine=None) -> None:
     """One architecture variant through the selected execution mode.
 
     ``args.arch_desc`` (None = the default architecture) supplies the
@@ -355,9 +335,8 @@ def _bench_variant(args, progress, engine=None) -> int:
         parse_shard,
         shard_export_document,
         shard_specs,
-        write_shard_export,
     )
-    from repro.experiments.report import all_specs, run_all
+    from repro.experiments.report import all_specs, assemble, run_all
 
     desc = args.arch_desc
     params = desc.params if desc is not None else DEFAULT_PARAMS
@@ -366,11 +345,14 @@ def _bench_variant(args, progress, engine=None) -> int:
     if args.dispatch:
         # The fleet computes; _run_dispatch builds its own HTTP-backed
         # engine, so don't construct a local one just to discard it.
-        return _run_dispatch(args, progress, params, kernels)
+        return _run_dispatch(args, params, kernels)
 
     if engine is None:
         engine = Engine(cache_dir=args.cache_dir, jobs=args.jobs)
     args.engine = engine
+
+    if args.profile is not None:
+        return _run_profiled(engine, args, params, kernels)
 
     if args.shard:
         index, count = parse_shard(args.shard)
@@ -378,12 +360,8 @@ def _bench_variant(args, progress, engine=None) -> int:
             all_specs(args.scale, args.seed, params, kernels),
             index, count,
         )
-        if args.stream:
-            for done, (_i, run_result) in enumerate(
-                    engine.stream(specs), 1):
-                progress(done, len(specs), run_result)
-        else:
-            engine.execute(specs)
+        for _pair in _landed(engine.stream(specs), len(specs), args):
+            pass
         # A cycle-warm run never reads traces; pull them in so the
         # export is complete and the merge recomputes nothing.
         engine.prefetch_traces(specs)
@@ -394,47 +372,31 @@ def _bench_variant(args, progress, engine=None) -> int:
             arch=desc.name if desc is not None else None,
             kernels=kernels or None,
         )
-        if args.export_shard:
-            write_shard_export(args.export_shard, document)
-        else:
-            print(json.dumps(document, sort_keys=True))
+        print(json.dumps(document, sort_keys=True))
         label = f"[{desc.name}] " if desc is not None else ""
-        print(
-            f"{label}shard {index}/{count}: {len(specs)} specs, "
-            f"{len(document['entries'])} cache records"
-            + (f" -> {args.export_shard}" if args.export_shard else ""),
-            file=sys.stderr,
-        )
-        return 0
-
-    if args.profile:
-        return _run_profiled(engine, args, params, kernels)
+        print(f"{label}shard {index}/{count}: {len(specs)} specs, "
+              f"{len(document['entries'])} cache records", file=sys.stderr)
+        return
 
     if args.stream:
-        from repro.experiments.report import stream_pairs
-
-        _emit_streamed(
-            stream_pairs(args.scale, args.seed, engine,
-                         on_result=progress, params=params,
-                         kernels=kernels),
-            args, params, kernels,
-        )
+        specs = all_specs(args.scale, args.seed, params, kernels)
+        _emit(assemble(_landed(engine.stream(specs), len(specs), args),
+                       args.scale, args.seed, engine, params, kernels),
+              args)
     else:
-        results = run_all(args.scale, args.seed, engine=engine,
-                          params=params, kernels=kernels)
-        _emit_report(results, args)
-    return 0
+        _emit(run_all(args.scale, args.seed, engine=engine, params=params,
+                      kernels=kernels), args)
 
 
-def _run_profiled(engine, args, params=DEFAULT_PARAMS, kernels=()) -> int:
-    """``repro bench --profile``: the batch report with phase timings.
+def _run_profiled(engine, args, params=DEFAULT_PARAMS, kernels=()) -> None:
+    """``repro bench --profile [PATH]``: the batch report with phase timings.
 
     Runs the same specs as a plain batch bench, split into timed phases
     (functional traces, then each architecture model's simulations, then
     the cached-replay report assembly) and writes the machine-readable
-    ``BENCH_<timestamp>.json`` perf-trajectory record.  The report on
-    stdout stays byte-identical to an unprofiled run — the profile is a
-    side artifact.
+    perf-trajectory record to PATH (default ``BENCH_<timestamp>.json``).
+    The report on stdout stays byte-identical to an unprofiled run — the
+    profile is a side artifact.
     """
     import time
 
@@ -452,10 +414,10 @@ def _run_profiled(engine, args, params=DEFAULT_PARAMS, kernels=()) -> int:
         lambda: run_all(args.scale, args.seed, engine=engine,
                         params=params, kernels=kernels),
     )
-    _emit_report(results, args)
+    _emit(results, args)
     document = profiler.document(scale=args.scale, seed=args.seed,
                                  jobs=args.jobs, spec_count=len(specs))
-    path = args.profile_out or time.strftime(
+    path = args.profile or time.strftime(
         "BENCH_%Y%m%dT%H%M%SZ.json", time.gmtime()
     )
     with open(path, "w", encoding="utf-8") as handle:
@@ -466,10 +428,9 @@ def _run_profiled(engine, args, params=DEFAULT_PARAMS, kernels=()) -> int:
               file=sys.stderr)
     print(f"profile: {document['total_seconds']:.3f}s total over "
           f"{len(specs)} specs -> {path}", file=sys.stderr)
-    return 0
 
 
-def _run_dispatch(args, progress, params=DEFAULT_PARAMS, kernels=()) -> int:
+def _run_dispatch(args, params=DEFAULT_PARAMS, kernels=()) -> None:
     """``repro bench --dispatch URL``: run the sweep on a worker fleet.
 
     The specs go to the coordinator as one job; workers pull them
@@ -488,7 +449,7 @@ def _run_dispatch(args, progress, params=DEFAULT_PARAMS, kernels=()) -> int:
     )
     from repro.engine.spec import RunResult
     from repro.errors import DistributedError
-    from repro.experiments.report import all_specs
+    from repro.experiments.report import all_specs, assemble
 
     specs = all_specs(args.scale, args.seed, params, kernels)
     client = CoordinatorClient(args.dispatch)
@@ -497,8 +458,7 @@ def _run_dispatch(args, progress, params=DEFAULT_PARAMS, kernels=()) -> int:
     engine = Engine(backend=HTTPBackend(args.dispatch))
     args.engine = engine
 
-    def landed():
-        done = 0
+    def dispatched():
         for index, payload in dispatch_job(
                 client, [spec.to_payload() for spec in specs],
                 scale=args.scale, seed=args.seed):
@@ -511,14 +471,10 @@ def _run_dispatch(args, progress, params=DEFAULT_PARAMS, kernels=()) -> int:
             engine.cache.preload(
                 {fingerprint(spec.cache_key()): payload}
             )
-            done += 1
-            if args.stream:
-                progress(done, len(specs), RunResult(
-                    spec, CycleResult.from_payload(payload), cached=False
-                ))
-            yield index, payload
+            yield index, RunResult(spec, CycleResult.from_payload(payload))
 
-    _emit_streamed(landed(), args, params, kernels)
+    _emit(assemble(_landed(dispatched(), len(specs), args), args.scale,
+                   args.seed, engine, params, kernels), args)
     if engine.stats.traces_computed or engine.stats.simulations:
         print(
             f"warning: the dispatched working set was incomplete — "
@@ -526,7 +482,6 @@ def _run_dispatch(args, progress, params=DEFAULT_PARAMS, kernels=()) -> int:
             f"{engine.stats.simulations} simulations locally",
             file=sys.stderr,
         )
-    return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -805,10 +760,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "finish (the report itself is unchanged)")
     p_bench.add_argument("--shard", default=None, metavar="K/N",
                          help="run only the K-th of N fingerprint-prefix "
-                              "shards and emit a mergeable shard export")
-    p_bench.add_argument("--export-shard", default=None, metavar="PATH",
-                         help="write the shard export here instead of "
-                              "stdout (requires --shard)")
+                              "shards and print a mergeable shard export")
     p_bench.add_argument("--merge-shards", nargs="+", default=None,
                          metavar="PATH",
                          help="reassemble shard exports into the "
@@ -839,15 +791,13 @@ def build_parser() -> argparse.ArgumentParser:
                               "them, see docs/KERNELS.md) and append a "
                               "'kernels' report section — composes with "
                               "--stream, --shard, and --dispatch")
-    p_bench.add_argument("--profile", action="store_true",
+    p_bench.add_argument("--profile", nargs="?", const="", default=None,
+                         metavar="PATH",
                          help="time the run's phases (traces, per-model "
                               "simulation, report assembly) and write a "
-                              "machine-readable BENCH_<timestamp>.json "
-                              "perf-trajectory record (the report itself "
-                              "is unchanged)")
-    p_bench.add_argument("--profile-out", default=None, metavar="PATH",
-                         help="write the --profile document here instead "
-                              "of the timestamped default")
+                              "machine-readable perf-trajectory record to "
+                              "PATH (default: BENCH_<timestamp>.json; the "
+                              "report itself is unchanged)")
     p_bench.set_defaults(fn=_cmd_bench)
 
     p_serve = sub.add_parser(

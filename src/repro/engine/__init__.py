@@ -15,20 +15,14 @@ Layers (bottom up):
 * :mod:`repro.engine.distributed` — the multi-machine layer: pluggable
   cache backends (local / memory / HTTP), the ``repro serve`` cache
   server + work-stealing coordinator, and the ``repro worker`` /
-  ``repro bench --dispatch`` loops.
+  ``repro bench --dispatch`` loops.  Import it explicitly: importing
+  this package does not load it (nor ``http.client``).
 
 See ``docs/ENGINE.md`` for the cache layout and the CLI surface, and
 ``docs/DISTRIBUTED.md`` for the multi-machine subsystem.
 """
 
 from repro.engine.cache import ENGINE_VERSION, TraceCache, fingerprint
-from repro.engine.distributed import (
-    CacheBackend,
-    Coordinator,
-    HTTPBackend,
-    LocalBackend,
-    MemoryBackend,
-)
 from repro.engine.executor import (
     BENCH_PROFILE_SCHEMA,
     BenchProfiler,
@@ -44,7 +38,6 @@ from repro.engine.export import (
     report_json,
     result_payload,
     shard_export_document,
-    write_shard_export,
 )
 from repro.engine.spec import (
     MODEL_REGISTRY,
@@ -59,15 +52,10 @@ from repro.engine.spec import (
 __all__ = [
     "BENCH_PROFILE_SCHEMA",
     "BenchProfiler",
-    "CacheBackend",
-    "Coordinator",
     "ENGINE_VERSION",
     "Engine",
     "EngineStats",
-    "HTTPBackend",
-    "LocalBackend",
     "MODEL_REGISTRY",
-    "MemoryBackend",
     "ModelSpec",
     "RunResult",
     "RunSpec",
@@ -84,5 +72,4 @@ __all__ = [
     "shard_export_document",
     "shard_of",
     "shard_specs",
-    "write_shard_export",
 ]

@@ -6,8 +6,8 @@ the golden-result regression tests snapshot the JSON form.  The report
 documents carry only *content* (scale, seed, experiment payloads), never
 run-environment facts like job counts or cache-hit counters, so batch,
 streamed, warm-cache, and shard-merged invocations of ``repro bench``
-emit byte-identical output (engine statistics live in the cache run log
-and behind ``repro bench --stats``).
+emit byte-identical output (engine statistics live behind ``repro bench
+--stats``, in the ``--profile`` record and in each shard export).
 
 A **shard export** is one ``repro bench --shard K/N`` run's working set
 — every content-addressed record the run computed or read, digest ->
@@ -149,12 +149,6 @@ def backend_export_document(backend, *, scale: str,
         "arch": None,
         "entries": entries,
     }
-
-
-def write_shard_export(path, document: Dict[str, object]) -> None:
-    Path(path).write_text(
-        json.dumps(document, sort_keys=True), encoding="utf-8"
-    )
 
 
 def read_shard_export(path) -> Dict[str, object]:

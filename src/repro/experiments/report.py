@@ -8,7 +8,9 @@ down).
 first and executes them through one engine, so the nine figures share every
 functional trace and — with ``repro bench --jobs N`` — run their model
 evaluations in parallel before the tables are assembled serially in paper
-order.
+order.  :func:`assemble` is the one assembler: batch, streamed, merged and
+dispatched runs all build their sections through it, and
+:func:`report_lines` is the one ASCII renderer.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import (
 
 from repro.arch.params import ArchParams, DEFAULT_PARAMS
 from repro.engine.executor import Engine, default_engine
+from repro.engine.spec import RunResult
 from repro.experiments import (
     fig11_pe_models,
     fig12_control_network,
@@ -85,43 +88,34 @@ def run_all(scale: str = "small", seed: int = 0,
             ) -> List[ExperimentResult]:
     """Every table and figure of the evaluation, in paper order.
 
-    With ``kernels``, the external-kernel section is appended after the
-    paper's figures (same engine, same batch — its specs were priced
-    alongside everything else).
+    One batch prices every spec (parallel + cached), then
+    :func:`assemble` builds the sections from the engine memo.  With
+    ``kernels``, the external-kernel section is appended after the
+    paper's figures (same engine, same batch).
     """
     engine = engine or default_engine()
-    # one batch: parallel + cached
-    engine.execute(all_specs(scale, seed, params, kernels))
-    results = [module.run(scale, seed, params, engine)
-               for module in EXPERIMENT_MODULES]
-    if kernels:
-        from repro.kernels.bench import run_section
-
-        results.append(run_section(kernels, seed, params, engine=engine))
-    return results
+    runs = engine.execute(all_specs(scale, seed, params, kernels))
+    return list(assemble(enumerate(runs), scale, seed, engine, params,
+                         kernels))
 
 
-def assemble_stream(pairs: Iterable[Tuple[int, object]],
-                    scale: str = "small", seed: int = 0,
-                    engine: Optional[Engine] = None,
-                    params: ArchParams = DEFAULT_PARAMS,
-                    kernels: Sequence = ()
-                    ) -> Iterator[ExperimentResult]:
-    """Assemble experiments incrementally from a stream of spec landings.
+def assemble(pairs: Iterable[Tuple[int, RunResult]],
+             scale: str = "small", seed: int = 0,
+             engine: Optional[Engine] = None,
+             params: ArchParams = DEFAULT_PARAMS,
+             kernels: Sequence = ()
+             ) -> Iterator[ExperimentResult]:
+    """Assemble the report's sections from a stream of spec landings.
 
-    ``pairs`` is any iterator of ``(index, _)`` tuples over
-    :func:`all_specs` positions — :meth:`Engine.stream` output, or a
-    dispatch client's result feed.  Each experiment's table is built and
-    yielded **as soon as its last spec lands** (the engine memo replays
-    the assembly; nothing is recomputed), subject to one ordering rule:
-    experiments emit in paper order, so the concatenated yields are
-    exactly :func:`run_all`'s list and a consumer printing them
-    reproduces the canonical report byte-for-byte — early tables
-    surface while later experiments are still computing, and nothing
-    waits for the whole batch.
+    ``pairs`` is any iterator of ``(index, run result)`` tuples over the
+    :func:`all_specs` batch — :meth:`Engine.stream` output, a dispatch
+    client's result feed, or :func:`run_all`'s finished batch.  Each
+    section is built and yielded **as soon as its last spec lands** (the
+    engine memo replays the assembly; nothing is recomputed), in paper
+    order, so a consumer printing the yields reproduces the canonical
+    report byte-for-byte while later sections are still computing.
     """
     engine = engine or default_engine()
-    specs = all_specs(scale, seed, params, kernels)
     # (needed spec set, assembly thunk) per report section, in report
     # order: paper experiments first, then the external-kernel section.
     sections: List[Tuple[set, Callable[[], ExperimentResult]]] = [
@@ -138,67 +132,37 @@ def assemble_stream(pairs: Iterable[Tuple[int, object]],
         ))
     landed: set = set()
     position = 0
-    for index, _result in pairs:
-        landed.add(specs[index])
+    for _index, run_result in pairs:
+        landed.add(run_result.spec)
         while position < len(sections) \
                 and sections[position][0] <= landed:
             yield sections[position][1]()
             position += 1
     # A fully-consumed stream has landed every spec; anything left (e.g.
     # an empty spec batch edge case) assembles from the engine memo.
-    while position < len(sections):
-        yield sections[position][1]()
-        position += 1
+    for _needed, build in sections[position:]:
+        yield build()
 
 
-def stream_pairs(scale: str = "small", seed: int = 0,
-                 engine: Optional[Engine] = None,
-                 on_result: Optional[Callable] = None,
-                 params: ArchParams = DEFAULT_PARAMS,
-                 kernels: Sequence = ()
-                 ) -> Iterator[Tuple[int, object]]:
-    """:meth:`Engine.stream` over :func:`all_specs`, as ``(index,
-    run result)`` pairs ready for :func:`assemble_stream`.
+def report_lines(results: Iterable[ExperimentResult], scale: str,
+                 seed: int) -> Iterator[str]:
+    """The canonical ASCII report, one printable line at a time.
 
-    ``on_result(position, total, run_result)`` fires as each spec
-    finishes (completion order) — the CLI's progress lines.  Streaming
-    changes *when* results surface, never *what* they are: assembling
-    the pairs reproduces :func:`run_all`'s report exactly.
+    The header, then each table followed by a blank line.  Lazy in
+    ``results``, so fed :func:`assemble`'s generator each table surfaces
+    the moment its section lands.
     """
-    engine = engine or default_engine()
-    specs = all_specs(scale, seed, params, kernels)
-    for done, (index, run_result) in enumerate(engine.stream(specs), 1):
-        if on_result is not None:
-            on_result(done, len(specs), run_result)
-        yield index, run_result
-
-
-def report_header(scale: str, seed: int) -> List[str]:
-    """The ASCII report's header lines.
-
-    Shared by :func:`render_results` and the CLI's incremental streamed
-    emitter — both paths must stay byte-identical.
-    """
-    return [
-        "# Marionette evaluation report",
-        f"(workload scale: {scale}, seed: {seed})",
-        "",
-    ]
-
-
-def render_results(results: List[ExperimentResult], scale: str,
-                   seed: int) -> str:
-    """The canonical ASCII report for an already-assembled result list."""
-    sections = report_header(scale, seed)
+    yield "# Marionette evaluation report"
+    yield f"(workload scale: {scale}, seed: {seed})"
+    yield ""
     for result in results:
-        sections.append(result.to_table())
-        sections.append("")
-    return "\n".join(sections)
+        yield result.to_table()
+        yield ""
 
 
 def render_report(scale: str = "small", seed: int = 0,
                   engine: Optional[Engine] = None,
                   params: ArchParams = DEFAULT_PARAMS) -> str:
-    return render_results(
+    return "\n".join(report_lines(
         run_all(scale, seed, engine=engine, params=params), scale, seed
-    )
+    ))

@@ -125,22 +125,36 @@ class TestCli:
                 in capsys.readouterr().err
 
     def test_arch_sweep_rejects_single_document_modes(self, capsys):
-        # --profile, --stats, and --export-shard each describe exactly
-        # one run/document; a sweep emits one per variant.
+        # --profile and --stats each describe exactly one run/document;
+        # a sweep emits one per variant.
         for combo, fragment in (
                 (["--profile"], "--profile times one batch run"),
                 (["--format", "json", "--stats"],
-                 "one engine's counters"),
-                (["--shard", "1/1", "--export-shard", "x.json"],
-                 "one shard export per variant")):
+                 "one engine's counters")):
             assert main(["bench", "--scale", "tiny",
                          "--arch-sweep", "examples/arch", *combo]) == 2
             assert fragment in capsys.readouterr().err
 
-    def test_profile_out_requires_profile(self, capsys):
+    def test_profile_writes_one_timestamped_record(self, tmp_path,
+                                                   monkeypatch, capsys):
+        from repro.engine import BENCH_PROFILE_SCHEMA
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench", "--scale", "tiny", "--profile"]) == 0
+        records = list(tmp_path.glob("BENCH_*.json"))
+        assert len(records) == 1 and list(tmp_path.iterdir()) == records
+        document = json.loads(records[0].read_text(encoding="utf-8"))
+        assert document["schema"] == BENCH_PROFILE_SCHEMA
+        assert f"-> {records[0].name}" in capsys.readouterr().err
+
+    def test_profile_path_names_the_record(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         assert main(["bench", "--scale", "tiny",
-                     "--profile-out", "prof.json"]) == 2
-        assert "requires --profile" in capsys.readouterr().err
+                     "--profile", "prof.json"]) == 0
+        assert [path.name for path in tmp_path.iterdir()] == ["prof.json"]
+        document = json.loads((tmp_path / "prof.json").read_text(
+            encoding="utf-8"))
+        assert document["scale"] == "tiny"
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):

@@ -38,9 +38,6 @@ from repro.arch.params import DEFAULT_PARAMS
 from repro.cli import main
 from repro.engine import (
     Engine,
-    HTTPBackend,
-    LocalBackend,
-    MemoryBackend,
     ModelSpec,
     RunSpec,
     TraceCache,
@@ -48,7 +45,12 @@ from repro.engine import (
     merge_shard_documents,
     read_shard_export,
 )
-from repro.engine.distributed.coordinator import Coordinator
+from repro.engine.distributed import (
+    Coordinator,
+    HTTPBackend,
+    LocalBackend,
+    MemoryBackend,
+)
 from repro.engine.distributed.server import DistributedServer
 from repro.engine.distributed.worker import (
     CoordinatorClient,

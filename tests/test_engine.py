@@ -198,7 +198,7 @@ class TestParallelTraces:
         for jobs in (1, 2):
             profile = tmp_path / f"profile_{jobs}.json"
             assert main(["bench", "--scale", "tiny", "--jobs", str(jobs),
-                         "--profile", "--profile-out", str(profile)]) == 0
+                         "--profile", str(profile)]) == 0
             outputs[jobs] = capsys.readouterr().out
             trace = json.loads(profile.read_text(encoding="utf-8")
                                )["phases"][0]

@@ -1,6 +1,7 @@
 """Every module under ``src/repro`` is reachable from the command line,
 every name a module imports is read, and no module imports a private
-name from another.
+name from another; importing the engine leaves its distributed layer
+unloaded.
 
 The walk starts at ``repro.cli`` and ``repro.__main__`` and follows the
 static import graph: each module's source is parsed, and every import
@@ -22,6 +23,9 @@ that imports one from another ties itself to that module's internals.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 from typing import Dict, Iterator, Set, Tuple
 
@@ -153,3 +157,17 @@ def test_no_module_imports_a_private_name():
                     for alias in node.names if alias.name.startswith("_")
                 )
     assert not private, "private names imported: " + ", ".join(private)
+
+
+def test_importing_the_engine_leaves_the_distributed_layer_unloaded():
+    # Only --dispatch, `repro serve` and `repro worker` speak HTTP; a
+    # process that just prices specs must not load that layer.
+    probe = ("import sys, repro.engine; print(sorted(set(sys.modules) & "
+             "{'repro.engine.distributed', 'http.client'}))")
+    path = os.pathsep.join(filter(None, [str(SRC),
+                                         os.environ.get("PYTHONPATH")]))
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert loaded == "[]\n"

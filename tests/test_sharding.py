@@ -8,6 +8,7 @@ byte-identical to the unsharded ``repro bench`` run in every format.
 
 from __future__ import annotations
 
+import contextlib
 import json
 
 import pytest
@@ -31,6 +32,15 @@ SEED = 0
 @pytest.fixture(scope="module")
 def specs():
     return all_specs(SCALE, SEED)
+
+
+def _export(path, *argv) -> str:
+    """``repro bench ARGV`` with stdout redirected to ``path`` — the
+    documented ``--shard K/N > shard-K.json`` recipe."""
+    with open(path, "w", encoding="utf-8") as handle, \
+            contextlib.redirect_stdout(handle):
+        assert main(["bench", *argv]) == 0
+    return str(path)
 
 
 class TestParseShard:
@@ -78,16 +88,12 @@ class TestShardMergeCli:
     @pytest.fixture(scope="class")
     def exports(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("shards")
-        paths = []
-        for index in (1, 2):
-            path = root / f"shard{index}.json"
-            assert main([
-                "bench", "--scale", SCALE, "--seed", str(SEED),
-                "--shard", f"{index}/2", "--export-shard", str(path),
-                "--cache-dir", str(root / "cache"),
-            ]) == 0
-            paths.append(str(path))
-        return paths
+        return [
+            _export(root / f"shard{index}.json", "--scale", SCALE,
+                    "--seed", str(SEED), "--shard", f"{index}/2",
+                    "--cache-dir", str(root / "cache"))
+            for index in (1, 2)
+        ]
 
     @pytest.mark.parametrize("fmt", ["ascii", "json", "csv"])
     def test_merged_report_is_byte_identical(self, exports, fmt, capsys):
@@ -112,13 +118,12 @@ class TestShardMergeCli:
         cache = str(tmp_path / "cache")
         assert main(["bench", "--scale", SCALE, "--seed", str(SEED),
                      "--cache-dir", cache, "--format", "csv"]) == 0
-        paths = []
-        for index in (1, 2):
-            path = str(tmp_path / f"shard{index}.json")
-            assert main(["bench", "--scale", SCALE, "--seed", str(SEED),
-                         "--shard", f"{index}/2", "--export-shard", path,
-                         "--cache-dir", cache]) == 0
-            paths.append(path)
+        paths = [
+            _export(tmp_path / f"shard{index}.json", "--scale", SCALE,
+                    "--seed", str(SEED), "--shard", f"{index}/2",
+                    "--cache-dir", cache)
+            for index in (1, 2)
+        ]
         capsys.readouterr()
         assert main(["bench", "--merge-shards", *paths,
                      "--format", "csv"]) == 0
@@ -140,10 +145,9 @@ class TestShardMergeCli:
 
 class TestMergeValidation:
     def test_incomplete_shard_set_rejected(self, tmp_path, capsys):
-        path = tmp_path / "s1.json"
-        assert main(["bench", "--scale", SCALE, "--shard", "1/2",
-                     "--export-shard", str(path)]) == 0
-        assert main(["bench", "--merge-shards", str(path),
+        path = _export(tmp_path / "s1.json", "--scale", SCALE,
+                       "--shard", "1/2")
+        assert main(["bench", "--merge-shards", path,
                      "--format", "csv"]) == 2
         assert "cover" in capsys.readouterr().err
 
@@ -206,10 +210,6 @@ class TestMergeValidation:
         assert main(["bench", "--shard", "1/2",
                      "--merge-shards", "x.json"]) == 2
         assert "mutually exclusive" in capsys.readouterr().err
-
-    def test_export_without_shard_is_an_error(self, capsys):
-        assert main(["bench", "--export-shard", "x.json"]) == 2
-        assert "requires --shard" in capsys.readouterr().err
 
     def test_shard_with_format_or_stats_is_an_error(self, capsys):
         # A shard run emits a shard export, never a report, so report

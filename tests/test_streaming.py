@@ -12,6 +12,7 @@ fully readable.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.errors import EngineError
 
 VN = ModelSpec.make("von_neumann")
 MARIONETTE = ModelSpec.make("marionette")
+EXAMPLE_KERNELS = Path(__file__).parents[1] / "examples" / "kernels"
 
 
 def _specs(scale: str = "tiny"):
@@ -93,28 +95,38 @@ class TestBatchEquivalence:
 
 
 class TestIncrementalAssembly:
-    """``assemble_stream`` builds each experiment the moment its last
-    spec lands, without changing what the report contains."""
+    """``assemble`` builds each section the moment its last spec lands,
+    without changing what the report contains."""
 
-    def test_assembled_results_equal_run_all(self):
+    def test_assembled_results_equal_each_section_run_directly(self):
         from repro.engine import result_payload
         from repro.experiments.report import (
+            EXPERIMENT_MODULES,
             all_specs,
-            assemble_stream,
-            run_all,
+            assemble,
         )
+        from repro.kernels import load_kernel_suite
+        from repro.kernels.bench import run_section
 
-        batch = [result_payload(r) for r in run_all("tiny", 0,
-                                                    engine=Engine())]
-        engine = Engine()
-        specs = all_specs("tiny", 0)
-        streamed = list(assemble_stream(
-            engine.stream(specs), "tiny", 0, engine
-        ))
-        assert [result_payload(r) for r in streamed] == batch
+        kernels = tuple(package for _path, package
+                        in load_kernel_suite(EXAMPLE_KERNELS))
+        # The reference prices each section on its own, with neither
+        # the batch nor the assembler in the way.
+        reference = Engine()
+        expected = [module.run("tiny", 0, DEFAULT_PARAMS, reference)
+                     for module in EXPERIMENT_MODULES]
+        expected.append(run_section(kernels, 0, DEFAULT_PARAMS,
+                                    engine=reference))
+        # Two workers land the pairs in completion order.
+        engine = Engine(jobs=2)
+        specs = all_specs("tiny", 0, DEFAULT_PARAMS, kernels)
+        assembled = assemble(engine.stream(specs), "tiny", 0, engine,
+                             DEFAULT_PARAMS, kernels)
+        assert [result_payload(r) for r in assembled] \
+            == [result_payload(r) for r in expected]
 
     def test_first_experiment_emits_before_the_stream_ends(self):
-        from repro.experiments.report import all_specs, assemble_stream
+        from repro.experiments.report import all_specs, assemble
 
         engine = Engine()
         specs = all_specs("tiny", 0)
@@ -126,7 +138,7 @@ class TestIncrementalAssembly:
                 consumed["pairs"] += 1
                 yield pair
 
-        assembled = assemble_stream(counting_pairs(), "tiny", 0, engine)
+        assembled = assemble(counting_pairs(), "tiny", 0, engine)
         first = next(assembled)
         # The first table surfaced with most of the sweep still
         # unstreamed — assembly is incremental, not end-of-batch.
