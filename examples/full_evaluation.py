@@ -8,9 +8,10 @@ Table 5 sizes and takes several minutes of pure-Python interpretation.
 
 import sys
 
-from repro.experiments.report import render_report
+from repro.experiments.report import report_lines, run_all
 
 
 if __name__ == "__main__":
     scale = sys.argv[1] if len(sys.argv) > 1 else "small"
-    print(render_report(scale))
+    for line in report_lines(run_all(scale), scale, seed=0):
+        print(line)

@@ -2,11 +2,10 @@
 
 Commands:
 
-* ``report [--scale S]`` — regenerate every table/figure;
 * ``bench [--scale S] [--seed N] [--jobs N] [--cache-dir PATH]
   [--format ascii|json|csv] [--stream] [--shard K/N]
-  [--merge-shards PATH...] [--dispatch URL] [--arch FILE]
-  [--arch-sweep DIR] [--kernels DIR] [--profile [PATH]]``
+  [--merge-shards PATH...] [--dispatch URL] [--arch PATH]
+  [--kernels DIR] [--profile [PATH]]`` (alias ``report``)
   — the full report through the parallel experiment engine, with
   on-disk trace caching, machine-readable exports, streaming per-spec
   progress, fingerprint-prefix sharding across CI jobs (a shard run
@@ -14,11 +13,11 @@ Commands:
   the canonical report, byte-identical to an unsharded run), dynamic
   dispatch to a ``repro serve`` worker fleet (``--dispatch``, also
   byte-identical), architecture selection (``--arch FILE`` prices the
-  whole evaluation on a loaded architecture description;
-  ``--arch-sweep DIR`` emits one report section per spec file in
-  deterministic filename order — see docs/ARCH.md), and phase
-  profiling (``--profile [PATH]`` times the trace / per-model simulate
-  / assemble phases and writes a perf-trajectory record to PATH,
+  whole evaluation on a loaded architecture description; ``--arch DIR``
+  emits one report section per spec file in deterministic filename
+  order — see docs/ARCH.md), and phase profiling (``--profile [PATH]``
+  times the trace / per-model simulate / assemble phases and writes a
+  perf-trajectory record, engine counters included, to PATH,
   ``BENCH_<timestamp>.json`` by default — the report itself is
   unchanged);
 * ``serve [--host H] [--port P] [--cache-dir PATH]
@@ -39,8 +38,7 @@ Commands:
 
 ``bench`` report documents (all three formats) carry only content, so
 batch, ``--stream``, warm-cache, and shard-merged runs are
-byte-identical; diagnostics go to stderr and the opt-in ``--stats``
-JSON field.
+byte-identical; diagnostics go to stderr and the ``--profile`` record.
 """
 
 from __future__ import annotations
@@ -60,13 +58,6 @@ _EXPERIMENTS = (
 )
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.experiments.report import render_report
-
-    print(render_report(args.scale))
-    return 0
-
-
 def _progress_line(done: int, total: int, run_result) -> str:
     spec = run_result.spec
     label = spec.model.label or spec.model.model
@@ -79,7 +70,7 @@ def _progress_line(done: int, total: int, run_result) -> str:
 def _report_meta(args) -> Dict[str, object]:
     """The JSON document's identifying metadata.
 
-    The ``arch`` stanza appears only in ``--arch-sweep`` sections —
+    The ``arch`` stanza appears only in ``--arch DIR`` sweep sections —
     a single-variant run (flagless or ``--arch FILE``) must stay
     byte-identical to the canonical report, which carries no arch
     stanza.
@@ -111,8 +102,7 @@ def _emit(results, args) -> None:
 
     results = list(results)
     if args.format == "json":
-        stats = args.engine.stats.as_dict() if args.stats else None
-        print(report_json(results, stats=stats, meta=_report_meta(args)))
+        print(report_json(results, meta=_report_meta(args)))
     else:
         print(report_csv(results))
 
@@ -126,29 +116,9 @@ def _landed(pairs, total: int, args):
         yield pair
 
 
-def _check_arch_paths(arch, arch_sweep) -> int:
-    """Catch the two flags being fed each other's operand.
-
-    ``--arch`` takes one spec *file* and ``--arch-sweep`` a *directory*
-    of them; a swapped operand would otherwise surface as an opaque
-    read/parse failure instead of naming the sister flag.
-    """
+def _cmd_bench(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    if arch and Path(arch).is_dir():
-        print(f"error: --arch expects an architecture spec file, but "
-              f"{arch} is a directory — to run every spec file in it, "
-              f"use --arch-sweep {arch}", file=sys.stderr)
-        return 2
-    if arch_sweep and Path(arch_sweep).is_file():
-        print(f"error: --arch-sweep expects a directory of spec files, "
-              f"but {arch_sweep} is a file — to price this one variant, "
-              f"use --arch {arch_sweep}", file=sys.stderr)
-        return 2
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.arch.spec import load_arch, load_arch_sweep
     from repro.engine import (
         Engine,
@@ -157,32 +127,20 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
     from repro.experiments.report import run_all
 
-    if args.arch and args.arch_sweep:
-        print("error: --arch and --arch-sweep are mutually exclusive — "
-              "a sweep directory already names every variant",
-              file=sys.stderr)
-        return 2
-    code = _check_arch_paths(args.arch, args.arch_sweep)
-    if code:
-        return code
+    sweep = bool(args.arch) and Path(args.arch).is_dir()
     if args.kernels and args.merge_shards:
         print("error: --kernels has no effect with --merge-shards — the "
               "exports name the kernel suite they came from",
               file=sys.stderr)
         return 2
-    if (args.arch or args.arch_sweep) and args.merge_shards:
-        print("error: --arch/--arch-sweep have no effect with "
-              "--merge-shards — the exports name the architecture they "
-              "came from", file=sys.stderr)
-        return 2
-    if args.arch_sweep and args.profile is not None:
-        print("error: --profile times one batch run — it cannot be "
-              "combined with --arch-sweep", file=sys.stderr)
-        return 2
-    if args.arch_sweep and args.stats:
-        print("error: --stats attaches one engine's counters to one "
-              "JSON document — it cannot be combined with --arch-sweep",
+    if args.arch and args.merge_shards:
+        print("error: --arch has no effect with --merge-shards — the "
+              "exports name the architecture they came from",
               file=sys.stderr)
+        return 2
+    if sweep and args.profile is not None:
+        print("error: --profile times one batch run — it cannot be "
+              "combined with an --arch sweep directory", file=sys.stderr)
         return 2
     if args.shard and args.merge_shards:
         print("error: --shard and --merge-shards are mutually exclusive",
@@ -201,11 +159,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print("error: --cache-dir has no effect with --dispatch — "
               "records live on the serve cache", file=sys.stderr)
         return 2
-    if args.dispatch and args.stats:
-        print("error: --stats reports the local engine, which computes "
-              "nothing under --dispatch — fleet stats live at "
-              "GET <URL>/queue/status", file=sys.stderr)
-        return 2
     if args.profile is not None and (args.stream or args.shard
                                      or args.merge_shards
                                      or args.dispatch):
@@ -213,16 +166,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
               "be combined with --stream/--shard/--merge-shards/"
               "--dispatch", file=sys.stderr)
         return 2
-    if args.profile is not None and args.stats:
-        print("error: --stats embeds engine counters in the stdout "
-              "document, which the profiler's phased execution would "
-              "skew — the per-phase deltas live in the --profile JSON "
-              "instead", file=sys.stderr)
-        return 2
-    if args.shard and (args.format is not None or args.stats):
-        print("error: --format/--stats have no effect with --shard — a "
-              "shard run emits a shard export, not a report",
-              file=sys.stderr)
+    if args.shard and args.format is not None:
+        print("error: --format has no effect with --shard — a shard run "
+              "emits a shard export, not a report", file=sys.stderr)
         return 2
     if args.merge_shards and args.stream:
         print("error: --stream has no effect with --merge-shards — the "
@@ -238,10 +184,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     args.format = args.format or "ascii"
     args.scale = args.scale or "small"
     args.seed = 0 if args.seed is None else args.seed
-    if args.stats and args.format != "json":
-        print("error: --stats attaches engine_stats to the JSON "
-              "document — it requires --format json", file=sys.stderr)
-        return 2
 
     args.arch_desc = None
     args.arch_meta = None
@@ -272,7 +214,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 for doc in merged["kernels"]
             )
         engine = Engine(cache_dir=args.cache_dir, jobs=args.jobs)
-        args.engine = engine
         engine.cache.preload(merged["entries"])
         results = run_all(args.scale, args.seed, engine=engine,
                           params=params, kernels=kernels)
@@ -286,8 +227,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         _emit(results, args)
         return 0
 
-    if args.arch_sweep:
-        variants = load_arch_sweep(args.arch_sweep)
+    if sweep:
+        variants = load_arch_sweep(args.arch)
         # One engine across the whole sweep shares every functional
         # trace (trace identity excludes params).  Shard runs get a
         # fresh engine per variant instead: a shard export is one
@@ -312,7 +253,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 # document instead of a header line.
             _bench_variant(args, engine)
         print(f"arch sweep: {len(variants)} variant(s) from "
-              f"{args.arch_sweep}", file=sys.stderr)
+              f"{args.arch}", file=sys.stderr)
         return 0
 
     if args.arch:
@@ -349,7 +290,6 @@ def _bench_variant(args, engine=None) -> None:
 
     if engine is None:
         engine = Engine(cache_dir=args.cache_dir, jobs=args.jobs)
-    args.engine = engine
 
     if args.profile is not None:
         return _run_profiled(engine, args, params, kernels)
@@ -456,7 +396,6 @@ def _run_dispatch(args, params=DEFAULT_PARAMS, kernels=()) -> None:
     # Traces the assembly needs come over HTTP from the shared cache;
     # cycle results are preloaded into the memory layer as they land.
     engine = Engine(backend=HTTPBackend(args.dispatch))
-    args.engine = engine
 
     def dispatched():
         for index, payload in dispatch_job(
@@ -635,9 +574,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.max_cycles < 1:
         print("error: --max-cycles must be at least 1", file=sys.stderr)
         return 2
-    code = _check_arch_paths(args.arch, None)
-    if code:
-        return code
     package = load_kernel(args.kernel_dir)
     params, arch_name = DEFAULT_PARAMS, "default"
     if args.arch:
@@ -738,13 +674,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_report = sub.add_parser("report", help="all tables and figures")
-    p_report.add_argument("--scale", default="small",
-                          choices=("tiny", "small", "paper"))
-    p_report.set_defaults(fn=_cmd_report)
-
     p_bench = sub.add_parser(
-        "bench", help="full report through the parallel experiment engine"
+        "bench", aliases=["report"],
+        help="full report through the parallel experiment engine"
     )
     p_bench.add_argument("--scale", default=None,
                          choices=("tiny", "small", "paper"))
@@ -765,26 +697,16 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="PATH",
                          help="reassemble shard exports into the "
                               "canonical report (no recomputation)")
-    p_bench.add_argument("--stats", action="store_true",
-                         help="attach engine_stats to the JSON document "
-                              "(off by default so reports stay "
-                              "byte-identical across cache states)")
     p_bench.add_argument("--dispatch", default=None, metavar="URL",
                          help="run the sweep on a 'repro serve' worker "
                               "fleet (dynamic work stealing; report is "
                               "byte-identical to a local run)")
-    p_bench.add_argument("--arch", default=None, metavar="FILE",
+    p_bench.add_argument("--arch", default=None, metavar="PATH",
                          help="price the whole evaluation on this "
                               "architecture description (JSON, see "
-                              "docs/ARCH.md; the default spec file "
-                              "reproduces the flagless report "
-                              "byte-for-byte)")
-    p_bench.add_argument("--arch-sweep", default=None, metavar="DIR",
-                         help="run every *.json architecture "
-                              "description in DIR (deterministic "
-                              "filename order), emitting one report "
-                              "section per spec file — composes with "
-                              "--shard, --stream, and --dispatch")
+                              "docs/ARCH.md); given a directory, on every "
+                              "*.json description in it, one report "
+                              "section each in filename order")
     p_bench.add_argument("--kernels", default=None, metavar="DIR",
                          help="also price every external kernel package "
                               "in DIR (one package or a directory of "
@@ -910,9 +832,11 @@ def main(argv: List[str] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ReproError as error:
+    except (ReproError, OSError) as error:
         # Package errors (bad shard selector, malformed export, worker
-        # failure, unknown kernel) are user-facing diagnostics, not
-        # tracebacks — match the exit code of the argparse-level errors.
+        # failure, unknown kernel) and unwritable paths (a --profile
+        # record's missing directory, a --cache-dir that is a file) are
+        # user-facing diagnostics, not tracebacks — match the exit code
+        # of the argparse-level errors.
         print(f"error: {error}", file=sys.stderr)
         return 2

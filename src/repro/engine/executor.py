@@ -24,9 +24,9 @@ deterministic lists of :class:`~repro.engine.spec.RunResult`:
   parallel, serial and streamed runs are indistinguishable downstream.
 
 :attr:`Engine.stats` counts what actually ran — ``traces_computed`` is the
-number of workload functional simulations this engine performed;
-``repro bench --format json --stats`` and the ``--profile`` document
-report those counters.
+number of workload functional simulations this engine performed; the
+``repro bench --profile`` record and every shard export report those
+counters.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ TraceKey = Tuple[str, str, int]
 
 @dataclass
 class EngineStats:
-    """What one engine actually computed (``repro bench --stats``)."""
+    """What one engine actually computed (``--profile``'s engine_stats)."""
 
     traces_computed: int = 0   # workload functional simulations performed
     trace_cache_hits: int = 0  # traces served from the on-disk cache
@@ -148,6 +148,16 @@ def _sim_chunk(specs: Sequence[RunSpec], trace_payload: dict) -> List[dict]:
     return results
 
 
+def _parsed(parse: Callable[[object], object], payload: object):
+    """``parse(payload)``, or None for a missing payload or one that
+    ``parse`` rejects: a foreign record inside a well-formed envelope is
+    a miss to recompute and overwrite, never a crash."""
+    try:
+        return None if payload is None else parse(payload)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+
+
 def _pool_context():
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
@@ -207,12 +217,13 @@ class Engine:
         """Pull one trace from the memo or cache; True when available."""
         if key in self._trace_payloads:
             return True
+        # Admitted only if it parses: pool workers parse the payload too.
         payload = self.cache.get(trace_cache_key(*key))
-        if payload is not None:
-            self.stats.trace_cache_hits += 1
-            self._trace_payloads[key] = payload
-            return True
-        return False
+        if _parsed(DynamicTrace.from_payload, payload) is None:
+            return False
+        self.stats.trace_cache_hits += 1
+        self._trace_payloads[key] = payload
+        return True
 
     @staticmethod
     def _kernel_documents(keys: Iterable[TraceKey]) -> Dict[str, dict]:
@@ -268,12 +279,11 @@ class Engine:
         cached = self._cycles.get(spec)
         if cached is not None:
             return cached, True
-        payload = self.cache.get(spec.cache_key())
-        if payload is not None:
-            cached = CycleResult.from_payload(payload)
+        cached = _parsed(CycleResult.from_payload,
+                         self.cache.get(spec.cache_key()))
+        if cached is not None:
             self._cycles[spec] = cached
-            return cached, False
-        return None, False
+        return cached, False
 
     def _store_cycles(self, spec: RunSpec, outcome: CycleResult) -> None:
         self._cycles[spec] = outcome

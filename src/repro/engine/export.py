@@ -6,8 +6,8 @@ the golden-result regression tests snapshot the JSON form.  The report
 documents carry only *content* (scale, seed, experiment payloads), never
 run-environment facts like job counts or cache-hit counters, so batch,
 streamed, warm-cache, and shard-merged invocations of ``repro bench``
-emit byte-identical output (engine statistics live behind ``repro bench
---stats``, in the ``--profile`` record and in each shard export).
+emit byte-identical output (engine statistics live in the ``--profile``
+record and in each shard export).
 
 A **shard export** is one ``repro bench --shard K/N`` run's working set
 — every content-addressed record the run computed or read, digest ->
@@ -66,15 +66,13 @@ def result_payload(result) -> Dict[str, object]:
     }
 
 
-def report_json(results: Sequence, *, stats: Optional[Dict[str, int]] = None,
+def report_json(results: Sequence, *,
                 meta: Optional[Dict[str, object]] = None,
                 indent: int = 2) -> str:
-    """A whole report (plus engine stats) as one JSON document."""
+    """A whole report as one JSON document."""
     document: Dict[str, object] = {}
     if meta:
         document.update(_plain(meta))
-    if stats is not None:
-        document["engine_stats"] = dict(stats)
     document["experiments"] = [result_payload(r) for r in results]
     return json.dumps(document, indent=indent, sort_keys=False)
 

@@ -1,8 +1,8 @@
 """Run every experiment and emit the full evaluation report.
 
-``repro report`` and ``repro bench`` regenerate all tables and figures
-in one pass through this module (the payloads ``tests/golden/`` locks
-down).
+``repro bench`` (alias ``repro report``) regenerates all tables and
+figures in one pass through this module (the payloads ``tests/golden/``
+locks down).
 
 :func:`run_all` collects the :class:`RunSpec` batches of every experiment
 first and executes them through one engine, so the nine figures share every
@@ -159,10 +159,3 @@ def report_lines(results: Iterable[ExperimentResult], scale: str,
         yield result.to_table()
         yield ""
 
-
-def render_report(scale: str = "small", seed: int = 0,
-                  engine: Optional[Engine] = None,
-                  params: ArchParams = DEFAULT_PARAMS) -> str:
-    return "\n".join(report_lines(
-        run_all(scale, seed, engine=engine, params=params), scale, seed
-    ))

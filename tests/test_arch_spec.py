@@ -10,7 +10,7 @@ Four contracts live here:
   spec file reproduces ``DEFAULT_PARAMS`` exactly;
 * **byte-identity differential** — ``repro bench --arch <default spec>``
   emits byte-identical reports to a flagless run in all three formats;
-* **sweep execution** — ``--arch-sweep`` sections follow deterministic
+* **sweep execution** — ``--arch DIR`` sections follow deterministic
   filename order, and the ``--shard`` composition emits one export per
   variant keyed by that variant's own fingerprints.
 """
@@ -301,7 +301,7 @@ class TestArchCli:
 
     def test_sweep_sections_follow_filename_order(self, capsys):
         assert main(["bench", "--scale", "tiny",
-                     "--arch-sweep", str(EXAMPLES_DIR)]) == 0
+                     "--arch", str(EXAMPLES_DIR)]) == 0
         captured = capsys.readouterr()
         expected = load_arch_sweep(EXAMPLES_DIR)
         headers = [line for line in captured.out.splitlines()
@@ -317,7 +317,7 @@ class TestArchCli:
         from repro.experiments.report import all_specs
 
         assert main(["bench", "--scale", "tiny", "--shard", "1/1",
-                     "--arch-sweep", str(EXAMPLES_DIR)]) == 0
+                     "--arch", str(EXAMPLES_DIR)]) == 0
         lines = capsys.readouterr().out.splitlines()
         documents = [json.loads(line) for line in lines if line.strip()]
         expected = load_arch_sweep(EXAMPLES_DIR)

@@ -48,38 +48,39 @@ class TestCli:
 
     def test_bench_json_stats_flag_attaches_engine_stats(self, tmp_path,
                                                          capsys):
-        argv = ["bench", "--scale", "tiny", "--format", "json", "--stats",
-                "--cache-dir", str(tmp_path)]
+        # The engine counters live in the --profile record, not in the
+        # report document.
+        cache, record = tmp_path / "cache", tmp_path / "profile.json"
+        argv = ["bench", "--scale", "tiny", "--cache-dir", str(cache),
+                "--profile", str(record)]
         assert main(argv) == 0
-        captured = capsys.readouterr()
-        document = json.loads(captured.out)
-        assert captured.err == ""
-        assert document["engine_stats"]["simulations"] > 0
-        assert document["engine_stats"]["traces_computed"] > 0
+        capsys.readouterr()
+        stats = json.loads(record.read_text(encoding="utf-8"))[
+            "engine_stats"]
+        assert stats["simulations"] > 0
+        assert stats["traces_computed"] > 0
         # A second run against the same directory is a pure replay.
         assert main(argv) == 0
-        captured = capsys.readouterr()
-        warm = json.loads(captured.out)
-        assert captured.err == ""
-        assert warm["engine_stats"]["traces_computed"] == 0
-        assert warm["engine_stats"]["simulations"] == 0
+        capsys.readouterr()
+        warm = json.loads(record.read_text(encoding="utf-8"))[
+            "engine_stats"]
+        assert warm["traces_computed"] == 0
+        assert warm["simulations"] == 0
         # The directory holds the content-addressed records and nothing
         # else: no log, no lock file, no stray temp file.
-        files = sorted(path.relative_to(tmp_path).as_posix()
-                       for path in tmp_path.rglob("*") if path.is_file())
+        files = sorted(path.relative_to(cache).as_posix()
+                       for path in cache.rglob("*") if path.is_file())
         assert files
         for name in files:
             assert re.fullmatch(r"([0-9a-f]{2})/\1[0-9a-f]{62}\.json",
                                 name), name
 
-    def test_stats_without_json_rejected(self, capsys):
-        # --stats only affects the JSON document; dropping it silently
-        # for ascii/csv would hide the user's intent.
-        assert main(["bench", "--scale", "tiny", "--stats"]) == 2
-        assert "requires --format json" in capsys.readouterr().err
-        assert main(["bench", "--scale", "tiny", "--format", "csv",
-                     "--stats"]) == 2
-        assert "requires --format json" in capsys.readouterr().err
+    @pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
+    def test_report_is_bench_under_another_name(self, capsys, fmt):
+        assert main(["report", "--scale", "tiny", *fmt]) == 0
+        report = capsys.readouterr().out
+        assert main(["bench", "--scale", "tiny", *fmt]) == 0
+        assert capsys.readouterr().out == report
 
     @pytest.mark.parametrize("jobs", [0, -4])
     def test_bench_jobs_below_one_exits_two(self, capsys, jobs):
@@ -101,39 +102,23 @@ class TestCli:
             assert "--profile times the local batch phases" \
                 in capsys.readouterr().err
 
-    def test_profile_rejects_stats(self, capsys):
-        # The embedded counters would describe the profiler's phased
-        # execution, not a normal run.
-        assert main(["bench", "--scale", "tiny", "--profile",
-                     "--format", "json", "--stats"]) == 2
-        assert "phased execution would skew" in capsys.readouterr().err
-
-    def test_arch_and_arch_sweep_mutually_exclusive(self, capsys):
-        assert main(["bench", "--scale", "tiny",
-                     "--arch", "examples/arch/marionette_default.json",
-                     "--arch-sweep", "examples/arch"]) == 2
-        assert "mutually exclusive" in capsys.readouterr().err
-
     def test_arch_flags_rejected_with_merge_shards(self, capsys):
         # The shard exports already name the architecture they came
-        # from; an --arch flag here would be a silent no-op.
-        for arch_flag in (["--arch", "examples/arch/marionette_default.json"],
-                          ["--arch-sweep", "examples/arch"]):
+        # from; an --arch flag here would be a silent no-op, whether it
+        # names one spec file or a sweep directory.
+        for arch in ("examples/arch/marionette_default.json",
+                     "examples/arch"):
             assert main(["bench", "--merge-shards", "x.json",
-                         *arch_flag]) == 2
+                         "--arch", arch]) == 2
             assert "no effect with --merge-shards" \
                 in capsys.readouterr().err
 
     def test_arch_sweep_rejects_single_document_modes(self, capsys):
-        # --profile and --stats each describe exactly one run/document;
-        # a sweep emits one per variant.
-        for combo, fragment in (
-                (["--profile"], "--profile times one batch run"),
-                (["--format", "json", "--stats"],
-                 "one engine's counters")):
-            assert main(["bench", "--scale", "tiny",
-                         "--arch-sweep", "examples/arch", *combo]) == 2
-            assert fragment in capsys.readouterr().err
+        # --profile describes exactly one run; a sweep runs one per
+        # variant.
+        assert main(["bench", "--scale", "tiny",
+                     "--arch", "examples/arch", "--profile"]) == 2
+        assert "--profile times one batch run" in capsys.readouterr().err
 
     def test_profile_writes_one_timestamped_record(self, tmp_path,
                                                    monkeypatch, capsys):
@@ -166,28 +151,35 @@ class TestCli:
         assert main(["simulate", "nonexistent"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_arch_path_diagnostics_name_the_sister_flag(self, capsys):
-        # A directory fed to --arch (or a file to --arch-sweep) is a
-        # swapped operand, not a parse failure: exit 2, one line, and the
-        # message names the flag the user actually wanted.
-        assert main(["bench", "--scale", "tiny",
-                     "--arch", "examples/arch"]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert "use --arch-sweep examples/arch" in err
-        assert main([
-            "bench", "--scale", "tiny",
-            "--arch-sweep", "examples/arch/marionette_default.json",
-        ]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert "use --arch examples/arch/marionette_default.json" in err
-
     def test_run_arch_gets_the_same_path_diagnostic(self, capsys):
+        # `repro run` prices one architecture: a directory is an
+        # unreadable spec file, not a sweep.
         assert main(["run", "examples/kernels/saxpy",
                      "--arch", "examples/arch"]) == 2
-        assert "use --arch-sweep examples/arch" \
-            in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot read arch "
+                                       "description examples/arch")
+        assert captured.err.count("\n") == 1
+
+    def test_unwritable_profile_path_is_one_error_line(self, tmp_path,
+                                                       capsys):
+        record = tmp_path / "missing" / "profile.json"
+        assert main(["bench", "--scale", "tiny",
+                     "--profile", str(record)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(record) in err
+        assert err.count("\n") == 1
+
+    def test_cache_dir_naming_a_file_is_one_error_line(self, tmp_path,
+                                                       capsys):
+        plain = tmp_path / "plain"
+        plain.write_text("not a directory\n", encoding="utf-8")
+        assert main(["bench", "--scale", "tiny",
+                     "--cache-dir", str(plain)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
     def test_kernels_rejected_with_merge_shards(self, capsys):
         assert main(["bench", "--merge-shards", "x.json",

@@ -12,7 +12,7 @@ multi-machine scale:
   replaces an unfinished job, releasing its leases and refusing its
   late acks;
 * a dispatched ``repro bench`` run is byte-identical to a local one in
-  all three formats, with and without ``--arch-sweep``, with every
+  all three formats, with and without an ``--arch`` sweep, with every
   functional trace computed exactly once across the fleet;
 * every failure — dead server, version skew, worker crash — surfaces as
   a one-line :class:`~repro.errors.ReproError` diagnostic (exit 2 at
@@ -1076,7 +1076,7 @@ class TestDispatchEndToEnd:
         local = {}
         for fmt in ("ascii", "json", "csv"):
             assert main(["bench", "--scale", "tiny", "--format", fmt,
-                         "--arch-sweep", sweep_dir]) == 0
+                         "--arch", sweep_dir]) == 0
             local[fmt] = capsys.readouterr().out
         worker = threading.Thread(
             target=work_loop, args=(server.url,),
@@ -1086,7 +1086,7 @@ class TestDispatchEndToEnd:
         try:
             for fmt in ("ascii", "json", "csv"):
                 assert main(["bench", "--scale", "tiny", "--format", fmt,
-                             "--arch-sweep", sweep_dir,
+                             "--arch", sweep_dir,
                              "--dispatch", server.url]) == 0
                 assert capsys.readouterr().out == local[fmt]
         finally:
@@ -1121,8 +1121,7 @@ class TestDispatchFlagValidation:
         ["bench", "--dispatch", "http://x", "--merge-shards", "a.json"],
         ["bench", "--dispatch", "http://x", "--jobs", "4"],
         ["bench", "--dispatch", "http://x", "--cache-dir", "/tmp/c"],
-        ["bench", "--dispatch", "http://x", "--format", "json",
-         "--stats"],
+        ["bench", "--dispatch", "http://x", "--profile"],
     ])
     def test_no_effect_combinations_are_rejected(self, argv, capsys):
         assert main(argv) == 2

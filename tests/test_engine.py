@@ -38,6 +38,17 @@ def _specs(params: ArchParams = DEFAULT_PARAMS, scale: str = "tiny"):
     ]
 
 
+def _swap_payload(root, key, payload):
+    """Replace the payload of ``key``'s on-disk record, keeping its
+    envelope; returns the record's path and the payload it held."""
+    digest = fingerprint(key)
+    record = root / digest[:2] / f"{digest}.json"
+    envelope = json.loads(record.read_text())
+    good, envelope["payload"] = envelope["payload"], payload
+    record.write_text(json.dumps(envelope))
+    return record, good
+
+
 class TestSpecLayer:
     def test_specs_are_hashable_and_equal_by_value(self):
         assert _specs()[0] == _specs()[0]
@@ -143,6 +154,31 @@ class TestEngineCaching:
         kernel = warm.kernel("gemm", "tiny", 0)
         assert warm.stats.traces_computed == 0
         assert kernel.trace.total_block_execs > 0
+
+    def test_malformed_cycle_payload_is_recomputed(self, tmp_path):
+        cold = Engine(cache_dir=tmp_path).execute(_specs())
+        record, good = _swap_payload(tmp_path, _specs()[0].cache_key(),
+                                     {"arch": "x"})
+        warm = Engine(cache_dir=tmp_path)
+        results = warm.execute(_specs())
+        # A well-formed envelope around a foreign payload is a miss:
+        # recomputed, and its record overwritten.
+        assert warm.stats.simulations == 1
+        assert [r.result.to_payload() for r in results] == \
+               [r.result.to_payload() for r in cold]
+        assert json.loads(record.read_text())["payload"] == good
+
+    def test_malformed_trace_payload_is_recomputed(self, tmp_path):
+        Engine(cache_dir=tmp_path).execute(_specs())
+        record, good = _swap_payload(
+            tmp_path, trace_cache_key("gemm", "tiny", 0), {"kernel": "x"}
+        )
+        warm = Engine(cache_dir=tmp_path)
+        # Figs. 11 and 15 read traces through kernel() on a warm run.
+        kernel = warm.kernel("gemm", "tiny", 0)
+        assert warm.stats.traces_computed == 1
+        assert kernel.trace.to_payload() == good
+        assert json.loads(record.read_text())["payload"] == good
 
 
 class TestParallelExecution:

@@ -183,7 +183,8 @@ class TestTables:
 
 class TestReport:
     def test_full_report_renders(self):
-        text = report.render_report(SCALE)
+        text = "\n".join(report.report_lines(report.run_all(SCALE),
+                                             SCALE, 0))
         for fragment in ("Figure 11", "Figure 17", "Table 4", "Table 6"):
             assert fragment in text
         assert len(text) > 2000

@@ -216,8 +216,6 @@ class TestMergeValidation:
         # flags must be rejected rather than silently ignored.
         assert main(["bench", "--shard", "1/2", "--format", "csv"]) == 2
         assert "no effect with --shard" in capsys.readouterr().err
-        assert main(["bench", "--shard", "1/2", "--stats"]) == 2
-        assert "no effect with --shard" in capsys.readouterr().err
 
     def test_merge_with_stream_is_an_error(self, capsys):
         assert main(["bench", "--merge-shards", "x.json",
