@@ -181,6 +181,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
               "— the exports name the sweep they came from",
               file=sys.stderr)
         return 2
+    if args.seed is not None and args.seed < 0:
+        print("error: --seed must be at least 0 — the workload input "
+              "generators take only non-negative seeds", file=sys.stderr)
+        return 2
     args.format = args.format or "ascii"
     args.scale = args.scale or "small"
     args.seed = 0 if args.seed is None else args.seed
@@ -334,35 +338,45 @@ def _run_profiled(engine, args, params=DEFAULT_PARAMS, kernels=()) -> None:
     Runs the same specs as a plain batch bench, split into timed phases
     (functional traces, then each architecture model's simulations, then
     the cached-replay report assembly) and writes the machine-readable
-    perf-trajectory record to PATH (default ``BENCH_<timestamp>.json``).
-    The report on stdout stays byte-identical to an unprofiled run — the
-    profile is a side artifact.
+    perf-trajectory record to PATH (default ``BENCH_<timestamp>.json``,
+    stamped with the run's start time).  The record is opened before
+    anything is priced, so an unwritable PATH fails first, and a run
+    that fails later removes it.  The report on stdout stays
+    byte-identical to an unprofiled run — the profile is a side
+    artifact.
     """
+    import os
     import time
 
     from repro.engine import BenchProfiler
     from repro.experiments.report import all_specs, run_all
 
     profiler = BenchProfiler(engine)
-    specs = all_specs(args.scale, args.seed, params, kernels)
-    profiler.run_engine_phases(specs)
-    # run_all replays the now-warm memo and assembles every experiment
-    # table — the report comes out of this phase, so "assemble" also
-    # measures the warm-cache replay cost.
-    results = profiler.phase(
-        "assemble",
-        lambda: run_all(args.scale, args.seed, engine=engine,
-                        params=params, kernels=kernels),
-    )
-    _emit(results, args)
-    document = profiler.document(scale=args.scale, seed=args.seed,
-                                 jobs=args.jobs, spec_count=len(specs))
     path = args.profile or time.strftime(
-        "BENCH_%Y%m%dT%H%M%SZ.json", time.gmtime()
+        "BENCH_%Y%m%dT%H%M%SZ.json", time.gmtime(profiler.created)
     )
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    handle = open(path, "w", encoding="utf-8")
+    try:
+        with handle:
+            specs = all_specs(args.scale, args.seed, params, kernels)
+            profiler.run_engine_phases(specs)
+            # run_all replays the now-warm memo and assembles every
+            # experiment table — the report comes out of this phase, so
+            # "assemble" also measures the warm-cache replay cost.
+            results = profiler.phase(
+                "assemble",
+                lambda: run_all(args.scale, args.seed, engine=engine,
+                                params=params, kernels=kernels),
+            )
+            _emit(results, args)
+            document = profiler.document(scale=args.scale, seed=args.seed,
+                                         jobs=args.jobs,
+                                         spec_count=len(specs))
+            json.dump(document, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+    except BaseException:
+        os.remove(path)
+        raise
     for phase in profiler.phases:
         print(f"profile: {phase['phase']}: {phase['seconds']:.3f}s",
               file=sys.stderr)

@@ -492,7 +492,7 @@ class BenchProfiler:
         self.engine = engine
         self.phases: List[Dict[str, object]] = []
         self._started = time.perf_counter()
-        self._created = time.time()  # schema: unix time the run started
+        self.created = time.time()  # schema: unix time the run started
 
     def phase(self, name: str, fn: Callable[[], object], *,
               specs: Optional[int] = None) -> object:
@@ -553,7 +553,7 @@ class BenchProfiler:
 
         return {
             "schema": BENCH_PROFILE_SCHEMA,
-            "created": self._created,
+            "created": self.created,
             "engine_version": ENGINE_VERSION,
             "scale": scale,
             "seed": seed,

@@ -1,13 +1,17 @@
 """Experiment harness shared by every table/figure module.
 
-Execution goes through the :mod:`repro.engine` subsystem: each experiment
-enumerates declarative :class:`~repro.engine.spec.RunSpec` combinations and
+Execution goes through the :mod:`repro.engine` subsystem.  Each pricing
+figure declares its grid once, as module data: ``WORKLOADS`` (workload
+names) by ``MODELS`` (:class:`~repro.engine.spec.ModelSpec` presets);
+the analytic ones declare both empty.  :func:`grid` spells a grid out as
+:class:`~repro.engine.spec.RunSpec` combinations and :func:`priced`
 hands them to an :class:`~repro.engine.executor.Engine`, which caches
-functional traces (the expensive part) on disk, shares them across all nine
-experiments and every parameter sweep, and optionally fans the model
-evaluations out over worker processes.  Figures that analyse a trace
-itself (Fig. 11's branch fractions, Fig. 15's utilization) take the
-:class:`~repro.baselines.base.KernelInstance` from :meth:`Engine.kernel`.
+functional traces (the expensive part) on disk, shares them across all
+nine experiments and every parameter sweep, and optionally fans the
+model evaluations out over worker processes.  Figures that analyse a
+trace itself (Fig. 11's branch fractions, Fig. 15's utilization) take
+the :class:`~repro.baselines.base.KernelInstance` from
+:meth:`Engine.kernel`.
 
 Results are plain :class:`ExperimentResult` tables that render to aligned
 ASCII, mirroring the rows/series of the paper's figures.
@@ -16,10 +20,14 @@ ASCII, mirroring the rows/series of the paper's figures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.arch.params import ArchParams
+from repro.baselines.base import CycleResult
 from repro.engine.executor import Engine, default_engine
-from repro.engine.spec import ModelSpec, RunResult, RunSpec
+from repro.engine.spec import ModelSpec, RunSpec
+from repro.perf.speedup import geomean
+from repro.workloads import INTENSIVE_WORKLOADS, get_workload
 
 #: Canonical model specs shared across experiments, so figures that price
 #: the same configuration (e.g. the bare Marionette PE in Figs. 11/12/14/16)
@@ -44,27 +52,53 @@ MARIONETTE_AGILE = ModelSpec.make(
     control_network=False, agile=True,
 )
 
+#: The ten control-intensive workloads' names, in figure order.
+INTENSIVE = tuple(w.short.lower() for w in INTENSIVE_WORKLOADS)
 
-class ResultTable:
-    """Spec-indexed view over one :meth:`Engine.execute` batch."""
-
-    def __init__(self, results: Sequence[RunResult]) -> None:
-        self._by_spec: Dict[RunSpec, RunResult] = {
-            r.spec: r for r in results
-        }
-
-    def result(self, spec: RunSpec):
-        return self._by_spec[spec].result
-
-    def cycles(self, spec: RunSpec) -> int:
-        return self._by_spec[spec].result.cycles
+#: One figure's prices: a cycle result per (workload, model).
+Prices = Dict[Tuple[str, ModelSpec], CycleResult]
 
 
-def execute_specs(specs: Sequence[RunSpec],
-                  engine: Optional[Engine] = None) -> ResultTable:
-    """Run ``specs`` on ``engine`` (default: the shared process engine)."""
+def grid(workloads: Sequence[str], models: Sequence[ModelSpec],
+         scale: str, seed: int, params: ArchParams) -> List[RunSpec]:
+    """Every (workload, model) spec, workload-major."""
+    return [RunSpec(workload, scale, seed, model, params)
+            for workload in workloads for model in models]
+
+
+def priced(specs: Sequence[RunSpec], engine: Optional[Engine] = None
+           ) -> Prices:
+    """Price ``specs`` on ``engine`` (default: the shared process engine),
+    each result keyed by its spec's ``(workload, model)``."""
     engine = engine or default_engine()
-    return ResultTable(engine.execute(specs))
+    return {(run.spec.workload, run.spec.model): run.result
+            for run in engine.execute(specs)}
+
+
+def feature_gains(prices: Prices, workloads: Sequence[str],
+                  feature: ModelSpec) -> List[float]:
+    """The speedup one Marionette feature brings the bare Marionette PE,
+    per workload (Figs. 12, 14 and 16)."""
+    return [prices[w, MARIONETTE_PE].cycles / prices[w, feature].cycles
+            for w in workloads]
+
+
+def feature_speedup(result: ExperimentResult, name: str, prices: Prices,
+                    feature: ModelSpec) -> ExperimentResult:
+    """Figs. 12 and 14: ``feature``'s speedup on each intensive kernel.
+
+    Fills ``result``, whose four columns name the kernel, the bare PE
+    (1.0), the speedup and its percentage gain; ``name`` names the
+    feature in the summary.
+    """
+    gains = feature_gains(prices, INTENSIVE, feature)
+    for workload, gain in zip(INTENSIVE, gains):
+        result.rows.append(dict(zip(result.columns, (
+            get_workload(workload).short, 1.0, gain, 100.0 * (gain - 1.0),
+        ))))
+    result.summary = {f"geomean {name} speedup": geomean(gains),
+                      f"max {name} speedup": max(gains)}
+    return result
 
 
 @dataclass

@@ -12,39 +12,32 @@ Paper result: Marionette PE outperforms the von Neumann PE by geomean
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.arch.params import ArchParams, DEFAULT_PARAMS
 from repro.engine.executor import Engine, default_engine
-from repro.engine.spec import RunSpec
 from repro.ir import analysis
 from repro.perf.speedup import geomean
-from repro.workloads import INTENSIVE_WORKLOADS
+from repro.workloads import get_workload
 from repro.experiments.common import (
     DATAFLOW,
+    INTENSIVE,
     MARIONETTE_PE,
     VON_NEUMANN,
     ExperimentResult,
-    execute_specs,
+    grid,
+    priced,
 )
 
-_MODELS = (VON_NEUMANN, DATAFLOW, MARIONETTE_PE)
-
-
-def specs(scale: str = "small", seed: int = 0,
-          params: ArchParams = DEFAULT_PARAMS) -> List[RunSpec]:
-    return [
-        RunSpec(w.short.lower(), scale, seed, model, params)
-        for w in INTENSIVE_WORKLOADS
-        for model in _MODELS
-    ]
+WORKLOADS = INTENSIVE
+MODELS = (VON_NEUMANN, DATAFLOW, MARIONETTE_PE)
 
 
 def run(scale: str = "small", seed: int = 0,
         params: ArchParams = DEFAULT_PARAMS,
         engine: Optional[Engine] = None) -> ExperimentResult:
     engine = engine or default_engine()
-    table = execute_specs(specs(scale, seed, params), engine)
+    prices = priced(grid(WORKLOADS, MODELS, scale, seed, params), engine)
 
     result = ExperimentResult(
         experiment="Figure 11",
@@ -55,29 +48,21 @@ def run(scale: str = "small", seed: int = 0,
     )
     speedups_vn = []
     speedups_df = []
-    for workload in INTENSIVE_WORKLOADS:
-        short = workload.short.lower()
-        kernel = engine.kernel(short, scale, seed)
-        cycles = {
-            "vn": table.cycles(RunSpec(short, scale, seed,
-                                       VON_NEUMANN, params)),
-            "df": table.cycles(RunSpec(short, scale, seed,
-                                       DATAFLOW, params)),
-            "m": table.cycles(RunSpec(short, scale, seed,
-                                      MARIONETTE_PE, params)),
-        }
+    for name in WORKLOADS:
+        kernel = engine.kernel(name, scale, seed)
+        vn, df, m = (prices[name, model].cycles for model in MODELS)
         under_branch = 100.0 * analysis.ops_under_branch_fraction(
             kernel.cdfg, kernel.trace
         )
         result.rows.append({
-            "kernel": workload.short,
+            "kernel": get_workload(name).short,
             "von_neumann": 1.0,
-            "dataflow": cycles["vn"] / cycles["df"],
-            "marionette_pe": cycles["vn"] / cycles["m"],
+            "dataflow": vn / df,
+            "marionette_pe": vn / m,
             "ops_under_branch_pct": under_branch,
         })
-        speedups_vn.append(cycles["vn"] / cycles["m"])
-        speedups_df.append(cycles["df"] / cycles["m"])
+        speedups_vn.append(vn / m)
+        speedups_df.append(df / m)
 
     result.summary = {
         "geomean speedup vs von Neumann PE": geomean(speedups_vn),

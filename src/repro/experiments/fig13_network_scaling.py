@@ -7,23 +7,19 @@ because control flow tolerates more latency than the data path.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.arch.network.area import delay_model, scaling_series, stages_for_array
 from repro.arch.params import ArchParams, DEFAULT_PARAMS
 from repro.engine.executor import Engine
-from repro.engine.spec import RunSpec
 from repro.experiments.common import ExperimentResult
 
 #: Control network stage counts and synthesis frequencies the figure sweeps.
 STAGE_RANGE = (3, 5, 7, 9, 11, 13, 15, 17, 19)
 FREQUENCIES_GHZ = (0.5, 1.0, 2.0)
 
-
-def specs(scale: str = "small", seed: int = 0,
-          params: ArchParams = DEFAULT_PARAMS) -> List[RunSpec]:
-    """Analytic experiment: no workload simulations required."""
-    return []
+#: Analytic: no workload is priced.
+WORKLOADS = MODELS = ()
 
 
 def run(scale: str = "small", seed: int = 0,

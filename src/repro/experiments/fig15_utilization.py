@@ -9,37 +9,29 @@ Paper result: outer-BB PE utilization improves 21.57x on average (GEMM
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.arch.params import ArchParams, DEFAULT_PARAMS
 from repro.engine.executor import Engine, default_engine
-from repro.engine.spec import RunSpec
 from repro.perf.utilization import outer_bb_utilization, pipeline_utilization
 from repro.workloads import get_workload
 from repro.experiments.common import (
     MARIONETTE_AGILE,
     MARIONETTE_PE,
     ExperimentResult,
-    execute_specs,
+    grid,
+    priced,
 )
 
-FIG15_KERNELS = ("fft", "vi", "nw", "ht", "scd", "ldpc", "gemm")
-
-
-def specs(scale: str = "small", seed: int = 0,
-          params: ArchParams = DEFAULT_PARAMS) -> List[RunSpec]:
-    return [
-        RunSpec(name, scale, seed, model, params)
-        for name in FIG15_KERNELS
-        for model in (MARIONETTE_PE, MARIONETTE_AGILE)
-    ]
+WORKLOADS = ("fft", "vi", "nw", "ht", "scd", "ldpc", "gemm")
+MODELS = (MARIONETTE_PE, MARIONETTE_AGILE)
 
 
 def run(scale: str = "small", seed: int = 0,
         params: ArchParams = DEFAULT_PARAMS,
         engine: Optional[Engine] = None) -> ExperimentResult:
     engine = engine or default_engine()
-    table = execute_specs(specs(scale, seed, params), engine)
+    prices = priced(grid(WORKLOADS, MODELS, scale, seed, params), engine)
     result = ExperimentResult(
         experiment="Figure 15",
         title="Outer-BB PE utilization and pipeline utilization",
@@ -51,14 +43,10 @@ def run(scale: str = "small", seed: int = 0,
     )
     outer_gains = []
     pipe_gains = []
-    for name in FIG15_KERNELS:
+    for name in WORKLOADS:
         kernel = engine.kernel(name, scale, seed)
-        base_result = table.result(
-            RunSpec(name, scale, seed, MARIONETTE_PE, params)
-        )
-        agile_result = table.result(
-            RunSpec(name, scale, seed, MARIONETTE_AGILE, params)
-        )
+        base_result = prices[name, MARIONETTE_PE]
+        agile_result = prices[name, MARIONETTE_AGILE]
         outer_orig = outer_bb_utilization(
             kernel, base_result, params, agile=False
         )

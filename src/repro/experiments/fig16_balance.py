@@ -8,38 +8,31 @@ distinguished by how much of the control flow can be hidden in pipelines.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.arch.params import ArchParams, DEFAULT_PARAMS
 from repro.engine.executor import Engine
-from repro.engine.spec import RunSpec
 from repro.workloads import get_workload
 from repro.experiments.common import (
     MARIONETTE_AGILE,
     MARIONETTE_CN,
     MARIONETTE_PE,
     ExperimentResult,
-    execute_specs,
+    feature_gains,
+    grid,
+    priced,
 )
 
 #: paper order: network-optimised group, then pipeline-optimised group
-FIG16_ORDER = ("ms", "adpcm", "crc", "ldpc", "nw", "fft", "vi", "ht",
-               "scd", "gemm")
-
-
-def specs(scale: str = "small", seed: int = 0,
-          params: ArchParams = DEFAULT_PARAMS) -> List[RunSpec]:
-    return [
-        RunSpec(name, scale, seed, model, params)
-        for name in FIG16_ORDER
-        for model in (MARIONETTE_PE, MARIONETTE_CN, MARIONETTE_AGILE)
-    ]
+WORKLOADS = ("ms", "adpcm", "crc", "ldpc", "nw", "fft", "vi", "ht", "scd",
+             "gemm")
+MODELS = (MARIONETTE_PE, MARIONETTE_CN, MARIONETTE_AGILE)
 
 
 def run(scale: str = "small", seed: int = 0,
         params: ArchParams = DEFAULT_PARAMS,
         engine: Optional[Engine] = None) -> ExperimentResult:
-    table = execute_specs(specs(scale, seed, params), engine)
+    prices = priced(grid(WORKLOADS, MODELS, scale, seed, params), engine)
     result = ExperimentResult(
         experiment="Figure 16",
         title="Control network speedup vs Agile PE Assignment speedup",
@@ -48,16 +41,9 @@ def run(scale: str = "small", seed: int = 0,
         paper_claim="network helps partially-pipelined kernels (MS ADPCM "
                     "CRC LDPC); Agile helps regular ones (VI HT SCD GEMM)",
     )
-    for name in FIG16_ORDER:
-        base_cycles = table.cycles(
-            RunSpec(name, scale, seed, MARIONETTE_PE, params)
-        )
-        network_gain = base_cycles / table.cycles(
-            RunSpec(name, scale, seed, MARIONETTE_CN, params)
-        )
-        agile_gain = base_cycles / table.cycles(
-            RunSpec(name, scale, seed, MARIONETTE_AGILE, params)
-        )
+    for name, network_gain, agile_gain in zip(
+            WORKLOADS, feature_gains(prices, WORKLOADS, MARIONETTE_CN),
+            feature_gains(prices, WORKLOADS, MARIONETTE_AGILE)):
         network_pct = 100.0 * (network_gain - 1.0)
         agile_pct = 100.0 * (agile_gain - 1.0)
         if agile_pct > 2 * network_pct:

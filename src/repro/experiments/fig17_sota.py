@@ -10,49 +10,32 @@ TIA (longer pipeline II).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.arch.params import ArchParams, DEFAULT_PARAMS
 from repro.engine.executor import Engine
-from repro.engine.spec import RunSpec
 from repro.perf.speedup import geomean
-from repro.workloads import (
-    ALL_WORKLOADS,
-    INTENSIVE_WORKLOADS,
-    NON_INTENSIVE_WORKLOADS,
-)
+from repro.workloads import ALL_WORKLOADS, get_workload
 from repro.experiments.common import (
+    INTENSIVE,
     MARIONETTE,
     REVEL,
     RIPTIDE,
     SOFTBRAIN,
     TIA,
     ExperimentResult,
-    execute_specs,
+    grid,
+    priced,
 )
 
-_MODELS = {
-    "softbrain": SOFTBRAIN,
-    "tia": TIA,
-    "revel": REVEL,
-    "riptide": RIPTIDE,
-    "marionette": MARIONETTE,
-}
-
-
-def specs(scale: str = "small", seed: int = 0,
-          params: ArchParams = DEFAULT_PARAMS) -> List[RunSpec]:
-    return [
-        RunSpec(w.short.lower(), scale, seed, model, params)
-        for w in ALL_WORKLOADS
-        for model in _MODELS.values()
-    ]
+WORKLOADS = tuple(w.short.lower() for w in ALL_WORKLOADS)
+MODELS = (SOFTBRAIN, TIA, REVEL, RIPTIDE, MARIONETTE)
 
 
 def run(scale: str = "small", seed: int = 0,
         params: ArchParams = DEFAULT_PARAMS,
         engine: Optional[Engine] = None) -> ExperimentResult:
-    table = execute_specs(specs(scale, seed, params), engine)
+    prices = priced(grid(WORKLOADS, MODELS, scale, seed, params), engine)
     result = ExperimentResult(
         experiment="Figure 17",
         title="vs state-of-the-art architectures "
@@ -62,33 +45,25 @@ def run(scale: str = "small", seed: int = 0,
         paper_claim="geomean 2.88x / 3.38x / 1.55x / 2.66x over "
                     "Softbrain / TIA / REVEL / RipTide on intensive kernels",
     )
-    cycles_by_kernel: Dict[str, Dict[str, int]] = {}
-    for workload in ALL_WORKLOADS:
-        short = workload.short.lower()
-        cycles = {
-            name: table.cycles(RunSpec(short, scale, seed, model, params))
-            for name, model in _MODELS.items()
-        }
-        cycles_by_kernel[workload.short] = cycles
-        base = cycles["softbrain"]
+    for name in WORKLOADS:
+        workload = get_workload(name)
+        base = prices[name, SOFTBRAIN].cycles
         result.rows.append({
             "kernel": workload.short,
             "group": workload.group,
-            **{name: base / c for name, c in cycles.items()},
+            **{model.model: base / prices[name, model].cycles
+               for model in MODELS},
         })
 
-    intensive = [w.short for w in INTENSIVE_WORKLOADS]
-    for rival in ("softbrain", "tia", "revel", "riptide"):
-        result.summary[f"geomean speedup vs {rival}"] = geomean([
-            cycles_by_kernel[k][rival] / cycles_by_kernel[k]["marionette"]
-            for k in intensive
+    for rival in MODELS[:-1]:
+        result.summary[f"geomean speedup vs {rival.model}"] = geomean([
+            prices[name, rival].cycles / prices[name, MARIONETTE].cycles
+            for name in INTENSIVE
         ])
-    non_intensive = [w.short for w in NON_INTENSIVE_WORKLOADS]
     result.summary["geomean vs best rival (non-intensive)"] = geomean([
-        min(
-            cycles_by_kernel[k][r]
-            for r in ("softbrain", "revel", "riptide")
-        ) / cycles_by_kernel[k]["marionette"]
-        for k in non_intensive
+        min(prices[name, rival].cycles
+            for rival in (SOFTBRAIN, REVEL, RIPTIDE))
+        / prices[name, MARIONETTE].cycles
+        for name in WORKLOADS if name not in INTENSIVE
     ])
     return result

@@ -4,13 +4,14 @@
 figures in one pass through this module (the payloads ``tests/golden/``
 locks down).
 
-:func:`run_all` collects the :class:`RunSpec` batches of every experiment
-first and executes them through one engine, so the nine figures share every
-functional trace and — with ``repro bench --jobs N`` — run their model
-evaluations in parallel before the tables are assembled serially in paper
-order.  :func:`assemble` is the one assembler: batch, streamed, merged and
-dispatched runs all build their sections through it, and
-:func:`report_lines` is the one ASCII renderer.
+The report enumerates its sections once, in :func:`_sections`: each
+section's priced grid and the thunk that builds it.  :func:`all_specs`
+is the union of the grids; :func:`run_all` executes that union through
+one engine, so the nine figures share every functional trace and — with
+``repro bench --jobs N`` — run their model evaluations in parallel, then
+builds the sections serially in paper order.  :func:`assemble` builds
+each section the moment its last spec lands in a stream (``--stream``,
+``--dispatch``), and :func:`report_lines` is the one ASCII renderer.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import (
 
 from repro.arch.params import ArchParams, DEFAULT_PARAMS
 from repro.engine.executor import Engine, default_engine
-from repro.engine.spec import RunResult
+from repro.engine.spec import RunResult, RunSpec
 from repro.experiments import (
     fig11_pe_models,
     fig12_control_network,
@@ -33,7 +34,7 @@ from repro.experiments import (
     table4_area,
     table6_network_area,
 )
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, grid
 
 #: Every experiment module, in paper order.
 EXPERIMENT_MODULES = (
@@ -49,10 +50,38 @@ EXPERIMENT_MODULES = (
 )
 
 
+def _sections(scale: str, seed: int, params: ArchParams,
+              kernels: Sequence, engine: Optional[Engine]
+              ) -> List[Tuple[List[RunSpec], Callable[[], ExperimentResult]]]:
+    """(priced grid, build) per report section, in report order: the
+    paper's experiments, then the external-kernel section."""
+    sections = [
+        (grid(module.WORKLOADS, module.MODELS, scale, seed, params),
+         lambda module=module: module.run(scale, seed, params, engine))
+        for module in EXPERIMENT_MODULES
+    ]
+    if kernels:
+        from repro.kernels.bench import kernel_specs, run_section
+
+        sections.append((
+            kernel_specs(kernels, seed, params),
+            lambda: run_section(kernels, seed, params, engine=engine),
+        ))
+    return sections
+
+
+def _union(sections) -> List[RunSpec]:
+    """Every section's specs, deduplicated in order."""
+    return list(dict.fromkeys(
+        spec for specs, _build in sections for spec in specs
+    ))
+
+
 def all_specs(scale: str = "small", seed: int = 0,
               params: ArchParams = DEFAULT_PARAMS,
-              kernels: Sequence = ()) -> List:
-    """The union of every experiment's run specs (deduplicated in order).
+              kernels: Sequence = ()) -> List[RunSpec]:
+    """The union of every report section's run specs (deduplicated in
+    order).
 
     ``params`` is the architecture every spec prices (``repro bench
     --arch`` threads a loaded description here) — the same sweep over a
@@ -64,21 +93,7 @@ def all_specs(scale: str = "small", seed: int = 0,
     section's specs after the paper's figures, so kernel runs shard,
     stream, cache, and dispatch exactly like built-in ones.
     """
-    seen = set()
-    specs = []
-    for module in EXPERIMENT_MODULES:
-        for spec in module.specs(scale, seed, params):
-            if spec not in seen:
-                seen.add(spec)
-                specs.append(spec)
-    if kernels:
-        from repro.kernels.bench import kernel_specs
-
-        for spec in kernel_specs(kernels, seed, params):
-            if spec not in seen:
-                seen.add(spec)
-                specs.append(spec)
-    return specs
+    return _union(_sections(scale, seed, params, kernels, None))
 
 
 def run_all(scale: str = "small", seed: int = 0,
@@ -88,15 +103,15 @@ def run_all(scale: str = "small", seed: int = 0,
             ) -> List[ExperimentResult]:
     """Every table and figure of the evaluation, in paper order.
 
-    One batch prices every spec (parallel + cached), then
-    :func:`assemble` builds the sections from the engine memo.  With
-    ``kernels``, the external-kernel section is appended after the
-    paper's figures (same engine, same batch).
+    One batch prices every section's specs (parallel + cached), then
+    each section builds from the engine memo.  With ``kernels``, the
+    external-kernel section is appended after the paper's figures (same
+    engine, same batch).
     """
     engine = engine or default_engine()
-    runs = engine.execute(all_specs(scale, seed, params, kernels))
-    return list(assemble(enumerate(runs), scale, seed, engine, params,
-                         kernels))
+    sections = _sections(scale, seed, params, kernels, engine)
+    engine.execute(_union(sections))
+    return [build() for _specs, build in sections]
 
 
 def assemble(pairs: Iterable[Tuple[int, RunResult]],
@@ -108,39 +123,26 @@ def assemble(pairs: Iterable[Tuple[int, RunResult]],
     """Assemble the report's sections from a stream of spec landings.
 
     ``pairs`` is any iterator of ``(index, run result)`` tuples over the
-    :func:`all_specs` batch — :meth:`Engine.stream` output, a dispatch
-    client's result feed, or :func:`run_all`'s finished batch.  Each
-    section is built and yielded **as soon as its last spec lands** (the
-    engine memo replays the assembly; nothing is recomputed), in paper
-    order, so a consumer printing the yields reproduces the canonical
-    report byte-for-byte while later sections are still computing.
+    :func:`all_specs` batch — :meth:`Engine.stream` output or a dispatch
+    client's result feed.  Each section is built and yielded **as soon
+    as its last spec lands** (the engine memo replays the assembly;
+    nothing is recomputed), in paper order, so a consumer printing the
+    yields reproduces the canonical report byte-for-byte while later
+    sections are still computing.
     """
     engine = engine or default_engine()
-    # (needed spec set, assembly thunk) per report section, in report
-    # order: paper experiments first, then the external-kernel section.
-    sections: List[Tuple[set, Callable[[], ExperimentResult]]] = [
-        (set(module.specs(scale, seed, params)),
-         lambda module=module: module.run(scale, seed, params, engine))
-        for module in EXPERIMENT_MODULES
-    ]
-    if kernels:
-        from repro.kernels.bench import kernel_specs, run_section
-
-        sections.append((
-            set(kernel_specs(kernels, seed, params)),
-            lambda: run_section(kernels, seed, params, engine=engine),
-        ))
+    sections = _sections(scale, seed, params, kernels, engine)
     landed: set = set()
     position = 0
     for _index, run_result in pairs:
         landed.add(run_result.spec)
         while position < len(sections) \
-                and sections[position][0] <= landed:
+                and landed.issuperset(sections[position][0]):
             yield sections[position][1]()
             position += 1
     # A fully-consumed stream has landed every spec; anything left (e.g.
     # an empty spec batch edge case) assembles from the engine memo.
-    for _needed, build in sections[position:]:
+    for _specs, build in sections[position:]:
         yield build()
 
 

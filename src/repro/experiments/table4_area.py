@@ -6,19 +6,16 @@ reproduces the published totals (0.151 mm^2, 152.09 mW).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.arch.params import ArchParams, DEFAULT_PARAMS
 from repro.engine.executor import Engine
-from repro.engine.spec import RunSpec
 from repro.perf.area import table4_rows
 from repro.experiments.common import ExperimentResult
 
 
-def specs(scale: str = "small", seed: int = 0,
-          params: ArchParams = DEFAULT_PARAMS) -> List[RunSpec]:
-    """Analytic experiment: no workload simulations required."""
-    return []
+#: Analytic: no workload is priced.
+WORKLOADS = MODELS = ()
 
 
 def run(scale: str = "small", seed: int = 0,

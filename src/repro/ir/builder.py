@@ -63,78 +63,78 @@ class Value:
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other: Operand) -> "Value":
-        return self.builder._binop(Opcode.ADD, self, other)
+        return self.builder.op(Opcode.ADD, self, other)
 
     def __radd__(self, other: Operand) -> "Value":
-        return self.builder._binop(Opcode.ADD, other, self)
+        return self.builder.op(Opcode.ADD, other, self)
 
     def __sub__(self, other: Operand) -> "Value":
-        return self.builder._binop(Opcode.SUB, self, other)
+        return self.builder.op(Opcode.SUB, self, other)
 
     def __rsub__(self, other: Operand) -> "Value":
-        return self.builder._binop(Opcode.SUB, other, self)
+        return self.builder.op(Opcode.SUB, other, self)
 
     def __mul__(self, other: Operand) -> "Value":
-        return self.builder._binop(Opcode.MUL, self, other)
+        return self.builder.op(Opcode.MUL, self, other)
 
     def __rmul__(self, other: Operand) -> "Value":
-        return self.builder._binop(Opcode.MUL, other, self)
+        return self.builder.op(Opcode.MUL, other, self)
 
     def __truediv__(self, other: Operand) -> "Value":
-        return self.builder._binop(Opcode.DIV, self, other)
+        return self.builder.op(Opcode.DIV, self, other)
 
     def __rtruediv__(self, other: Operand) -> "Value":
-        return self.builder._binop(Opcode.DIV, other, self)
+        return self.builder.op(Opcode.DIV, other, self)
 
     def __floordiv__(self, other: Operand) -> "Value":
-        return self.builder._binop(Opcode.DIV, self, other)
+        return self.builder.op(Opcode.DIV, self, other)
 
     def __rfloordiv__(self, other: Operand) -> "Value":
-        return self.builder._binop(Opcode.DIV, other, self)
+        return self.builder.op(Opcode.DIV, other, self)
 
     def __mod__(self, other: Operand) -> "Value":
-        return self.builder._binop(Opcode.MOD, self, other)
+        return self.builder.op(Opcode.MOD, self, other)
 
     def __neg__(self) -> "Value":
-        return self.builder._unop(Opcode.NEG, self)
+        return self.builder.op(Opcode.NEG, self)
 
     # -- bitwise -------------------------------------------------------
     def __and__(self, other: Operand) -> "Value":
-        return self.builder._binop(Opcode.AND, self, other)
+        return self.builder.op(Opcode.AND, self, other)
 
     def __or__(self, other: Operand) -> "Value":
-        return self.builder._binop(Opcode.OR, self, other)
+        return self.builder.op(Opcode.OR, self, other)
 
     def __xor__(self, other: Operand) -> "Value":
-        return self.builder._binop(Opcode.XOR, self, other)
+        return self.builder.op(Opcode.XOR, self, other)
 
     def __invert__(self) -> "Value":
-        return self.builder._unop(Opcode.NOT, self)
+        return self.builder.op(Opcode.NOT, self)
 
     def __lshift__(self, other: Operand) -> "Value":
-        return self.builder._binop(Opcode.SHL, self, other)
+        return self.builder.op(Opcode.SHL, self, other)
 
     def __rshift__(self, other: Operand) -> "Value":
-        return self.builder._binop(Opcode.SHR, self, other)
+        return self.builder.op(Opcode.SHR, self, other)
 
     # -- comparisons (return IR values, not Python bools) ---------------
     def __lt__(self, other: Operand) -> "Value":
-        return self.builder._binop(Opcode.LT, self, other)
+        return self.builder.op(Opcode.LT, self, other)
 
     def __le__(self, other: Operand) -> "Value":
-        return self.builder._binop(Opcode.LE, self, other)
+        return self.builder.op(Opcode.LE, self, other)
 
     def __gt__(self, other: Operand) -> "Value":
-        return self.builder._binop(Opcode.GT, self, other)
+        return self.builder.op(Opcode.GT, self, other)
 
     def __ge__(self, other: Operand) -> "Value":
-        return self.builder._binop(Opcode.GE, self, other)
+        return self.builder.op(Opcode.GE, self, other)
 
     def eq(self, other: Operand) -> "Value":
-        return self.builder._binop(Opcode.EQ, self, other)
+        return self.builder.op(Opcode.EQ, self, other)
 
     def ne(self, other: Operand) -> "Value":
-        return self.builder._binop(Opcode.NE, self, other)
+        return self.builder.op(Opcode.NE, self, other)
 
     def __hash__(self) -> int:
         return id(self)
@@ -263,20 +263,15 @@ class KernelBuilder:
     def _wrap(self, node_id: NodeId) -> Value:
         return Value(self, block_id=self._current.block_id, node_id=node_id)
 
-    def _binop(self, opcode: Opcode, a: Operand, b: Operand) -> Value:
-        self._check_open()
-        na = self._as_node(a)
-        nb = self._as_node(b)
-        return self._wrap(self._current.dfg.add(opcode, (na, nb)))
-
-    def _unop(self, opcode: Opcode, a: Operand) -> Value:
-        self._check_open()
-        na = self._as_node(a)
-        return self._wrap(self._current.dfg.add(opcode, (na,)))
-
     # ------------------------------------------------------------------
     # Public op helpers
     # ------------------------------------------------------------------
+    def op(self, opcode: Opcode, *operands: Operand) -> Value:
+        """Emit one ``opcode`` node over ``operands``, in order."""
+        self._check_open()
+        nodes = tuple(self._as_node(operand) for operand in operands)
+        return self._wrap(self._current.dfg.add(opcode, nodes))
+
     def const(self, value: Number) -> Value:
         self._check_open()
         return self._wrap(self._current.dfg.const(value))
@@ -299,40 +294,36 @@ class KernelBuilder:
         self._current.dfg.add(Opcode.STORE, (idx, val), array=array)
 
     def minimum(self, a: Operand, b: Operand) -> Value:
-        return self._binop(Opcode.MIN, a, b)
+        return self.op(Opcode.MIN, a, b)
 
     def maximum(self, a: Operand, b: Operand) -> Value:
-        return self._binop(Opcode.MAX, a, b)
+        return self.op(Opcode.MAX, a, b)
 
     def absolute(self, a: Operand) -> Value:
-        return self._unop(Opcode.ABS, a)
+        return self.op(Opcode.ABS, a)
 
     def select(self, cond: Operand, if_true: Operand,
                if_false: Operand) -> Value:
         """Predicated selection: ``cond ? if_true : if_false``."""
-        self._check_open()
-        nc = self._as_node(cond)
-        na = self._as_node(if_true)
-        nb = self._as_node(if_false)
-        return self._wrap(self._current.dfg.add(Opcode.SELECT, (nc, na, nb)))
+        return self.op(Opcode.SELECT, cond, if_true, if_false)
 
     def log(self, a: Operand) -> Value:
-        return self._unop(Opcode.LOG, a)
+        return self.op(Opcode.LOG, a)
 
     def exp(self, a: Operand) -> Value:
-        return self._unop(Opcode.EXP, a)
+        return self.op(Opcode.EXP, a)
 
     def sqrt(self, a: Operand) -> Value:
-        return self._unop(Opcode.SQRT, a)
+        return self.op(Opcode.SQRT, a)
 
     def sigmoid(self, a: Operand) -> Value:
-        return self._unop(Opcode.SIGMOID, a)
+        return self.op(Opcode.SIGMOID, a)
 
     def sin(self, a: Operand) -> Value:
-        return self._unop(Opcode.SIN, a)
+        return self.op(Opcode.SIN, a)
 
     def cos(self, a: Operand) -> Value:
-        return self._unop(Opcode.COS, a)
+        return self.op(Opcode.COS, a)
 
     # ------------------------------------------------------------------
     # Variables

@@ -47,6 +47,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.ir.ops import Opcode, op_info
 
 #: Format marker carried by every kernel package manifest.
 KERNEL_SCHEMA = "repro-kernel"
@@ -76,13 +77,12 @@ ROLES = ("input", "output", "inout", "scratch")
 #: Roles whose final image a verdict compares against expected outputs.
 OUTPUT_ROLES = ("output", "inout")
 
-#: Program opcodes by arity (plus ``load``/``store``, handled apart).
-BINARY_OPS = ("add", "sub", "mul", "div", "mod", "min", "max", "and",
-              "or", "xor", "shl", "shr", "lt", "le", "gt", "ge", "eq",
-              "ne")
-UNARY_OPS = ("neg", "not", "abs", "log", "exp", "sqrt", "sigmoid",
-             "sin", "cos")
-TERNARY_OPS = ("select",)
+#: Program opcodes by name: every function-unit operation but the
+#: memory ones (``load``/``store``, handled apart).
+PROGRAM_OPS: Dict[str, Opcode] = {
+    op.value: op for op in Opcode
+    if op_info(op).needs_fu and not op_info(op).is_memory
+}
 
 _NAME_RE = re.compile(r"^[a-z][a-z0-9_-]{0,63}$")
 _SYMBOL_RE = re.compile(r"^[a-z_][a-z0-9_]*$")
@@ -272,12 +272,6 @@ class KernelPackage:
                 return param_values[token]
             return env[token]
 
-        def as_value(token: str) -> Value:
-            value = operand(token)
-            if isinstance(value, Value):
-                return value
-            return k.const(value)
-
         with k.loop(self.loop.var, bound(self.loop.start),
                     bound(self.loop.stop), self.loop.step):
             for dest, op, *args in self.program:
@@ -286,42 +280,13 @@ class KernelPackage:
                 elif op == "store":
                     k.store(args[0], operand(args[1]), operand(args[2]))
                     continue
-                elif op in BINARY_OPS:
-                    a, b = as_value(args[0]), operand(args[1])
-                    result = _BINARY_BUILD[op](k, a, b)
-                elif op in UNARY_OPS:
-                    result = _UNARY_BUILD[op](k, as_value(args[0]))
-                else:  # select — the only ternary op
-                    result = k.select(operand(args[0]), operand(args[1]),
-                                      operand(args[2]))
+                else:
+                    result = k.op(PROGRAM_OPS[op], *map(operand, args))
                 if dest in self.state:
                     k.set(dest, result)
                 else:
                     env[dest] = result
         return k.build()
-
-
-_BINARY_BUILD = {
-    "add": lambda k, a, b: a + b, "sub": lambda k, a, b: a - b,
-    "mul": lambda k, a, b: a * b, "div": lambda k, a, b: a / b,
-    "mod": lambda k, a, b: a % b,
-    "min": lambda k, a, b: k.minimum(a, b),
-    "max": lambda k, a, b: k.maximum(a, b),
-    "and": lambda k, a, b: a & b, "or": lambda k, a, b: a | b,
-    "xor": lambda k, a, b: a ^ b, "shl": lambda k, a, b: a << b,
-    "shr": lambda k, a, b: a >> b, "lt": lambda k, a, b: a < b,
-    "le": lambda k, a, b: a <= b, "gt": lambda k, a, b: a > b,
-    "ge": lambda k, a, b: a >= b, "eq": lambda k, a, b: a.eq(b),
-    "ne": lambda k, a, b: a.ne(b),
-}
-
-_UNARY_BUILD = {
-    "neg": lambda k, a: -a, "not": lambda k, a: ~a,
-    "abs": lambda k, a: k.absolute(a), "log": lambda k, a: k.log(a),
-    "exp": lambda k, a: k.exp(a), "sqrt": lambda k, a: k.sqrt(a),
-    "sigmoid": lambda k, a: k.sigmoid(a), "sin": lambda k, a: k.sin(a),
-    "cos": lambda k, a: k.cos(a),
-}
 
 
 # ----------------------------------------------------------------------
@@ -435,9 +400,7 @@ def _validate_program(rows: object, loop: LoopBinding,
         while len(cells) < 2:
             cells.append("")
         dest, op, args = cells[0], cells[1], [c for c in cells[2:] if c]
-        known_ops = (("load", "store") + BINARY_OPS + UNARY_OPS
-                     + TERNARY_OPS)
-        _check(op in known_ops, source,
+        _check(op in ("load", "store") or op in PROGRAM_OPS, source,
                f"program row {row_no}: unknown op {op!r}")
         if op == "load":
             _check(len(args) == 2, source,
@@ -462,8 +425,7 @@ def _validate_program(rows: object, loop: LoopBinding,
             out.append(("", op, *args))
             continue
         else:
-            arity = (2 if op in BINARY_OPS
-                     else 1 if op in UNARY_OPS else 3)
+            arity = op_info(PROGRAM_OPS[op]).arity
             _check(len(args) == arity, source,
                    f"program row {row_no}: {op} takes {arity} "
                    f"operand(s), got {len(args)}")

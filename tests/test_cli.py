@@ -3,6 +3,7 @@
 import json
 import re
 import shutil
+import time
 
 import pytest
 
@@ -90,6 +91,19 @@ class TestCli:
         assert captured.err == (
             f"error: jobs must be at least 1, got {jobs}\n")
 
+    @pytest.mark.parametrize("mode", [[], ["--stream"]],
+                             ids=["batch", "stream"])
+    def test_bench_negative_seed_exits_two_before_running(self, capsys,
+                                                          mode):
+        # The workload input generators take only non-negative seeds,
+        # so a negative one is refused before the report header prints.
+        assert main(["bench", "--scale", "tiny", "--seed", "-1",
+                     *mode]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --seed must be at least 0")
+        assert captured.err.count("\n") == 1
+
     def test_profile_rejects_other_execution_modes(self, capsys):
         # --profile times the local batch phases; every other execution
         # mode would make the phase timings describe something else.
@@ -131,6 +145,9 @@ class TestCli:
         document = json.loads(records[0].read_text(encoding="utf-8"))
         assert document["schema"] == BENCH_PROFILE_SCHEMA
         assert f"-> {records[0].name}" in capsys.readouterr().err
+        # The name is the run's start time, as the record says.
+        assert records[0].name == time.strftime(
+            "BENCH_%Y%m%dT%H%M%SZ.json", time.gmtime(document["created"]))
 
     def test_profile_path_names_the_record(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -163,13 +180,37 @@ class TestCli:
         assert captured.err.count("\n") == 1
 
     def test_unwritable_profile_path_is_one_error_line(self, tmp_path,
-                                                       capsys):
+                                                       capsys, monkeypatch):
+        # The record is opened first: nothing is priced or printed.
+        from repro.engine import Engine
+
+        def priced(*_args):
+            raise AssertionError("priced before the record was opened")
+
+        monkeypatch.setattr(Engine, "stream", priced)
         record = tmp_path / "missing" / "profile.json"
         assert main(["bench", "--scale", "tiny",
                      "--profile", str(record)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(record) in err
-        assert err.count("\n") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert str(record) in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_profile_run_failing_late_leaves_no_record(self, tmp_path,
+                                                       capsys, monkeypatch):
+        from repro.errors import EngineError
+        from repro.experiments import report
+
+        def broken(*_args, **_kwargs):
+            raise EngineError("assembly failed")
+
+        monkeypatch.setattr(report, "run_all", broken)
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench", "--scale", "tiny",
+                     "--profile", "prof.json"]) == 2
+        assert capsys.readouterr().err == "error: assembly failed\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_cache_dir_naming_a_file_is_one_error_line(self, tmp_path,
                                                        capsys):

@@ -137,6 +137,25 @@ class TestCLIReference:
             )
 
 
+class TestKernelsReference:
+    def test_op_lists_match_the_package_vocabulary(self):
+        # docs/KERNELS.md lists the program ops by arity; each list must
+        # be exactly the vocabulary the package format accepts.
+        from repro.ir.ops import op_info
+        from repro.kernels.package import PROGRAM_OPS
+
+        text = (REPO_ROOT / "docs" / "KERNELS.md").read_text(
+            encoding="utf-8")
+        lists = re.search(r"binary ops: `([^`]*)`; unary: `([^`]*)`;"
+                          r"\s*ternary: `(\w+)", text)
+        assert lists, "docs/KERNELS.md lost its program op lists"
+        for arity, documented in zip((2, 1, 3), lists.groups()):
+            assert sorted(documented.split()) == sorted(
+                name for name, opcode in PROGRAM_OPS.items()
+                if op_info(opcode).arity == arity
+            ), f"docs/KERNELS.md arity-{arity} ops drifted"
+
+
 class TestREADME:
     def test_readme_exists_and_links_the_docs(self):
         assert README.is_file(), "top-level README.md is missing"

@@ -133,6 +133,23 @@ class TestFig16:
             assert dominant[kernel] == "pipeline", dominant
 
 
+class TestCrossFigureLaws:
+    @pytest.mark.parametrize("scale", ["tiny", "small"])
+    def test_fig16_gains_are_the_gains_of_figs_12_and_14(self, scale):
+        # Fig. 16 sets the two feature speedups of Figs. 12 and 14 side
+        # by side: on each of its ten kernels, both must be the very
+        # numbers those figures print.
+        fig16 = fig16_balance.run(scale).rows
+        assert len(fig16) == 10
+        for module, column in ((fig12_control_network,
+                                "network_speedup_pct"),
+                               (fig14_agile, "agile_speedup_pct")):
+            gains = {row["kernel"]: row["improvement_pct"]
+                     for row in module.run(scale).rows}
+            assert {row["kernel"]: row[column] for row in fig16} \
+                == {row["kernel"]: gains[row["kernel"]] for row in fig16}
+
+
 class TestFig17:
     @pytest.fixture(scope="class")
     def result(self):
