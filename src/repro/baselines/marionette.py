@@ -14,16 +14,16 @@ When ``agile`` is on, the model consults the real
 :class:`~repro.compiler.schedule.MarionetteScheduler` output for the
 initiation intervals and unroll factors of each block — Fig. 14/15 numbers
 are produced by the actual mapping algorithm, not by a closed-form guess.
+The scheduler memoises per kernel structure, so every model instance that
+prices one kernel on one array reads one schedule.
 """
 
 from __future__ import annotations
 
-import weakref
 from typing import Optional
 
 from repro.arch.params import ArchParams
 from repro.baselines.base import ArchModel, KernelInstance, ModelConfig
-from repro.compiler.mapping import Schedule
 from repro.compiler.schedule import MarionetteScheduler
 from repro.ir.cdfg import LoopNest
 from repro.ir.cfg import BlockRole
@@ -56,8 +56,6 @@ class MarionetteModel(ArchModel):
         ))
         self.agile = agile
         self._scheduler = MarionetteScheduler(params, enable_agile=agile)
-        #: kernel object -> its schedule (two kernels may share a name)
-        self._schedule_of = weakref.WeakKeyDictionary()
 
     @staticmethod
     def _label(network: bool, agile: bool) -> str:
@@ -71,15 +69,9 @@ class MarionetteModel(ArchModel):
         return " ".join(parts)
 
     # ------------------------------------------------------------------
-    def _schedule_for(self, kernel: KernelInstance) -> Schedule:
-        if kernel not in self._schedule_of:
-            self._schedule_of[kernel] = self._scheduler.schedule(kernel.cdfg)
-        return self._schedule_of[kernel]
-
-    # ------------------------------------------------------------------
     def body_ii(self, kernel: KernelInstance, nest: LoopNest) -> int:
         """II from the real placements of the nest's own blocks."""
-        schedule = self._schedule_for(kernel)
+        schedule = self._scheduler.schedule(kernel.cdfg)
         iis = []
         for bid in nest.own:
             placement = schedule.placement_of(bid)
@@ -97,7 +89,7 @@ class MarionetteModel(ArchModel):
             # Serially dependent iterations cannot be replicated spatially,
             # whatever the scheduler managed to fit.
             return 1
-        schedule = self._schedule_for(kernel)
+        schedule = self._scheduler.schedule(kernel.cdfg)
         unrolls = []
         for bid in nest.own:
             if kernel.cdfg.block(bid).role is BlockRole.LOOP_HEADER:

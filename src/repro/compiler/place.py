@@ -23,10 +23,12 @@ prototype has four (Table 4); placement reserves the last PEs of the region
 for them.
 
 :func:`place_block` is a lookup in one process-wide LRU memo.  The key is
-everything placement reads: the block's structural fingerprint (its id plus
-``(opcode, operands)`` per DFG node), :attr:`ArchParams.placement_inputs`,
-and the region.  A built CDFG is never mutated, so entries need no
-invalidation; a hand-edited block simply fingerprints differently.
+everything placement reads: the block's id and its DFG's cached structural
+fingerprint (:meth:`~repro.ir.dfg.DFG.fingerprint`, a digest of the
+``(opcode, operands)`` sequence), :attr:`ArchParams.placement_inputs`, and
+the region.  A built CDFG is never mutated, so entries need no
+invalidation; a block edited through :meth:`~repro.ir.dfg.DFG.add`
+fingerprints differently.
 """
 
 from __future__ import annotations
@@ -77,12 +79,7 @@ def place_block(
     grid = Grid(inputs.rows, inputs.cols)
     pes = (tuple(range(grid.size)) if region is None
            else tuple(grid.index(c) for c in region))
-    key = (
-        block.block_id,
-        tuple((node.opcode, node.operands) for node in block.dfg.nodes),
-        inputs,
-        pes,
-    )
+    key = (block.block_id, block.dfg.fingerprint(), inputs, pes)
     placement = _MEMO.get(key)
     if placement is not None:
         _MEMO.move_to_end(key)

@@ -18,10 +18,21 @@ the execution models resolve a block's active placement through
 :meth:`~repro.compiler.mapping.Schedule.placement_of`, which prefers the
 deepest level — the same priority the Control Flow Scheduler's arbiter
 applies between nested pipelines.
+
+:meth:`MarionetteScheduler.schedule` is a lookup in one process-wide LRU
+memo, like :func:`~repro.compiler.place.place_block`.  The key is
+everything scheduling reads: the CDFG's structural fingerprint
+(:meth:`~repro.ir.cdfg.CDFG.fingerprint`: name, entry, and per block its id,
+role, terminator shape and DFG fingerprint),
+:attr:`ArchParams.placement_inputs` and ``enable_agile``.  So every model,
+engine and architecture variant that agrees on those shares one
+:class:`~repro.compiler.mapping.Schedule`; like a placement, nothing
+mutates it after :meth:`~MarionetteScheduler.schedule` returns.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.errors import PlacementError
@@ -33,6 +44,12 @@ from repro.compiler.mapping import BBPlacement, LevelSchedule, Schedule
 from repro.compiler.place import place_block
 from repro.compiler.reshape import pe_waste, reshape_placement, unroll_placement
 
+#: Entries kept by the schedule memo (least recently used evicted first).
+#: A small-scale arch sweep schedules 69 distinct inputs.
+_MEMO_SIZE = 512
+
+_MEMO: "OrderedDict[tuple, Schedule]" = OrderedDict()
+
 
 class MarionetteScheduler:
     """Agile PE Assignment over one kernel."""
@@ -42,10 +59,25 @@ class MarionetteScheduler:
         self.grid = Grid(params.rows, params.cols)
         #: reshape/unroll of spare PEs on/off (Fig. 14's comparison)
         self.enable_agile = enable_agile
+        self._inputs = params.placement_inputs
 
     # ------------------------------------------------------------------
     def schedule(self, cdfg: CDFG) -> Schedule:
-        """Produce the per-loop-level mappings for ``cdfg``."""
+        """The per-loop-level mappings for ``cdfg``.  Equal inputs share
+        one (never mutated) schedule instance."""
+        key = (cdfg.fingerprint(), self._inputs, self.enable_agile)
+        result = _MEMO.get(key)
+        if result is not None:
+            _MEMO.move_to_end(key)
+            return result
+        result = self._schedule(cdfg)
+        _MEMO[key] = result
+        if len(_MEMO) > _MEMO_SIZE:
+            _MEMO.popitem(last=False)
+        return result
+
+    def _schedule(self, cdfg: CDFG) -> Schedule:
+        """The uncached scheduling behind :meth:`schedule`."""
         result = Schedule(cdfg.name)
         nests = cdfg.loop_nests()
         ordered = sorted(

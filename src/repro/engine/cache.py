@@ -13,13 +13,16 @@ one directory.
 The directory is disposable: any record can be recomputed from its key,
 and deleting the directory reclaims the space.
 
-Storage is pluggable: the directory store described above is the
-:class:`~repro.engine.distributed.backend.LocalBackend`, one
-implementation of the ``CacheBackend`` protocol (get/put/contains/
-iter-keys over envelopes).  Passing ``backend=`` instead of a root —
-e.g. an :class:`~repro.engine.distributed.backend.HTTPBackend` pointed
-at a ``repro serve`` cache server — makes machines share records live;
-the envelope validation here is backend-independent, so a corrupt or
+Storage is pluggable: the directory store described above is
+:class:`LocalBackend`, defined here so that a local cache loads nothing
+of the distributed layer; it is one implementation of the
+:class:`~repro.engine.distributed.backend.CacheBackend` protocol
+(get/put/contains/iter-keys over envelopes), which
+:mod:`repro.engine.distributed.backend` re-exports.  Passing
+``backend=`` instead of a root — e.g. an
+:class:`~repro.engine.distributed.backend.HTTPBackend` pointed at a
+``repro serve`` cache server — makes machines share records live; the
+envelope validation here is backend-independent, so a corrupt or
 foreign record is a miss regardless of where it came from.
 
 The cache also keeps an in-memory layer (digest -> payload), making it
@@ -35,7 +38,10 @@ import dataclasses
 import hashlib
 import json
 import os
-from typing import Dict, Mapping, Optional
+import tempfile
+from collections import OrderedDict
+from pathlib import Path
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from repro.arch.params import ArchParams
 from repro.errors import ConfigurationError
@@ -54,15 +60,89 @@ from repro.errors import ConfigurationError
 ENGINE_VERSION = 5
 
 
+#: ``id(params)`` -> ``(params, token)``, least recently used evicted
+#: first.  Keyed by identity, not equality: ``ArchParams(t_config=True)``
+#: equals ``ArchParams(t_config=1)`` but spells another token.  An entry
+#: holds its instance, so the id stays that instance's.
+_TOKENS: "OrderedDict[int, Tuple[ArchParams, Dict[str, object]]]" = \
+    OrderedDict()
+_TOKENS_SIZE = 64
+
+
 def params_token(params: ArchParams) -> Dict[str, object]:
-    """JSON-safe identity of an :class:`ArchParams` (cache key component)."""
-    return dataclasses.asdict(params)
+    """JSON-safe identity of an :class:`ArchParams` (cache key component).
+
+    ``ArchParams`` is frozen, so ``dataclasses.asdict`` runs once per
+    instance; each caller gets its own copy of the result."""
+    entry = _TOKENS.get(id(params))
+    if entry is None:
+        entry = (params, dataclasses.asdict(params))
+        _TOKENS[id(params)] = entry
+        if len(_TOKENS) > _TOKENS_SIZE:
+            _TOKENS.popitem(last=False)
+    else:
+        _TOKENS.move_to_end(id(params))
+    return dict(entry[1])
 
 
 def fingerprint(key: Mapping[str, object]) -> str:
     """SHA-256 content address of a canonical-JSON key."""
     canonical = json.dumps(key, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+class LocalBackend:
+    """The on-disk directory store: ``<root>/<hh>/<digest>.json``.
+
+    Writes go through a temp file + rename so concurrent worker
+    processes (and concurrent ``repro`` invocations) can share one
+    directory; readers never observe a half-written record.
+    """
+
+    def __init__(self, root: os.PathLike) -> None:
+        self.root = Path(root)
+
+    def _path(self, digest: str) -> Path:
+        return self.root / digest[:2] / f"{digest}.json"
+
+    def get(self, digest: str) -> Optional[dict]:
+        try:
+            with open(self._path(digest), "r", encoding="utf-8") as handle:
+                return json.load(handle)
+        except (OSError, json.JSONDecodeError):
+            return None
+
+    def put(self, digest: str, envelope: dict) -> None:
+        path = self._path(digest)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(
+            dir=path.parent, prefix=".tmp-", suffix=".json"
+        )
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                # json.dump streams through the pure-Python encoder;
+                # json.dumps runs the C one and writes the same bytes.
+                handle.write(json.dumps(envelope))
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+
+    def contains(self, digest: str) -> bool:
+        return self._path(digest).is_file()
+
+    def iter_keys(self) -> Iterator[str]:
+        if not self.root.is_dir():
+            return
+        for path in sorted(self.root.glob("??/*.json")):
+            if not path.name.startswith(".tmp-"):
+                yield path.stem
+
+    def describe(self) -> str:
+        return f"dir:{self.root}"
 
 
 class TraceCache:
@@ -81,9 +161,6 @@ class TraceCache:
                 "TraceCache takes a directory root or a backend, not both"
             )
         if backend is None and root is not None:
-            # Function-level import: repro.engine.cache is imported while
-            # repro.engine.distributed initializes, and vice versa.
-            from repro.engine.distributed.backend import LocalBackend
             backend = LocalBackend(root)
         self.backend = backend
         self._memory: Dict[str, object] = {}

@@ -14,10 +14,10 @@ Three layers, one URL:
 * :mod:`repro.engine.distributed.worker` — ``repro worker`` pull loops
   and the ``repro bench --dispatch`` client.
 
-Only the backend and coordinator layers are re-exported here: they are
-import-cycle-free (``TraceCache`` itself constructs a
-``LocalBackend``).  Import ``server`` and ``worker`` explicitly — they
-depend on the fully-initialized engine package.
+Only the backend and coordinator layers are re-exported here.
+``LocalBackend`` is defined in :mod:`repro.engine.cache`, so a local
+cache loads none of this package.  Import ``server`` and ``worker``
+explicitly — they depend on the fully-initialized engine package.
 
 See ``docs/DISTRIBUTED.md`` for the serve/worker/dispatch walkthrough
 and the failure semantics.

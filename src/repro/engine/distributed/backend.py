@@ -6,9 +6,10 @@ envelopes; *where* those envelopes live is this module's concern.  A
 backend is anything satisfying :class:`CacheBackend` — get/put/contains/
 iter-keys over digest-addressed envelopes:
 
-* :class:`LocalBackend` — the original directory store (two-level
-  fan-out, temp-file + atomic-rename writes), extracted from
-  ``TraceCache`` so it is one implementation among several;
+* :class:`LocalBackend` — the directory store (two-level fan-out,
+  temp-file + atomic-rename writes).  It lives in
+  :mod:`repro.engine.cache`, so a local cache never loads this layer,
+  and is re-exported here as the same class;
 * :class:`MemoryBackend` — a lock-protected in-process dict, the default
   store of a ``repro serve`` cache server run without ``--cache-dir``;
 * :class:`HTTPBackend` — a client for the ``repro serve`` cache server:
@@ -30,14 +31,12 @@ from __future__ import annotations
 
 import http.client
 import json
-import os
-import tempfile
 import threading
 import urllib.error
 import urllib.request
-from pathlib import Path
 from typing import Dict, Iterator, Optional, Protocol, Tuple
 
+from repro.engine.cache import LocalBackend
 from repro.errors import DistributedError, DistributedUnavailable
 
 #: Default timeout (seconds) for one HTTP round trip.
@@ -61,60 +60,6 @@ class CacheBackend(Protocol):
 
     def describe(self) -> str:
         """Human-readable location, for diagnostics."""
-
-
-class LocalBackend:
-    """The on-disk directory store: ``<root>/<hh>/<digest>.json``.
-
-    Writes go through a temp file + rename so concurrent worker
-    processes (and concurrent ``repro`` invocations) can share one
-    directory; readers never observe a half-written record.
-    """
-
-    def __init__(self, root: os.PathLike) -> None:
-        self.root = Path(root)
-
-    def _path(self, digest: str) -> Path:
-        return self.root / digest[:2] / f"{digest}.json"
-
-    def get(self, digest: str) -> Optional[dict]:
-        try:
-            with open(self._path(digest), "r", encoding="utf-8") as handle:
-                return json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            return None
-
-    def put(self, digest: str, envelope: dict) -> None:
-        path = self._path(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                # json.dump streams through the pure-Python encoder;
-                # json.dumps runs the C one and writes the same bytes.
-                handle.write(json.dumps(envelope))
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def contains(self, digest: str) -> bool:
-        return self._path(digest).is_file()
-
-    def iter_keys(self) -> Iterator[str]:
-        if not self.root.is_dir():
-            return
-        for path in sorted(self.root.glob("??/*.json")):
-            if not path.name.startswith(".tmp-"):
-                yield path.stem
-
-    def describe(self) -> str:
-        return f"dir:{self.root}"
 
 
 class MemoryBackend:

@@ -515,36 +515,29 @@ class BenchProfiler:
         self.phases.append(record)
         return result
 
-    def run_engine_phases(self, specs: Sequence[RunSpec]
-                          ) -> List[RunResult]:
+    def run_engine_phases(self, specs: Sequence[RunSpec]) -> None:
         """The engine-side phases of a profiled bench run.
 
         One ``trace`` phase ensures every distinct functional trace is
         resident (the expensive part on a cold cache), then one
         ``simulate:<model>`` phase per architecture model prices that
-        model's specs.  Each spec is executed exactly once across the
-        partitions, so the reassembled result list is exactly what one
-        ``execute(specs)`` batch returns.
+        model's specs, each exactly once, into the engine's memo; the
+        report is assembled from that memo afterwards.
         """
         self.phase(
             "trace", lambda: self.engine.prefetch_traces(specs),
             specs=len({spec.trace_key() for spec in specs}),
         )
-        by_model: Dict[str, List[Tuple[int, RunSpec]]] = {}
-        for index, spec in enumerate(specs):
+        by_model: Dict[str, List[RunSpec]] = {}
+        for spec in specs:
             label = spec.model.label or spec.model.model
-            by_model.setdefault(label, []).append((index, spec))
-        results: List[Optional[RunResult]] = [None] * len(specs)
-        for label, items in by_model.items():
-            subspecs = [spec for _index, spec in items]
-            outcomes = self.phase(
+            by_model.setdefault(label, []).append(spec)
+        for label, subspecs in by_model.items():
+            self.phase(
                 f"simulate:{label}",
                 lambda subspecs=subspecs: self.engine.execute(subspecs),
-                specs=len(items),
+                specs=len(subspecs),
             )
-            for (index, _spec), outcome in zip(items, outcomes):
-                results[index] = outcome
-        return list(results)
 
     def document(self, *, scale: str, seed: int, jobs: int,
                  spec_count: int) -> Dict[str, object]:

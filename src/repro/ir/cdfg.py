@@ -1,5 +1,6 @@
 """The combined CDFG: a CFG whose blocks embed DFGs, plus the kernel's
-structure analyses (loop nests, branch regions, arm pairs, flat blocks).
+structure analyses (loop nests, branch regions, arm pairs, flat blocks) and
+its structural fingerprint.
 
 :class:`LoopNest` is the unit the Marionette scheduler works at (paper
 Fig. 8): scheduling proceeds innermost loop level to outermost, mapping the
@@ -8,6 +9,8 @@ basic blocks of each level and time-extending leftovers.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -42,8 +45,8 @@ class CDFG:
     A CDFG is sealed when :meth:`~repro.ir.builder.KernelBuilder.build`
     returns it: nothing mutates its CFG or DFGs afterwards, so it is the
     one home of the kernel's structural facts (loop nests with their own
-    blocks, branch regions, arm pairs, flat blocks), each computed once
-    and cached without invalidation.
+    blocks, branch regions, arm pairs, flat blocks, the fingerprint), each
+    computed once and cached without invalidation.
     """
 
     def __init__(self, name: str, cfg: CFG,
@@ -62,6 +65,7 @@ class CDFG:
         self._arm_pairs: Optional[
             Dict[BlockId, Tuple[BlockId, BlockId]]] = None
         self._flat_blocks: Optional[Tuple[BlockId, ...]] = None
+        self._fingerprint: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Convenience accessors
@@ -223,6 +227,26 @@ class CDFG:
                     pairs[block.block_id] = arms
             self._arm_pairs = pairs
         return self._arm_pairs
+
+    def fingerprint(self) -> str:
+        """SHA-256 of the kernel's structure as the scheduler reads it: the
+        name, the entry, and per block its id, role, terminator shape
+        (kind, targets, loop flag) and DFG fingerprint.  Computed once and
+        cached."""
+        if self._fingerprint is None:
+            blocks = []
+            for block in self.blocks:
+                term = block.terminator
+                blocks.append([
+                    block.block_id, block.role.value, type(term).__name__,
+                    block.successors(),
+                    isinstance(term, Branch) and term.is_loop_branch,
+                    block.dfg.fingerprint(),
+                ])
+            text = json.dumps([self.name, self.entry, blocks])
+            self._fingerprint = hashlib.sha256(
+                text.encode("utf-8")).hexdigest()
+        return self._fingerprint
 
     # ------------------------------------------------------------------
     # Validation / repr

@@ -10,10 +10,16 @@ Side effects (stores) carry no result; their program order is preserved by
 the creation order.  Live-in variables enter through ``INPUT`` nodes and
 live-out variables are named bindings to node ids (held by the enclosing
 :class:`~repro.ir.cfg.BasicBlock`).
+
+The facts pricing reads on every model and every architecture variant —
+:attr:`DFG.fu_nodes`, :attr:`DFG.op_count`, :meth:`DFG.critical_path_length`
+and the structural :meth:`DFG.fingerprint` — are computed on first read and
+kept until :meth:`DFG.add`, the graph's only mutator, appends a node.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -71,6 +77,13 @@ class DFG:
         self.nodes: List[Node] = []
         self._const_cache: Dict[Tuple[type, float, float], NodeId] = {}
         self._input_cache: Dict[str, NodeId] = {}
+        self._forget()
+
+    def _forget(self) -> None:
+        """Drop the cached facts (the node list changed)."""
+        self._fu_nodes: Optional[Tuple[Node, ...]] = None
+        self._critical_path: Optional[int] = None
+        self._fingerprint: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -108,6 +121,7 @@ class DFG:
             Node(node_id, opcode, tuple(operands), array=array, value=value,
                  var=var)
         )
+        self._forget()
         return node_id
 
     def const(self, value: float) -> NodeId:
@@ -141,14 +155,30 @@ class DFG:
         return self.nodes[node_id]
 
     @property
-    def fu_nodes(self) -> List[Node]:
+    def fu_nodes(self) -> Tuple[Node, ...]:
         """Nodes that occupy a function unit when mapped (non-meta)."""
-        return [n for n in self.nodes if n.needs_fu]
+        if self._fu_nodes is None:
+            self._fu_nodes = tuple(n for n in self.nodes if n.needs_fu)
+        return self._fu_nodes
 
     @property
     def op_count(self) -> int:
         """Number of FU operations (the paper's "operators")."""
         return len(self.fu_nodes)
+
+    def fingerprint(self) -> str:
+        """SHA-256 of the ``(opcode, operands)`` sequence: everything
+        placement and scheduling read of the graph, so two graphs with one
+        fingerprint place alike (constant values, arrays and variable
+        names do not move a PE)."""
+        if self._fingerprint is None:
+            text = ";".join(
+                f"{node.opcode.value}:{','.join(map(str, node.operands))}"
+                for node in self.nodes
+            )
+            self._fingerprint = hashlib.sha256(
+                text.encode("utf-8")).hexdigest()
+        return self._fingerprint
 
     def consumers(self) -> Dict[NodeId, List[NodeId]]:
         """Map producer id -> list of consumer ids."""
@@ -164,11 +194,13 @@ class DFG:
         This is the drain time of a spatial pipeline executing the block: the
         longest accumulated FU latency over any dependence chain.
         """
-        depth: Dict[NodeId, int] = {}
-        for node in self.nodes:  # creation order is topological
-            base = max((depth[o] for o in node.operands), default=0)
-            depth[node.node_id] = base + node.info.latency
-        return max(depth.values(), default=0)
+        if self._critical_path is None:
+            depth: Dict[NodeId, int] = {}
+            for node in self.nodes:  # creation order is topological
+                base = max((depth[o] for o in node.operands), default=0)
+                depth[node.node_id] = base + node.info.latency
+            self._critical_path = max(depth.values(), default=0)
+        return self._critical_path
 
     def validate(self) -> None:
         """Check structural invariants; raises :class:`IRError` on violation.

@@ -1,14 +1,24 @@
-"""Agile PE Assignment scheduler + configuration generation tests."""
+"""Agile PE Assignment scheduler (and its memo) + configuration generation
+tests."""
+
+import dataclasses
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.errors import CompilationError
 from repro.arch.params import ArchParams
+from repro.compiler import place, schedule as schedule_memo
 from repro.compiler.config_gen import generate_program
+from repro.compiler.mapping import Schedule
 from repro.compiler.schedule import MarionetteScheduler
 from repro.ir.builder import KernelBuilder
+from repro.ir.cfg import BlockRole
 from repro.workloads import ALL_WORKLOADS, get_workload
+from test_compiler_place import (KEY_FIELDS, KEY_PERTURBATIONS, KEY_VALUES,
+                                 OTHER_VALUES)
 
 
 class TestScheduler:
@@ -83,6 +93,138 @@ class TestScheduler:
         schedule = MarionetteScheduler(params).schedule(imperfect_kernel)
         for level in schedule.levels:
             assert isinstance(level.waste, int)
+
+
+@contextmanager
+def _empty_memos():
+    """Run with empty schedule and placement memos; both are restored
+    afterwards."""
+    saved = [(memo, memo.copy())
+             for memo in (schedule_memo._MEMO, place._MEMO)]
+    for memo, _entries in saved:
+        memo.clear()
+    try:
+        yield
+    finally:
+        for memo, entries in saved:
+            memo.clear()
+            memo.update(entries)
+
+
+def uncached(cdfg, params: ArchParams, enable_agile: bool = True) -> Schedule:
+    """``MarionetteScheduler.schedule`` computed from scratch, bypassing
+    both memos."""
+    with _empty_memos():
+        return MarionetteScheduler(
+            params, enable_agile=enable_agile).schedule(cdfg)
+
+
+@pytest.fixture(scope="module")
+def tiny_kernels():
+    """The 13 workloads' CDFGs at ``tiny``, built afresh."""
+    return [workload.build(workload.sizes("tiny"))
+            for workload in ALL_WORKLOADS]
+
+
+def _one_loop(name: str, steps: int, factor: int = 3):
+    k = KernelBuilder(name)
+    n = k.param("n")
+    k.array("x")
+    k.array("o")
+    with k.loop("i", 0, n) as i:
+        v = k.load("x", i)
+        for _ in range(steps):
+            v = v * factor + 1
+        k.store("o", i, v * 2)
+    return k.build()
+
+
+def _branchy(edit: str = ""):
+    """A loop whose body branches.  ``edit`` swaps the branch's targets
+    (``"swap"``), marks it a loop branch (``"loop"``) or makes its first
+    arm a plain block (``"role"``); every block's DFG stays as it was."""
+    k = KernelBuilder("branchy")
+    n = k.param("n")
+    k.array("a")
+    k.array("o")
+    with k.loop("i", 0, n) as i:
+        x = k.load("a", i)
+        with k.branch(x < 0) as br:
+            k.set("d", 0 - x)
+        with br.orelse():
+            k.set("d", x * 2 + 1)
+        k.store("o", i, k.get("d"))
+    cdfg = k.build()
+    term = cdfg.branch_blocks()[0].terminator
+    if edit == "swap":
+        term.if_true, term.if_false = term.if_false, term.if_true
+    elif edit == "loop":
+        term.is_loop_branch = True
+    elif edit == "role":
+        cdfg.block(term.if_true).role = BlockRole.PLAIN
+    return cdfg
+
+
+class TestScheduleMemo:
+    """``MarionetteScheduler.schedule`` memoises on the CDFG's structural
+    fingerprint, the ``PlacementInputs`` projection and ``enable_agile``:
+    the key changes if and only if the schedule may."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(key=KEY_VALUES, first=OTHER_VALUES, second=OTHER_VALUES)
+    def test_fields_outside_the_key_never_change_a_schedule(
+            self, tiny_kernels, key, first, second):
+        arch = ArchParams(**key, **first)
+        twin = ArchParams(**key, **second)
+        assert twin.placement_inputs == arch.placement_inputs
+        for cdfg in tiny_kernels:
+            cached = MarionetteScheduler(arch).schedule(cdfg)
+            assert MarionetteScheduler(twin).schedule(cdfg) is cached
+            assert uncached(cdfg, twin) == cached
+
+    @pytest.mark.parametrize("field", KEY_FIELDS + ("enable_agile",))
+    def test_every_key_field_changes_a_schedule(self, tiny_kernels, field):
+        base = ArchParams()
+        if field == "enable_agile":
+            moved, agile = base, False
+        else:
+            moved = dataclasses.replace(
+                base, **{field: KEY_PERTURBATIONS[field]})
+            agile = True
+        before = [MarionetteScheduler(base).schedule(c)
+                  for c in tiny_kernels]
+        after = [MarionetteScheduler(moved, enable_agile=agile).schedule(c)
+                 for c in tiny_kernels]
+        assert after == [uncached(c, moved, agile) for c in tiny_kernels]
+        assert after != before, (
+            f"{field} never changes a schedule: a dead key field"
+        )
+
+    def test_same_named_kernels_of_other_structure_never_share(self, params):
+        # One pair differs in a block's DFG, the others only in where a
+        # branch goes, in whether it is a loop branch, or in a role.
+        for pair in ((_one_loop("twin", 0), _one_loop("twin", 6)),
+                     *((_branchy(), _branchy(edit))
+                       for edit in ("swap", "loop", "role"))):
+            schedules = [MarionetteScheduler(params).schedule(k)
+                         for k in pair]
+            assert schedules[0] is not schedules[1]
+            assert schedules == [uncached(k, params) for k in pair]
+
+    def test_same_structure_under_other_names_never_shares(self, params):
+        first, second = _one_loop("first", 2), _one_loop("second", 2)
+        a, b = (MarionetteScheduler(params).schedule(k)
+                for k in (first, second))
+        assert a is not b
+        assert (a.kernel, b.kernel) == ("first", "second")
+        assert (a.levels, a.flat) == (b.levels, b.flat)
+
+    def test_constant_values_are_outside_the_key(self, params):
+        # Scheduling reads opcodes and operands, never a constant's value.
+        times3, times5 = _one_loop("k", 2, 3), _one_loop("k", 2, 5)
+        shared = MarionetteScheduler(params).schedule(times3)
+        assert MarionetteScheduler(params).schedule(times5) is shared
+        assert uncached(times5, params) == shared
 
 
 class TestConfigGen:

@@ -1,7 +1,7 @@
 """Every module under ``src/repro`` is reachable from the command line,
 every name a module imports is read, and no module imports a private
-name from another; importing the engine leaves its distributed layer
-unloaded.
+name from another; importing the engine, or caching on a local
+directory, leaves its distributed layer unloaded.
 
 The walk starts at ``repro.cli`` and ``repro.__main__`` and follows the
 static import graph: each module's source is parsed, and every import
@@ -159,15 +159,34 @@ def test_no_module_imports_a_private_name():
     assert not private, "private names imported: " + ", ".join(private)
 
 
+def _distributed_modules_after(probe: str, *argv: str) -> str:
+    """What of the distributed layer a fresh interpreter running
+    ``probe`` has loaded, as printed by a sorted list."""
+    probe += ("\nprint(sorted(set(sys.modules) & "
+              "{'repro.engine.distributed', 'http.client'}))")
+    path = os.pathsep.join(filter(None, [str(SRC),
+                                         os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True,
+    ).stdout
+
+
 def test_importing_the_engine_leaves_the_distributed_layer_unloaded():
     # Only --dispatch, `repro serve` and `repro worker` speak HTTP; a
     # process that just prices specs must not load that layer.
-    probe = ("import sys, repro.engine; print(sorted(set(sys.modules) & "
-             "{'repro.engine.distributed', 'http.client'}))")
-    path = os.pathsep.join(filter(None, [str(SRC),
-                                         os.environ.get("PYTHONPATH")]))
-    loaded = subprocess.run(
-        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True, text=True, check=True,
-    ).stdout
-    assert loaded == "[]\n"
+    assert _distributed_modules_after("import sys, repro.engine") == "[]\n"
+
+
+def test_a_local_cache_leaves_the_distributed_layer_unloaded(tmp_path):
+    # The on-disk store is local: writing a record and reading it back
+    # from a second engine on the same directory loads no HTTP client.
+    probe = (
+        "import sys\n"
+        "from repro.engine import Engine\n"
+        "key, payload = {'kind': 'probe'}, {'value': 1}\n"
+        "Engine(cache_dir=sys.argv[1]).cache.put(key, payload)\n"
+        "assert Engine(cache_dir=sys.argv[1]).cache.get(key) == payload"
+    )
+    assert _distributed_modules_after(probe, str(tmp_path)) == "[]\n"

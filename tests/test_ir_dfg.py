@@ -1,11 +1,13 @@
 """Unit tests for the per-block data flow graph."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from kernel_fuzz import kernels, loop_kernels
 from repro.errors import IRError
 from repro.ir.dfg import DFG
-from repro.ir.ops import Opcode
+from repro.ir.ops import Opcode, op_info
+from repro.workloads import ALL_WORKLOADS
 
 
 def build_chain(length: int) -> DFG:
@@ -109,3 +111,75 @@ class TestProperties:
                 assert ids[value] == node
             ids[value] = node
         assert len({dfg.node(i).value for i in ids.values()}) == len(ids)
+
+
+def rebuilt(dfg: DFG) -> DFG:
+    """A fresh copy of ``dfg``, node by node, that has cached nothing."""
+    copy = DFG()
+    for node in dfg.nodes:
+        copy.add(node.opcode, node.operands, array=node.array,
+                 value=node.value, var=node.var)
+    return copy
+
+
+def scratch_facts(dfg: DFG):
+    """``(fu_nodes, op_count, critical path)`` recomputed from the node
+    list, plus the fingerprint of a copy that has cached nothing."""
+    fu_nodes = tuple(n for n in dfg.nodes if op_info(n.opcode).needs_fu)
+    depth = {}
+    for node in dfg.nodes:
+        depth[node.node_id] = op_info(node.opcode).latency + max(
+            (depth[o] for o in node.operands), default=0)
+    return (fu_nodes, len(fu_nodes), max(depth.values(), default=0),
+            rebuilt(dfg).fingerprint())
+
+
+def cached_facts(dfg: DFG):
+    return (dfg.fu_nodes, dfg.op_count, dfg.critical_path_length(),
+            dfg.fingerprint())
+
+
+def structure(dfg: DFG):
+    return tuple((node.opcode, node.operands) for node in dfg.nodes)
+
+
+class TestCachedFacts:
+    """The facts a DFG caches equal a from-scratch computation, and
+    :meth:`DFG.add` refreshes every one of them."""
+
+    def test_every_workload_block(self):
+        pairs = set()
+        for workload in ALL_WORKLOADS:
+            for block in workload.build(workload.sizes("tiny")).blocks:
+                cached_facts(block.dfg)  # fill the caches first
+                assert cached_facts(block.dfg) == scratch_facts(block.dfg)
+                pairs.add((block.dfg.fingerprint(), structure(block.dfg)))
+        # One fingerprint per (opcode, operands) sequence, and back.
+        prints, shapes = zip(*pairs)
+        assert len(set(prints)) == len(set(shapes)) == len(pairs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(loop_kernels(), kernels()))
+    def test_generated_kernel_blocks(self, case):
+        cdfg, _memory, _params = case
+        for block in cdfg.blocks:
+            cached_facts(block.dfg)
+            assert cached_facts(block.dfg) == scratch_facts(block.dfg)
+
+    def test_a_node_added_after_a_read_shows_in_every_fact(self):
+        dfg = build_chain(3)
+        before = cached_facts(dfg)
+        tail = dfg.add(Opcode.MUL, (len(dfg) - 1, 0))
+        after = cached_facts(dfg)
+        assert after == scratch_facts(dfg)
+        assert after[0] == before[0] + (dfg.node(tail),)
+        assert after[1] == before[1] + 1
+        assert after[2] > before[2]
+        assert after[3] != before[3]
+
+    def test_the_fingerprint_ignores_values_and_names(self):
+        ones, twos = DFG(), DFG()
+        for dfg, value, var in ((ones, 1, "x"), (twos, 2, "y")):
+            dfg.add(Opcode.ADD, (dfg.const(value), dfg.input(var)))
+        assert ones.fingerprint() == twos.fingerprint()
+        assert ones.fingerprint() != build_chain(1).fingerprint()
