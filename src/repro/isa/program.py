@@ -8,6 +8,7 @@ from typing import Dict, Optional, Tuple
 from repro.errors import EncodingError
 from repro.isa.control import ControlDirective
 from repro.isa.data import DataInstruction
+from repro.isa.operands import DestKind, N_PORTS
 
 #: Instruction buffer capacity per PE (addresses 0..MAX_ADDR-1).
 MAX_ADDR = 64
@@ -115,7 +116,9 @@ class ArrayProgram:
 
     def validate(self) -> None:
         """Cross-reference checks: initial addresses exist; sender targets
-        in range; referenced arrays declared."""
+        and mesh destinations in range; referenced arrays declared.
+
+        The simulator delivers data tokens without checking them again."""
         for pe, addr in self.initial_addrs.items():
             program = self.pe_programs.get(pe)
             if program is None or program.get(addr) is None:
@@ -132,6 +135,14 @@ class ArrayProgram:
                             f"{target} out of range"
                         )
                 data = entry.data
+                for dest in data.dests:
+                    if dest.kind is DestKind.PE_PORT and not (
+                            0 <= dest.pe < self.n_pes
+                            and 0 <= dest.port < N_PORTS):
+                        raise EncodingError(
+                            f"PE {pe} addr {entry.addr}: mesh destination PE "
+                            f"{dest.pe} port {dest.port} out of range"
+                        )
                 if data.kind.value in ("load", "store"):
                     if data.array_id not in self.array_table:
                         raise EncodingError(

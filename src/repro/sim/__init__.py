@@ -21,7 +21,6 @@ from repro.sim.memory import Scratchpad
 from repro.sim.events import (
     ArrayStats,
     CtrlMsg,
-    DataToken,
     DeliverySchedule,
     MulticastQueue,
     PEStats,
@@ -32,7 +31,6 @@ from repro.sim.array import STRATEGIES, ArraySimulator, SimulationResult
 __all__ = [
     "Fifo",
     "Scratchpad",
-    "DataToken",
     "CtrlMsg",
     "PEStats",
     "ArrayStats",

@@ -29,12 +29,18 @@ Two stepping strategies produce bit-identical results:
   exactly;
 * ``strategy="naive"`` is the reference stepper (every PE, every cycle),
   kept for differential testing — see ``tests/test_sim_event.py``.
+
+Both strategies share the per-cycle path below the run loop: a data token
+in flight is a plain ``(dst_pe, port, value)`` tuple, and a delivery
+appends its value straight to the destination port's deque.  The
+constructor runs :meth:`ArrayProgram.validate`, which proves every mesh
+destination's PE and port in range, so no delivery checks them again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -46,7 +52,6 @@ from repro.isa.program import ArrayProgram
 from repro.sim.events import (
     ArrayStats,
     CtrlMsg,
-    DataToken,
     DeliverySchedule,
     MulticastQueue,
 )
@@ -83,19 +88,23 @@ class ArraySimulator:
     """Cycle-accurate simulator of a Marionette array."""
 
     def __init__(self, params: ArchParams, program: ArrayProgram,
-                 *, scratchpad_words: Optional[int] = None,
-                 strategy: str = "event") -> None:
+                 *, strategy: str = "event") -> None:
         program.validate()
         if strategy not in STRATEGIES:
             raise SimulationError(
                 f"unknown stepping strategy {strategy!r}; "
                 f"pick one of {STRATEGIES}"
             )
+        if program.n_pes != params.n_pes:
+            raise SimulationError(
+                f"program is configured for {program.n_pes} PEs, the "
+                f"array has {params.n_pes}"
+            )
         self.params = params
         self.program = program
         self.strategy = strategy
-        words = scratchpad_words or (params.sram_kb * 1024 // 4)
-        self.scratchpad = Scratchpad(words, banks=params.sram_banks)
+        self.scratchpad = Scratchpad(params.sram_kb * 1024 // 4,
+                                     banks=params.sram_banks)
         self.network = ControlNetwork(
             params.n_pes, latency=params.control_transfer_latency
         )
@@ -111,6 +120,10 @@ class ArraySimulator:
         }
         for (pe, reg), value in program.reg_init.items():
             self.pes[pe].data.regs[reg] = value
+        #: PE id -> its data ports, the deques deliveries append to
+        self._ports: List[List[Deque[float]]] = [
+            self.pes[pe].data.ports for pe in range(params.n_pes)
+        ]
         # In-flight queues keyed by delivery cycle.
         self._data_inflight = DeliverySchedule()
         self._ctrl_inflight = DeliverySchedule()
@@ -298,13 +311,13 @@ class ArraySimulator:
         busy = False
 
         # 1. Deliveries due this cycle.
-        for token in self._data_inflight.pop_due(cycle):
-            self.pes[token.dst_pe].receive_data(token.port, token.value)
+        for dst_pe, port, value in self._data_inflight.pop_due(cycle):
+            self._ports[dst_pe][port].append(value)
             busy = True
         for msg in self._ctrl_inflight.pop_due(cycle):
             if msg.dst_pe >= self.params.n_pes:
                 self._controller_msgs.append(msg)
-            elif not self.pes[msg.dst_pe].receive_ctrl(msg):
+            elif not self.pes[msg.dst_pe].control.receive(msg):
                 self._ctrl_queue.append(msg)  # control FIFO full: retry
             busy = True
 
@@ -320,7 +333,7 @@ class ArraySimulator:
                 busy = True
             self._ctrl_queue.extend(msgs)
             for outcome in outcomes:
-                self._apply_outcome(pe.pe, outcome, cycle)
+                self._apply_outcome(pe, outcome, cycle)
 
         if any(pe.data.inflight for pe in self.pes.values()):
             busy = True
@@ -339,66 +352,72 @@ class ArraySimulator:
         """
         busy = False
         touched: Set[int] = set()
+        pes, ctrl_queue = self.pes, self._ctrl_queue
 
         # 1. Deliveries due this cycle.
-        for token in self._data_inflight.pop_due(cycle):
-            self.pes[token.dst_pe].receive_data(token.port, token.value)
-            touched.add(token.dst_pe)
+        tokens = self._data_inflight.pop_due(cycle)
+        if tokens:
             busy = True
+            ports = self._ports
+            for dst_pe, port, value in tokens:
+                ports[dst_pe][port].append(value)
+                touched.add(dst_pe)
         for msg in self._ctrl_inflight.pop_due(cycle):
             if msg.dst_pe >= self.params.n_pes:
                 self._controller_msgs.append(msg)
             else:
-                if not self.pes[msg.dst_pe].receive_ctrl(msg):
-                    self._ctrl_queue.append(msg)  # control FIFO full: retry
+                if not pes[msg.dst_pe].control.receive(msg):
+                    ctrl_queue.append(msg)  # control FIFO full: retry
                 touched.add(msg.dst_pe)
             busy = True
 
         # 2. Offer queued control messages to the network.
-        if self._ctrl_queue:
+        if ctrl_queue:
             self._offer_ctrl_queue(cycle)
             busy = True
 
         # 3. Step the live PEs (ascending id, like the naive full scan:
         # scratchpad access order and control-queue order are
         # observable through bank conflicts and network arbitration).
-        touched.update(
-            pe for pe, when in self._pe_next.items() if when <= cycle
-        )
+        pe_next, inflight_pes = self._pe_next, self._inflight_pes
+        touched.update(pe for pe, when in pe_next.items() if when <= cycle)
         for pe_id in sorted(touched):
-            pe = self.pes[pe_id]
-            pe.advance_to(cycle)
+            pe = pes[pe_id]
+            if pe.accrued_to < cycle:
+                pe.advance_to(cycle)
             msgs, outcomes = pe.step(cycle)
-            if msgs or outcomes:
+            if msgs:
                 busy = True
-            self._ctrl_queue.extend(msgs)
-            for outcome in outcomes:
-                self._apply_outcome(pe_id, outcome, cycle)
+                ctrl_queue.extend(msgs)
+            if outcomes:
+                busy = True
+                for outcome in outcomes:
+                    self._apply_outcome(pe, outcome, cycle)
             when = pe.next_event(cycle + 1)
             if when is None:
-                self._pe_next.pop(pe_id, None)
+                pe_next.pop(pe_id, None)
             else:
-                self._pe_next[pe_id] = when
+                pe_next[pe_id] = when
             if pe.data.inflight:
-                self._inflight_pes.add(pe_id)
+                inflight_pes.add(pe_id)
             else:
-                self._inflight_pes.discard(pe_id)
+                inflight_pes.discard(pe_id)
 
-        if self._inflight_pes:
-            busy = True
-        if self._data_inflight or self._ctrl_inflight or self._ctrl_queue:
+        if inflight_pes or self._data_inflight or self._ctrl_inflight \
+                or ctrl_queue:
             busy = True
         return busy
 
     # ------------------------------------------------------------------
-    def _apply_outcome(self, pe: int, outcome, cycle: int) -> None:
+    def _apply_outcome(self, pe: MarionettePE, outcome,
+                       cycle: int) -> None:
         value = outcome.value
         if outcome.load is not None:
             array_id, index = outcome.load
             name, base, length = self.program.array_table[array_id]
             if not 0 <= index < length:
                 raise SimulationError(
-                    f"PE {pe}: {name}[{index}] out of bounds"
+                    f"PE {pe.pe}: {name}[{index}] out of bounds"
                 )
             value = self.scratchpad.read(base + index, cycle)
         if outcome.store is not None:
@@ -406,18 +425,20 @@ class ArraySimulator:
             name, base, length = self.program.array_table[array_id]
             if not 0 <= index < length:
                 raise SimulationError(
-                    f"PE {pe}: {name}[{index}] out of bounds"
+                    f"PE {pe.pe}: {name}[{index}] out of bounds"
                 )
             self.scratchpad.write(base + index, stored, cycle)
             return
         if value is None:
             return
+        # Same-PE forwarding lands at once; the rest rides the mesh.
+        remote = []
         for dst_pe, port in outcome.dests:
-            if dst_pe == pe:
-                self.pes[pe].receive_data(port, value)
+            if dst_pe == pe.pe:
+                pe.data.ports[port].append(value)
             else:
-                arrival = cycle + self.params.data_net_latency
-                self._data_inflight.push(
-                    arrival, DataToken(dst_pe, port, value)
-                )
-                self.pes[pe].stats.data_tokens_sent += 1
+                remote.append((dst_pe, port, value))
+        if remote:
+            self._data_inflight.extend(
+                cycle + self.params.data_net_latency, remote)
+            pe.stats.data_tokens_sent += len(remote)

@@ -37,7 +37,9 @@ class ControlFlowPart:
         self.program = program
         self.t_config = t_config
         self.current_addr: Optional[int] = None
-        self._config_timer = 0
+        #: cycles left in the configuration phase (0: not configuring);
+        #: the PE's step path reads it directly
+        self.config_timer = 0
         self._config_target: Optional[int] = None
         #: standing configuration requests (the per-PE control FIFO)
         self.pending: Fifo[int] = Fifo(fifo_depth, name=f"pe{pe}.ctrl")
@@ -52,11 +54,11 @@ class ControlFlowPart:
     # ------------------------------------------------------------------
     @property
     def configured(self) -> bool:
-        return self.current_addr is not None and self._config_timer == 0
+        return self.current_addr is not None and self.config_timer == 0
 
     @property
     def configuring(self) -> bool:
-        return self._config_timer > 0
+        return self.config_timer > 0
 
     def entry(self) -> Optional[TriggerEntry]:
         if self.current_addr is None:
@@ -66,22 +68,12 @@ class ControlFlowPart:
     # ------------------------------------------------------------------
     # Event-driven scheduling hooks
     # ------------------------------------------------------------------
-    @property
-    def config_remaining(self) -> int:
-        """Cycles left until the in-progress configuration completes."""
-        return self._config_timer
-
-    def can_pop_pending(self) -> bool:
-        """Whether :meth:`step` would pop a standing request this cycle."""
-        return (self._config_timer == 0 and not self.pending.empty
-                and not self.loop_holding)
-
     def idle_category(self) -> str:
         """Which :class:`~repro.sim.events.PEStats` counter an externally
         quiet cycle bills: ``configuring`` / ``unconfigured`` /
         ``waiting`` — mirroring the accounting order in
         :meth:`MarionettePE.step`."""
-        if self._config_timer > 0:
+        if self.config_timer > 0:
             return "configuring"
         if self.current_addr is None:
             return "unconfigured"
@@ -99,14 +91,14 @@ class ControlFlowPart:
         fail loudly instead.
         """
         category = self.idle_category()
-        if self._config_timer > 0:
-            if delta >= self._config_timer:
+        if self.config_timer > 0:
+            if delta >= self.config_timer:
                 raise SimulationError(
                     f"PE {self.pe}: event scheduler skipped a "
                     f"configuration completion ({delta} >= "
-                    f"{self._config_timer})"
+                    f"{self.config_timer})"
                 )
-            self._config_timer -= delta
+            self.config_timer -= delta
         return category
 
     # ------------------------------------------------------------------
@@ -145,16 +137,16 @@ class ControlFlowPart:
         configuration cycle, so a swap costs exactly ``t_config`` cycles.
         """
         out: List[CtrlMsg] = []
-        if self._config_timer == 0 and not self.pending.empty \
+        if self.config_timer == 0 and not self.pending.empty \
                 and not self.loop_holding:
             addr = self.pending.pop()
             if addr != self.current_addr:
                 self._config_target = addr
-                self._config_timer = self.t_config
+                self.config_timer = self.t_config
             # Identical queued address: drop (check phase already ran).
-        if self._config_timer > 0:
-            self._config_timer -= 1
-            if self._config_timer == 0:
+        if self.config_timer > 0:
+            self.config_timer -= 1
+            if self.config_timer == 0:
                 self.current_addr = self._config_target
                 self._config_target = None
                 self.configurations += 1

@@ -1,11 +1,18 @@
 """The data flow part of a Marionette PE.
 
 A pipelined function unit (one issue per cycle, ``t_execute`` cycles to
-complete, so firings finish in issue order), ``N_PORTS`` token input FIFOs
+complete, so firings finish in issue order), ``N_PORTS`` token input ports
 fed by the mesh, and a small local register file.  The live instruction is
 a *standing* configuration: it fires whenever its port sources all hold
 tokens, giving the producer/consumer pipeline its II of 1 in the steady
 state.
+
+Each port is an unbounded ``collections.deque`` (the paper's simulator
+"optimistically offers high memory access flexibility", Section 6.1).
+The array appends deliveries to it directly, because
+:meth:`~repro.isa.program.ArrayProgram.validate` has proven every mesh
+destination's PE and port in range; :meth:`DataFlowPart.push_token`
+keeps the check for direct callers.
 
 The part never reads a :class:`~repro.isa.data.DataInstruction` while it
 steps: each one is decoded once into a :class:`Plan` (the PE decodes its
@@ -16,14 +23,14 @@ the plan.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.ir.ops import op_info
 from repro.isa.data import DataInstruction, DataKind
 from repro.isa.operands import DestKind, N_PORTS, N_REGS, OperandKind
-from repro.sim.fifo import Fifo
 
 _COMPUTE, _LOAD, _STORE, _LOOP, _NOP = (
     DataKind.COMPUTE, DataKind.LOAD, DataKind.STORE, DataKind.LOOP,
@@ -89,7 +96,10 @@ class Firing:
 
 @dataclass(slots=True)
 class FiringOutcome:
-    """What a completed firing produces (consumed by the array)."""
+    """What a completed firing produces (consumed by the array).
+
+    The data path builds it positionally, in field order.
+    """
 
     #: ``(pe, port)`` mesh destinations of ``value`` (register and
     #: control destinations are handled in the data path)
@@ -107,12 +117,10 @@ class DataFlowPart:
     def __init__(self, pe: int, *, t_execute: int) -> None:
         self.pe = pe
         self.t_execute = t_execute
-        self.ports: List[Fifo[float]] = [
-            Fifo(None, name=f"pe{pe}.port{i}") for i in range(N_PORTS)
-        ]
+        self.ports: List[Deque[float]] = [deque() for _ in range(N_PORTS)]
         self.regs: List[float] = [0] * N_REGS
         #: firings in the FU pipeline, in issue (= completion) order
-        self.inflight: List[Firing] = []
+        self.inflight: Deque[Firing] = deque()
         # Loop operator state.
         self._loop_latched = False
         self._loop_cur = 0
@@ -125,7 +133,7 @@ class DataFlowPart:
     def push_token(self, port: int, value: float) -> None:
         if not 0 <= port < N_PORTS:
             raise SimulationError(f"PE {self.pe}: port {port} out of range")
-        self.ports[port].push(value)
+        self.ports[port].append(value)
 
     def rearm_loop(self) -> None:
         """Restart the loop operator for a new run (new bounds latch)."""
@@ -166,7 +174,7 @@ class DataFlowPart:
         """Operand values in order, popping one token per port source."""
         ports, regs = self.ports, self.regs
         return [
-            ports[value].pop() if kind is _PORT
+            ports[value].popleft() if kind is _PORT
             else regs[value] if kind is _REG else value
             for kind, value in operands
         ]
@@ -202,16 +210,12 @@ class DataFlowPart:
     def complete(self, cycle: int) -> List[FiringOutcome]:
         """Finish firings due this cycle and report their outcomes."""
         inflight = self.inflight
-        due = 0
-        for firing in inflight:
-            if firing.complete_cycle > cycle:
-                break
-            due += 1
-        if not due:
-            return []
-        done = inflight[:due]
-        del inflight[:due]
-        return list(map(self._finish, done))
+        done = []
+        while inflight and inflight[0].complete_cycle <= cycle:
+            done.append(inflight.popleft())
+        # The whole due prefix leaves the pipeline before any finishes:
+        # a loop firing's exit test reads what is still in flight.
+        return [self._finish(firing) for firing in done]
 
     def _finish(self, firing: Firing) -> FiringOutcome:
         plan = firing.plan
@@ -222,27 +226,27 @@ class DataFlowPart:
             for reg in plan.reg_dests:
                 self.regs[reg] = result
             return FiringOutcome(
-                plan.mesh_dests, result,
-                branch_result=bool(result) if plan.to_control else None,
+                plan.mesh_dests, result, None, None,
+                bool(result) if plan.to_control else None,
             )
         if kind is _LOAD:
             # Value resolved by the array, which owns the scratchpad.
             return FiringOutcome(
-                plan.mesh_dests, load=(plan.array_id, int(values[0])),
+                plan.mesh_dests, None, None, (plan.array_id, int(values[0])),
             )
         if kind is _STORE:
             return FiringOutcome(
-                (), store=(plan.array_id, int(values[0]), values[1]),
+                (), None, (plan.array_id, int(values[0]), values[1]),
             )
         if kind is _LOOP:
             if not values:  # zero-trip loop
-                return FiringOutcome((), loop_exit=True)
+                return FiringOutcome((), None, None, None, None, True)
             is_last = self.loop_exhausted and not any(
                 f.plan.kind is _LOOP for f in self.inflight
             )
             for reg in plan.reg_dests:
                 self.regs[reg] = values[0]
             return FiringOutcome(
-                plan.mesh_dests, values[0], loop_exit=is_last,
+                plan.mesh_dests, values[0], None, None, None, is_last,
             )
         raise SimulationError(f"unexpected firing of {kind}")  # pragma: no cover

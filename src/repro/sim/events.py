@@ -1,19 +1,13 @@
-"""Messages, statistics, and event-scheduling structures of the simulator."""
+"""Messages, statistics, and event-scheduling structures of the simulator.
+
+A data token in flight is a plain ``(dst_pe, port, value)`` tuple.
+"""
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
-
-
-@dataclass(frozen=True)
-class DataToken:
-    """A data-plane token in flight to ``(dst_pe, port)``."""
-
-    dst_pe: int
-    port: int
-    value: float
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -75,20 +69,18 @@ class DeliverySchedule:
         self._by_cycle: Dict[int, list] = {}
         self._heap: List[int] = []
 
-    def push(self, cycle: int, item) -> None:
-        bucket = self._by_cycle.get(cycle)
-        if bucket is None:
-            self._by_cycle[cycle] = bucket = []
-            heapq.heappush(self._heap, cycle)
-        bucket.append(item)
+    def extend(self, cycle: int, items: list) -> None:
+        """Schedule ``items`` for ``cycle``, after any already there."""
+        if items:
+            bucket = self._by_cycle.get(cycle)
+            if bucket is None:
+                self._by_cycle[cycle] = bucket = []
+                heapq.heappush(self._heap, cycle)
+            bucket.extend(items)
 
-    def extend(self, cycle: int, items: Iterable) -> None:
-        for item in items:
-            self.push(cycle, item)
-
-    def pop_due(self, cycle: int) -> list:
+    def pop_due(self, cycle: int) -> Sequence:
         """Deliveries scheduled for exactly ``cycle`` (delivery order)."""
-        return self._by_cycle.pop(cycle, [])
+        return self._by_cycle.pop(cycle, ())
 
     def next_cycle(self) -> Optional[int]:
         """Earliest cycle holding a pending delivery, or ``None``."""
@@ -99,9 +91,6 @@ class DeliverySchedule:
 
     def __bool__(self) -> bool:
         return bool(self._by_cycle)
-
-    def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._by_cycle.values())
 
 
 class MulticastQueue:

@@ -1,4 +1,4 @@
-"""Bounded FIFOs used for token ports and control queues."""
+"""Bounded FIFOs used for a PE's control queues."""
 
 from __future__ import annotations
 
@@ -13,12 +13,10 @@ T = TypeVar("T")
 class Fifo(Generic[T]):
     """A bounded FIFO with occupancy statistics.
 
-    ``capacity=None`` models an unbounded queue (the simulator's data ports
-    use generous depths; the paper's simulator "optimistically offers high
-    memory access flexibility", Section 6.1).
+    ``capacity=None`` models an unbounded queue (the steering FIFO).
     """
 
-    __slots__ = ("name", "capacity", "_items", "pushes", "pops",
+    __slots__ = ("name", "capacity", "items", "pushes", "pops",
                  "max_occupancy")
 
     def __init__(self, capacity: Optional[int] = None,
@@ -27,24 +25,26 @@ class Fifo(Generic[T]):
             raise SimulationError("fifo capacity must be positive")
         self.name = name
         self.capacity = capacity
-        self._items: Deque[T] = deque()
+        #: the queued items, oldest first; callers only read it (a
+        #: truth test here is the simulator's cheapest emptiness check)
+        self.items: Deque[T] = deque()
         self.pushes = 0
         self.pops = 0
         self.max_occupancy = 0
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self.items)
 
     @property
     def empty(self) -> bool:
-        return not self._items
+        return not self.items
 
     @property
     def full(self) -> bool:
-        return self.capacity is not None and len(self._items) >= self.capacity
+        return self.capacity is not None and len(self.items) >= self.capacity
 
     def push(self, item: T) -> None:
-        items = self._items
+        items = self.items
         if self.capacity is not None and len(items) >= self.capacity:
             raise SimulationError(f"push to full fifo {self.name!r}")
         items.append(item)
@@ -59,18 +59,18 @@ class Fifo(Generic[T]):
         return True
 
     def pop(self) -> T:
-        if not self._items:
+        if not self.items:
             raise SimulationError(f"pop from empty fifo {self.name!r}")
         self.pops += 1
-        return self._items.popleft()
+        return self.items.popleft()
 
     def peek(self) -> T:
         if self.empty:
             raise SimulationError(f"peek at empty fifo {self.name!r}")
-        return self._items[0]
+        return self.items[0]
 
     def drain(self) -> List[T]:
-        out = list(self._items)
-        self.pops += len(self._items)
-        self._items.clear()
+        out = list(self.items)
+        self.pops += len(self.items)
+        self.items.clear()
         return out

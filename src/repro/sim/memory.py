@@ -8,7 +8,7 @@ paper's optimistic memory model (Section 6.1) — do not stall accesses.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -27,38 +27,42 @@ class Scratchpad:
         self.reads = 0
         self.writes = 0
         self.bank_conflicts = 0
-        self._cycle_banks: Dict[int, int] = {}
+        #: accesses per bank in ``_cycle``, the cycle last accessed
+        self._cycle_banks: List[int] = [0] * banks
         self._cycle: int = -1
 
     # ------------------------------------------------------------------
-    def _bank_of(self, addr: int) -> int:
-        return addr % self.banks
-
-    def _track(self, cycle: int, addr: int) -> None:
-        if cycle != self._cycle:
-            self._cycle = cycle
-            self._cycle_banks = {}
-        bank = self._bank_of(addr)
-        self._cycle_banks[bank] = self._cycle_banks.get(bank, 0) + 1
-        if self._cycle_banks[bank] > 1:
-            self.bank_conflicts += 1
-
-    def _check(self, addr: int) -> None:
+    # Each access checks its address and counts a bank conflict when its
+    # bank was already accessed in the same cycle.
+    def read(self, addr: int, cycle: int = 0) -> float:
         if not 0 <= addr < self.words:
             raise SimulationError(
                 f"scratchpad address {addr} out of range (0..{self.words - 1})"
             )
-
-    # ------------------------------------------------------------------
-    def read(self, addr: int, cycle: int = 0) -> float:
-        self._check(addr)
-        self._track(cycle, addr)
+        if cycle != self._cycle:
+            self._cycle = cycle
+            self._cycle_banks = [0] * self.banks
+        counts = self._cycle_banks
+        bank = addr % self.banks
+        if counts[bank]:
+            self.bank_conflicts += 1
+        counts[bank] += 1
         self.reads += 1
         return self.data[addr]
 
     def write(self, addr: int, value: float, cycle: int = 0) -> None:
-        self._check(addr)
-        self._track(cycle, addr)
+        if not 0 <= addr < self.words:
+            raise SimulationError(
+                f"scratchpad address {addr} out of range (0..{self.words - 1})"
+            )
+        if cycle != self._cycle:
+            self._cycle = cycle
+            self._cycle_banks = [0] * self.banks
+        counts = self._cycle_banks
+        bank = addr % self.banks
+        if counts[bank]:
+            self.bank_conflicts += 1
+        counts[bank] += 1
         self.writes += 1
         self.data[addr] = value
 

@@ -4,6 +4,11 @@ The decoupling shows in :meth:`MarionettePE.step`: the control part may be in
 its configuration phase while the data part is still issuing and completing
 firings of the previous standing instruction — the temporally
 loosely-coupled behaviour of paper Fig. 4(a)/(b).
+
+:meth:`~MarionettePE.step` and :meth:`~MarionettePE.next_event` run once
+per live PE per cycle, so they read the control part's fields
+(``config_timer``, ``pending.items``, ``loop_holding``, ``current_addr``)
+directly rather than through properties.
 """
 
 from __future__ import annotations
@@ -39,14 +44,7 @@ class MarionettePE:
         self.stats = PEStats(pe)
         #: first cycle whose accounting has not been applied yet (the
         #: event-driven stepper bills skipped idle cycles lazily).
-        self._accrued_to = 0
-
-    # ------------------------------------------------------------------
-    def receive_ctrl(self, msg: CtrlMsg) -> bool:
-        return self.control.receive(msg)
-
-    def receive_data(self, port: int, value: float) -> None:
-        self.data.push_token(port, value)
+        self.accrued_to = 0
 
     # ------------------------------------------------------------------
     # Event-driven scheduling
@@ -66,17 +64,18 @@ class MarionettePE:
         if ctrl.rearm_pending:
             return now
         deadline: Optional[int] = None
-        if ctrl.configuring:
+        if ctrl.config_timer:
             # The countdown decrements once per cycle starting at `now`,
-            # completing (and proactively emitting) config_remaining - 1
+            # completing (and proactively emitting) config_timer - 1
             # cycles later.
-            deadline = now + ctrl.config_remaining - 1
-        elif ctrl.can_pop_pending():
-            return now
+            deadline = now + ctrl.config_timer - 1
+        elif ctrl.pending.items and not ctrl.loop_holding:
+            return now  # the check phase pops a pending address
         elif ctrl.current_addr is not None:  # configured
             if self.steered:
-                if ctrl.steer:
-                    plan = self.plans.get(ctrl.steer.peek())
+                steer = ctrl.steer.items
+                if steer:
+                    plan = self.plans.get(steer[0])
                     # A missing steered address must still step (and
                     # raise) exactly like the naive stepper would.
                     if plan is None or self.data.can_fire(plan):
@@ -88,9 +87,11 @@ class MarionettePE:
         inflight = self.data.inflight
         if inflight:
             # The FU pipeline completes in issue order.
-            complete = max(now, inflight[0].complete_cycle)
-            deadline = complete if deadline is None \
-                else min(deadline, complete)
+            complete = inflight[0].complete_cycle
+            if complete < now:
+                complete = now
+            if deadline is None or complete < deadline:
+                deadline = complete
         return deadline
 
     def advance_to(self, cycle: int) -> None:
@@ -101,7 +102,7 @@ class MarionettePE:
         stretch bills a single stats counter, in one O(1) jump instead
         of one :meth:`step` per cycle.
         """
-        delta = cycle - self._accrued_to
+        delta = cycle - self.accrued_to
         if delta <= 0:
             return
         category = self.control.advance_idle(delta)
@@ -111,7 +112,7 @@ class MarionettePE:
             self.stats.cycles_unconfigured += delta
         else:
             self.stats.cycles_waiting += delta
-        self._accrued_to = cycle
+        self.accrued_to = cycle
 
     # ------------------------------------------------------------------
     def step(self, cycle: int) -> Tuple[List[CtrlMsg], List[FiringOutcome]]:
@@ -128,28 +129,29 @@ class MarionettePE:
         outcomes = data.complete(cycle) if data.inflight else []
         for outcome in outcomes:
             if outcome.branch_result is not None:
-                out_msgs.extend(
-                    control.on_branch_result(outcome.branch_result)
-                )
+                out_msgs += control.on_branch_result(outcome.branch_result)
             if outcome.loop_exit:
-                out_msgs.extend(control.on_loop_exit())
+                out_msgs += control.on_loop_exit()
 
         # 2. Control part: check/configuration phases + Proactive Emit.
-        if control.configuring or control.pending:
-            out_msgs.extend(control.step())
+        if control.config_timer or control.pending.items:
+            out_msgs += control.step()
         if control.rearm_pending:
             control.rearm_pending = False
             data.rearm_loop()
             control.loop_holding = True
 
         # 3. Data part: apply per-token steering, then issue if ready.
+        # Only a firing moves current_addr, so `addr` stays valid for the
+        # accounting below whenever nothing issues.
         issued = False
-        configuring = control.configuring
-        if not configuring and control.current_addr is not None:
+        configuring = control.config_timer
+        addr = control.current_addr
+        if not configuring and addr is not None:
             if self.steered:
                 issued = self._step_steered(cycle)
             else:
-                plan = self.plans.get(control.current_addr)
+                plan = self.plans.get(addr)
                 if plan is not None and data.can_fire(plan):
                     data.issue(plan, cycle)
                     issued = True
@@ -161,12 +163,13 @@ class MarionettePE:
             stats.cycles_executing += 1
         elif configuring:
             stats.cycles_configuring += 1
-        elif control.current_addr is None:
+        elif addr is None:
             stats.cycles_unconfigured += 1
         else:
             stats.cycles_waiting += 1
-        stats.ctrl_msgs_sent += len(out_msgs)
-        self._accrued_to = cycle + 1
+        if out_msgs:
+            stats.ctrl_msgs_sent += len(out_msgs)
+        self.accrued_to = cycle + 1
         return out_msgs, outcomes
 
     # ------------------------------------------------------------------

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.errors import ReproError, SimulationError
+from repro.errors import EncodingError, ReproError, SimulationError
 from repro.arch.params import ArchParams
 from repro.compiler.config_gen import generate_program
 from repro.ir.builder import KernelBuilder
 from repro.ir.ops import Opcode
 from repro.isa.control import ControlDirective
 from repro.isa.data import DataInstruction
-from repro.isa.operands import Dest, Operand
+from repro.isa.operands import Dest, DestKind, Operand
 from repro.isa.program import ArrayProgram, TriggerEntry
 from repro.sim.array import ArraySimulator
 from repro.workloads import get_workload
@@ -134,6 +134,36 @@ class TestSimulatorChecks:
                              strategy=strategy)
         with pytest.raises(SimulationError, match=message):
             sim.run(halt_messages=999, max_cycles=1000)
+
+    @pytest.mark.parametrize("strategy", ["event", "naive"])
+    @pytest.mark.parametrize("dest", [
+        Dest.pe_port(99, 0),
+        Dest.pe_port(16, 0),   # one past the default 16-PE array
+        Dest.pe_port(-1, 0),
+        Dest(DestKind.PE_PORT, pe=1, port=9),  # past Dest.pe_port's check
+        Dest(DestKind.PE_PORT, pe=1, port=-1),
+    ], ids=["pe99", "pe16", "pe-1", "port9", "port-1"])
+    def test_a_mesh_destination_out_of_range_is_refused(
+            self, params, strategy, dest):
+        """Deliveries append to a port unchecked, so the program's check
+        must refuse every destination outside the array up front."""
+        program = ArrayProgram(params.n_pes)
+        program.program_for(0).add(TriggerEntry(1, DataInstruction.loop(
+            Operand.imm(0), Operand.imm(2), Operand.imm(1), (dest,)),
+            ControlDirective.loop(exit_addr=9,
+                                  exit_targets=(params.n_pes,))))
+        program.set_initial(0, 1)
+        message = (rf"PE 0 addr 1: mesh destination PE {dest.pe} "
+                   rf"port {dest.port} out of range")
+        with pytest.raises(EncodingError, match=message):
+            ArraySimulator(params, program, strategy=strategy).run(
+                halt_messages=999, max_cycles=1000)
+
+    def test_a_program_for_another_array_size_is_refused(self, params):
+        program = ArrayProgram(2 * params.n_pes)
+        with pytest.raises(SimulationError,
+                           match=f"configured for {2 * params.n_pes} PEs"):
+            ArraySimulator(params, program)
 
 
 class TestWorkloadCheckCatchesCorruption:
