@@ -16,7 +16,7 @@ Commands:
   whole evaluation on a loaded architecture description; ``--arch DIR``
   emits one report section per spec file in deterministic filename
   order — see docs/ARCH.md), and phase profiling (``--profile [PATH]``
-  times the trace / per-model simulate / assemble phases and writes a
+  times the trace / simulate / assemble phases and writes a
   perf-trajectory record, engine counters included, to PATH,
   ``BENCH_<timestamp>.json`` by default — the report itself is
   unchanged);
@@ -335,15 +335,16 @@ def _bench_variant(args, engine=None) -> None:
 def _run_profiled(engine, args, params=DEFAULT_PARAMS, kernels=()) -> None:
     """``repro bench --profile [PATH]``: the batch report with phase timings.
 
-    Runs the same specs as a plain batch bench, split into timed phases
-    (functional traces, then each architecture model's simulations, then
-    the cached-replay report assembly) and writes the machine-readable
-    perf-trajectory record to PATH (default ``BENCH_<timestamp>.json``,
-    stamped with the run's start time).  The record is opened before
-    anything is priced, so an unwritable PATH fails first, and a run
-    that fails later removes it.  The report on stdout stays
-    byte-identical to an unprofiled run — the profile is a side
-    artifact.
+    Runs the same specs as a plain batch bench in three timed phases,
+    each one pass over the whole batch: ``trace`` (every functional
+    trace), ``simulate`` (every spec, priced as a plain run prices it)
+    and ``assemble`` (the cached-replay report assembly), and writes the
+    machine-readable perf-trajectory record to PATH (default
+    ``BENCH_<timestamp>.json``, stamped with the run's start time).  The
+    record is opened before anything is priced, so an unwritable PATH
+    fails first, and a run that fails later removes it.  The report on
+    stdout stays byte-identical to an unprofiled run — the profile is a
+    side artifact.
     """
     import os
     import time
@@ -359,7 +360,12 @@ def _run_profiled(engine, args, params=DEFAULT_PARAMS, kernels=()) -> None:
     try:
         with handle:
             specs = all_specs(args.scale, args.seed, params, kernels)
-            profiler.run_engine_phases(specs)
+            profiler.phase(
+                "trace", lambda: engine.prefetch_traces(specs),
+                specs=len({spec.trace_key() for spec in specs}),
+            )
+            profiler.phase("simulate", lambda: engine.execute(specs),
+                           specs=len(specs))
             # run_all replays the now-warm memo and assembles every
             # experiment table — the report comes out of this phase, so
             # "assemble" also measures the warm-cache replay cost.
@@ -729,7 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "--stream, --shard, and --dispatch")
     p_bench.add_argument("--profile", nargs="?", const="", default=None,
                          metavar="PATH",
-                         help="time the run's phases (traces, per-model "
+                         help="time the run's phases (traces, "
                               "simulation, report assembly) and write a "
                               "machine-readable perf-trajectory record to "
                               "PATH (default: BENCH_<timestamp>.json; the "

@@ -473,7 +473,7 @@ class Engine:
 # Bench profiling (`repro bench --profile`)
 # ----------------------------------------------------------------------
 #: Schema tag carried by every profile document this build writes.
-BENCH_PROFILE_SCHEMA = "repro.bench.profile/1"
+BENCH_PROFILE_SCHEMA = "repro.bench.profile/2"
 
 
 class BenchProfiler:
@@ -483,8 +483,10 @@ class BenchProfiler:
     :class:`EngineStats` delta per phase, so a reader can tell a
     cold-trace run (``traces_computed > 0`` in the ``trace`` phase) from
     a warm-cache one (``trace_cache_hits`` / ``sim_cache_hits``) without
-    comparing absolute times across machines.  The document schema is
-    specified in docs/ENGINE.md ("Performance"); bump
+    comparing absolute times across machines.  The caller names the
+    phases: ``repro bench --profile`` times ``trace``, ``simulate`` and
+    ``assemble``, each one pass over the whole batch.  The document
+    schema is specified in docs/ENGINE.md ("Performance"); bump
     :data:`BENCH_PROFILE_SCHEMA` when it changes.
     """
 
@@ -514,30 +516,6 @@ class BenchProfiler:
             record["specs"] = specs
         self.phases.append(record)
         return result
-
-    def run_engine_phases(self, specs: Sequence[RunSpec]) -> None:
-        """The engine-side phases of a profiled bench run.
-
-        One ``trace`` phase ensures every distinct functional trace is
-        resident (the expensive part on a cold cache), then one
-        ``simulate:<model>`` phase per architecture model prices that
-        model's specs, each exactly once, into the engine's memo; the
-        report is assembled from that memo afterwards.
-        """
-        self.phase(
-            "trace", lambda: self.engine.prefetch_traces(specs),
-            specs=len({spec.trace_key() for spec in specs}),
-        )
-        by_model: Dict[str, List[RunSpec]] = {}
-        for spec in specs:
-            label = spec.model.label or spec.model.model
-            by_model.setdefault(label, []).append(spec)
-        for label, subspecs in by_model.items():
-            self.phase(
-                f"simulate:{label}",
-                lambda subspecs=subspecs: self.engine.execute(subspecs),
-                specs=len(subspecs),
-            )
 
     def document(self, *, scale: str, seed: int, jobs: int,
                  spec_count: int) -> Dict[str, object]:

@@ -20,15 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.arch.params import ArchParams, DEFAULT_PARAMS
 from repro.compiler.config_gen import generate_program
 from repro.errors import ConfigurationError
 from repro.kernels.package import KernelPackage
 from repro.kernels.workload import KernelWorkload
 from repro.sim.array import ArraySimulator
-from repro.workloads.base import outputs_match
+from repro.workloads.base import first_mismatch
 
 
 @dataclass
@@ -112,15 +110,6 @@ class KernelRunReport:
         return lines
 
 
-def _first_bad(actual: np.ndarray, expected: np.ndarray,
-               atol: float) -> Optional[int]:
-    actual = np.asarray(actual)[: len(expected)]
-    bad = np.argwhere(
-        ~np.isclose(actual, expected, atol=max(atol, 1e-12), rtol=1e-6)
-    )
-    return int(bad[0][0]) if len(bad) else None
-
-
 def run_kernel(package: KernelPackage, *,
                params: ArchParams = DEFAULT_PARAMS,
                arch_name: str = "default",
@@ -157,14 +146,11 @@ def run_kernel(package: KernelPackage, *,
     verdicts = []
     for name in sorted(instance.expected):
         expected = instance.expected[name]
-        actual = result.array_out(program, name)
-        passed = outputs_match(actual, expected, package.atol)
+        bad = first_mismatch(result.array_out(program, name), expected,
+                             package.atol)
         verdicts.append(OutputVerdict(
-            array=name, passed=passed, checked=len(expected),
-            atol=package.atol,
-            first_bad_index=(None if passed
-                             else _first_bad(actual, expected,
-                                             package.atol)),
+            array=name, passed=bad is None, checked=len(expected),
+            atol=package.atol, first_bad_index=bad,
         ))
     stats = result.stats
     return KernelRunReport(

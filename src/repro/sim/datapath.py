@@ -127,7 +127,6 @@ class DataFlowPart:
         self._loop_hi = 0
         self._loop_step = 1
         self.loop_exhausted = False
-        self.firings = 0
 
     # ------------------------------------------------------------------
     def push_token(self, port: int, value: float) -> None:
@@ -205,7 +204,6 @@ class DataFlowPart:
         else:
             values = self._take(plan.srcs)
         self.inflight.append(Firing(cycle + self.t_execute, plan, values))
-        self.firings += 1
 
     def complete(self, cycle: int) -> List[FiringOutcome]:
         """Finish firings due this cycle and report their outcomes."""

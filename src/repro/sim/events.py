@@ -36,7 +36,6 @@ class PEStats:
     cycles_waiting: int = 0
     cycles_executing: int = 0
     firings: int = 0
-    configurations: int = 0
     ctrl_msgs_sent: int = 0
     data_tokens_sent: int = 0
 

@@ -11,13 +11,12 @@ T = TypeVar("T")
 
 
 class Fifo(Generic[T]):
-    """A bounded FIFO with occupancy statistics.
+    """A bounded FIFO.
 
     ``capacity=None`` models an unbounded queue (the steering FIFO).
     """
 
-    __slots__ = ("name", "capacity", "items", "pushes", "pops",
-                 "max_occupancy")
+    __slots__ = ("name", "capacity", "items")
 
     def __init__(self, capacity: Optional[int] = None,
                  name: str = "fifo") -> None:
@@ -28,9 +27,6 @@ class Fifo(Generic[T]):
         #: the queued items, oldest first; callers only read it (a
         #: truth test here is the simulator's cheapest emptiness check)
         self.items: Deque[T] = deque()
-        self.pushes = 0
-        self.pops = 0
-        self.max_occupancy = 0
 
     def __len__(self) -> int:
         return len(self.items)
@@ -48,9 +44,6 @@ class Fifo(Generic[T]):
         if self.capacity is not None and len(items) >= self.capacity:
             raise SimulationError(f"push to full fifo {self.name!r}")
         items.append(item)
-        self.pushes += 1
-        if len(items) > self.max_occupancy:
-            self.max_occupancy = len(items)
 
     def try_push(self, item: T) -> bool:
         if self.full:
@@ -61,7 +54,6 @@ class Fifo(Generic[T]):
     def pop(self) -> T:
         if not self.items:
             raise SimulationError(f"pop from empty fifo {self.name!r}")
-        self.pops += 1
         return self.items.popleft()
 
     def peek(self) -> T:
@@ -71,6 +63,5 @@ class Fifo(Generic[T]):
 
     def drain(self) -> List[T]:
         out = list(self.items)
-        self.pops += len(self.items)
         self.items.clear()
         return out

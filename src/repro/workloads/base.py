@@ -34,19 +34,24 @@ NON_INTENSIVE = "non_intensive"
 EXTERNAL = "external"
 
 
-def outputs_match(actual: np.ndarray, expected: np.ndarray,
-                  atol: float = 0.0) -> bool:
+def first_mismatch(actual: np.ndarray, expected: np.ndarray,
+                   atol: float) -> Optional[int]:
     """The suite's output-comparison rule, shared with external kernels.
 
-    ``atol == 0`` demands exact equality (integer kernels); a positive
-    tolerance compares floats with the same ``rtol`` every workload
-    reference check uses.  Only ``len(expected)`` leading elements are
-    compared, so a reference may cover a prefix of a larger region.
+    Returns the index of the first element of ``actual`` that differs
+    from ``expected``, or None when the output matches.  ``atol == 0``
+    demands exact equality (integer kernels); a positive tolerance
+    compares floats with ``rtol=1e-6`` besides.  Only ``len(expected)``
+    leading elements are compared, so a reference may cover a prefix of
+    a larger region.
     """
     actual = np.asarray(actual)[: len(expected)]
     if atol == 0.0:
-        return bool(np.array_equal(actual, expected))
-    return bool(np.allclose(actual, expected, atol=atol, rtol=1e-6))
+        bad = np.flatnonzero(actual != expected)
+    else:
+        bad = np.flatnonzero(
+            ~np.isclose(actual, expected, atol=atol, rtol=1e-6))
+    return int(bad[0]) if len(bad) else None
 
 
 @dataclass
@@ -83,14 +88,11 @@ class WorkloadInstance:
         reference; raises :class:`ReproError` on mismatch."""
         result = self.run()
         for name, expected in self.expected.items():
-            actual = result.array(name)[: len(expected)]
-            if not outputs_match(actual, expected, self.atol):
-                bad = np.argwhere(
-                    ~np.isclose(actual, expected, atol=max(self.atol, 1e-12))
-                )
+            bad = first_mismatch(result.array(name), expected, self.atol)
+            if bad is not None:
                 raise ReproError(
                     f"{self.name}: output {name!r} mismatches reference "
-                    f"(first bad index: {bad[0] if len(bad) else '?'})"
+                    f"(first bad index: {bad})"
                 )
 
 

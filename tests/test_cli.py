@@ -158,6 +158,28 @@ class TestCli:
             encoding="utf-8"))
         assert document["scale"] == "tiny"
 
+    def test_pooled_profile_prices_the_batch_in_one_pass(self, tmp_path,
+                                                         monkeypatch):
+        # The trace and simulate phases are one engine call each over the
+        # whole batch, so --jobs 2 starts at most one pool per phase.
+        from repro.engine import executor
+
+        pools = []
+
+        class CountingPool(executor.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", CountingPool)
+        path = tmp_path / "prof.json"
+        assert main(["bench", "--scale", "tiny", "--jobs", "2",
+                     "--profile", str(path)]) == 0
+        document = json.loads(path.read_text(encoding="utf-8"))
+        assert [phase["phase"] for phase in document["phases"]] \
+            == ["trace", "simulate", "assemble"]
+        assert 1 <= len(pools) <= 2
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

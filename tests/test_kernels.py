@@ -39,7 +39,7 @@ from repro.engine.export import (
     shard_export_document,
 )
 from repro.engine.spec import RunSpec, shard_of
-from repro.errors import ConfigurationError, EngineError
+from repro.errors import ConfigurationError, EngineError, ReproError
 from repro.kernels import (
     KernelWorkload,
     from_document,
@@ -53,7 +53,7 @@ from repro.kernels import (
 from repro.kernels.bench import KERNEL_BENCH_MODELS, kernel_specs
 from repro.kernels.registry import _PACKAGES, _WORKLOADS
 from repro.workloads import get_workload
-from repro.workloads.base import outputs_match
+from repro.workloads.base import first_mismatch
 from repro.workloads.sigmoid import Sigmoid
 
 EXAMPLES_DIR = Path(__file__).parents[1] / "examples" / "kernels"
@@ -139,10 +139,10 @@ class TestFormatLaws:
         del document["expected"]
         package = from_document(document)
         instance = KernelWorkload(package).instance("tiny")
-        assert outputs_match(
+        assert first_mismatch(
             instance.expected["y"],
             np.asarray([3 * xi + 2 for xi in range(8)]), 0.0,
-        )
+        ) is None
 
 
 # ----------------------------------------------------------------------
@@ -273,6 +273,22 @@ class TestVerdicts:
         verdict, = report.verdicts
         assert verdict.first_bad_index == 5
         assert report.to_document()["verdict"] == "FAIL"
+
+    def test_large_integer_off_by_one_names_its_index(self):
+        # An exact (atol 0) comparison has no relative slack: y[3] is
+        # 9,000,002 and the expected 9,000,003 fails at index 3, in
+        # `repro run` and in the workload reference check alike.
+        document = _saxpy_document()
+        x = [1_000_000 * xi for xi in document["memory"]["x"]]
+        document["memory"]["x"] = x
+        document["expected"]["y"] = [3 * xi + 2 for xi in x]
+        document["expected"]["y"][3] += 1
+        package = from_document(document)
+        verdict, = run_kernel(package).verdicts
+        assert not verdict.passed and verdict.first_bad_index == 3
+        instance = KernelWorkload(package).instance("tiny")
+        with pytest.raises(ReproError, match=r"first bad index: 3\)"):
+            instance.check()
 
 
 # ----------------------------------------------------------------------

@@ -37,14 +37,6 @@ class TestFifo:
         with pytest.raises(SimulationError):
             Fifo().pop()
 
-    def test_stats(self):
-        fifo = Fifo()
-        fifo.push(1)
-        fifo.push(2)
-        fifo.pop()
-        assert fifo.pushes == 2 and fifo.pops == 1
-        assert fifo.max_occupancy == 2
-
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(), max_size=40))
     def test_fifo_is_exact_queue(self, items):
