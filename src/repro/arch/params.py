@@ -43,8 +43,7 @@ _TOPOLOGY_LATENCY_FACTOR = {"cs_benes": 1, "cs": 2, "benes": 2}
 @dataclass(frozen=True)
 class PlacementInputs:
     """The projection of :class:`ArchParams` that DFG placement reads: the
-    grid geometry, the size of the nonlinear-capable PE pool, and the mesh
-    hop latency (the routed-transfer term of the pipeline drain).
+    grid geometry and the size of the nonlinear-capable PE pool.
 
     It doubles as the architecture half of the placement memo key, so a
     parameter placement does not read can never split or alias an entry.
@@ -53,7 +52,6 @@ class PlacementInputs:
     rows: int
     cols: int
     nonlinear_pes: int
-    mesh_hop_latency: int
 
 
 @dataclass(frozen=True)
@@ -116,8 +114,7 @@ class ArchParams:
     @property
     def placement_inputs(self) -> PlacementInputs:
         """The fields DFG placement reads (see :class:`PlacementInputs`)."""
-        return PlacementInputs(self.rows, self.cols, self.nonlinear_pes,
-                               self.mesh_hop_latency)
+        return PlacementInputs(self.rows, self.cols, self.nonlinear_pes)
 
     @property
     def control_transfer_latency(self) -> int:

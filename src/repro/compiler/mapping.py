@@ -24,7 +24,6 @@ class BBPlacement:
         assignment: DFG node -> PE coordinate.
         ii: Initiation interval the mapping sustains (resource sharing and
             routing congestion included).
-        depth_cycles: Pipeline drain: critical DFG path plus routing delay.
         time_extended: Whether the mapping was folded into the time domain
             (fewer PEs, higher II) by :func:`~repro.compiler.reshape`.
         unroll: Spatial unroll factor (>=1; unrolled mappings replicate the
@@ -34,7 +33,6 @@ class BBPlacement:
     block: BlockId
     assignment: Dict[NodeId, Coord]
     ii: int
-    depth_cycles: int
     time_extended: bool = False
     unroll: int = 1
 
@@ -52,7 +50,7 @@ class BBPlacement:
         return len(self.assignment)
 
     def validate(self, op_ids: List[NodeId]) -> None:
-        """Every FU op mapped exactly once; II/depth sane."""
+        """Every FU op mapped exactly once; II and unroll at least 1."""
         mapped = sorted(self.assignment)
         if mapped != sorted(op_ids):
             raise CompilationError(
@@ -61,10 +59,6 @@ class BBPlacement:
             )
         if self.ii < 1:
             raise CompilationError(f"block {self.block}: II {self.ii} < 1")
-        if self.depth_cycles < 0:
-            raise CompilationError(
-                f"block {self.block}: negative depth {self.depth_cycles}"
-            )
         if self.unroll < 1:
             raise CompilationError(
                 f"block {self.block}: unroll {self.unroll} < 1"
@@ -78,8 +72,6 @@ class LevelSchedule:
 
     depth: int
     placements: Dict[BlockId, BBPlacement] = field(default_factory=dict)
-    #: PE-cycles wasted by the chosen reshape (the scheduler's objective)
-    waste: int = 0
 
 
 @dataclass
@@ -93,8 +85,10 @@ class Schedule:
     flat: Dict[BlockId, BBPlacement] = field(default_factory=dict)
 
     def placement_of(self, block: BlockId) -> Optional[BBPlacement]:
-        """The placement used when ``block`` executes (deepest level wins,
-        matching the Control Flow Scheduler's priority arbitration)."""
+        """The placement used when ``block`` executes: the deepest level
+        that maps it wins.  This models the arbiter of the paper's Control
+        Flow Scheduler (Section 4.3), which favours deeper loop levels; the
+        cycle-level simulator serves its control FIFO in arrival order."""
         for level in self.levels:
             if block in level.placements:
                 return level.placements[block]

@@ -5,18 +5,14 @@ Greedy producer-proximity placement with a local-search improvement pass:
 1. Nodes are visited in topological (creation) order; each is assigned to
    the free PE minimising the Manhattan distance to its producers' PEs
    (falling back to round-robin sharing once PEs run out — resource
-   time-multiplexing raises the II).
+   time-multiplexing raises the II).  Every data edge between two placed
+   ops is then routed (XY) on a :class:`~repro.arch.network.mesh.DataMesh`.
 2. A bounded pairwise-swap pass minimises ``(link congestion,
-   wirelength)``.  The objective is kept incrementally: per-link load
-   counts, a load histogram for the running maximum, and the running
-   wirelength, over integer PE indices and cached XY link lists.  A swap
-   re-routes only the edges incident to the swapped pair, and a rejected
-   swap re-routes them back, so each candidate costs O(its edges) instead
-   of a full re-route while the pass visits the same candidates in the
-   same order as a from-scratch evaluation would.
-3. The placed edges are routed on the mesh (XY); the initiation interval is
-   ``max(ops-per-PE, link congestion)`` and the drain is the DFG critical
-   path plus the longest routed transfer.
+   wirelength)`` on that mesh.  A swap removes and re-adds only the edges
+   incident to the swapped pair, and a rejected swap moves them back, so
+   each candidate costs O(its edges) instead of a full re-route.
+3. The initiation interval is ``max(ops-per-PE, link congestion)``, read
+   from the mesh the pass leaves behind.
 
 Nonlinear operators (LOG/EXP/...) must land on nonlinear-capable PEs — the
 prototype has four (Table 4); placement reserves the last PEs of the region
@@ -34,7 +30,6 @@ fingerprints differently.
 from __future__ import annotations
 
 from collections import OrderedDict
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import PlacementError
@@ -50,13 +45,13 @@ from repro.compiler.mapping import BBPlacement
 _SWAP_ROUNDS = 2
 
 #: Entries kept by the placement memo (least recently used evicted first).
-#: A small-scale arch sweep places about 440 distinct inputs.
+#: A small-scale arch sweep places 298 distinct inputs.
 _MEMO_SIZE = 2048
 
 _MEMO: "OrderedDict[tuple, BBPlacement]" = OrderedDict()
 
 
-def _nonlinear_capable(grid: Grid, nonlinear_pes: int) -> List[Coord]:
+def nonlinear_capable(grid: Grid, nonlinear_pes: int) -> List[Coord]:
     """The nonlinear-fitting PEs: the tail of the row-major order."""
     coords = list(grid)
     return coords[len(coords) - nonlinear_pes:]
@@ -99,11 +94,11 @@ def _place(block: BasicBlock, inputs: PlacementInputs, grid: Grid,
 
     fu_nodes = block.dfg.fu_nodes
     if not fu_nodes:
-        return BBPlacement(block.block_id, {}, ii=1, depth_cycles=0)
+        return BBPlacement(block.block_id, {}, ii=1)
 
     region_set = set(region_list)
     nonlinear_pool = [
-        c for c in _nonlinear_capable(grid, inputs.nonlinear_pes)
+        c for c in nonlinear_capable(grid, inputs.nonlinear_pes)
         if c in region_set
     ]
     needs_nonlinear = [
@@ -137,145 +132,63 @@ def _place(block: BasicBlock, inputs: PlacementInputs, grid: Grid,
         assignment[node.node_id] = best
         load[best] += 1
 
-    _improve(assignment, block, grid)
+    mesh = DataMesh(grid)
+    edges = [(operand, node.node_id) for node in fu_nodes
+             for operand in node.operands if operand in assignment]
+    for src, dst in edges:
+        mesh.route(assignment[src], assignment[dst])
+    _improve(assignment, block, edges, mesh)
 
-    mesh = DataMesh(grid, hop_latency=inputs.mesh_hop_latency)
-    longest_transfer = 0
-    op_ids = set(assignment)
-    for node in fu_nodes:
-        for operand in node.operands:
-            if operand not in op_ids:
-                continue
-            src, dst = assignment[operand], assignment[node.node_id]
-            if src == dst:
-                continue
-            edge = mesh.route(src, dst)
-            longest_transfer = max(longest_transfer, mesh.latency(edge))
-
-    resource_ii = max(load.values()) if load else 1
-    ii = max(1, resource_ii, mesh.congestion_ii())
-    depth = block.dfg.critical_path_length() + longest_transfer
-    return BBPlacement(
-        block.block_id, assignment, ii=ii, depth_cycles=depth,
-    )
-
-
-@lru_cache(maxsize=1 << 14)  # every PE pair of an 8x8 array, four times
-def _xy_links(rows: int, cols: int, src: int, dst: int) -> Tuple[int, ...]:
-    """The links of the XY route between two row-major PE indices.
-
-    A link is ``4 * pe + direction`` (east, west, south, north), which
-    keeps ids of arrays up to 8x8 among Python's shared small ints."""
-    grid = Grid(rows, cols)
-    path = grid.xy_path(grid.coord(src), grid.coord(dst))
-    return tuple(
-        4 * (a.row * cols + a.col)
-        + (0 if b.col > a.col else 1 if b.col < a.col
-           else 2 if b.row > a.row else 3)
-        for a, b in zip(path, path[1:])
-    )
-
-
-class _LinkLoads:
-    """Link loads of a multiset of XY-routed edges between PE indices.
-
-    Tracks what :class:`DataMesh` would report after routing the same
-    edges from scratch — ``congestion_ii`` and the summed hop count — but
-    supports removing an edge, so a swap re-routes only what it moved.
-    """
-
-    def __init__(self, grid: Grid) -> None:
-        self._rows, self._cols = grid.rows, grid.cols
-        self._load = [0] * (4 * grid.size)
-        #: ``_count[k]``: links currently carrying exactly ``k`` edges
-        self._count = [0]
-        self._peak = 0
-        self._wire = 0
-
-    def add(self, src: int, dst: int) -> None:
-        links = _xy_links(self._rows, self._cols, src, dst)
-        self._wire += len(links)
-        load, count = self._load, self._count
-        for link in links:
-            k = load[link] + 1
-            load[link] = k
-            count[k - 1] -= 1
-            if k == len(count):
-                count.append(0)
-            count[k] += 1
-            if k > self._peak:
-                self._peak = k
-
-    def remove(self, src: int, dst: int) -> None:
-        links = _xy_links(self._rows, self._cols, src, dst)
-        self._wire -= len(links)
-        load, count = self._load, self._count
-        for link in links:
-            k = load[link]
-            load[link] = k - 1
-            count[k] -= 1
-            count[k - 1] += 1
-            if k == self._peak and not count[k]:
-                self._peak = k - 1
-
-    def objective(self) -> Tuple[int, int]:
-        """``(congestion II, wirelength)``, as a fresh re-route reports."""
-        return (max(1, self._peak), self._wire)
+    ii = max(max(load.values()), mesh.congestion_ii())
+    return BBPlacement(block.block_id, assignment, ii=ii)
 
 
 def _improve(assignment: Dict[NodeId, Coord], block: BasicBlock,
-             grid: Grid) -> None:
+             edges: List[Tuple[NodeId, NodeId]], mesh: DataMesh) -> None:
     """Bounded pairwise swap pass minimising (link congestion, wirelength).
 
-    Congestion is the binding term: a link shared by k routed edges forces
-    the initiation interval to k, so trading wirelength for a lower maximum
-    link load is always worth it.  Nonlinear ops never swap with ordinary
-    ones, so they stay in the nonlinear pool.
+    ``mesh`` holds the routes of ``edges`` under ``assignment`` and is
+    left holding them under the improved one.  Congestion is the binding
+    term: a link shared by k routed edges forces the initiation interval
+    to k, so trading wirelength for a lower maximum link load is always
+    worth it.  Nonlinear ops never swap with ordinary ones, so they stay
+    in the nonlinear pool.
     """
-    nodes = list(assignment)
-    slot = {node_id: i for i, node_id in enumerate(nodes)}
-    edges: List[Tuple[int, int]] = []
-    for node in block.dfg.fu_nodes:
-        for operand in node.operands:
-            if operand in slot:
-                edges.append((slot[operand], slot[node.node_id]))
     if not edges:
         return
-
-    cols = grid.cols
+    nodes = list(assignment)
+    slot = {node_id: i for i, node_id in enumerate(nodes)}
+    pairs = [(slot[src], slot[dst]) for src, dst in edges]
+    cols = mesh.grid.cols
     pe = [c.row * cols + c.col for c in assignment.values()]
     nonlinear = [
         block.dfg.node(node_id).info.op_class is OpClass.NONLINEAR
         for node_id in nodes
     ]
     incident: List[List[int]] = [[] for _ in nodes]
-    for index, (a, b) in enumerate(edges):
+    for index, (a, b) in enumerate(pairs):
         incident[a].append(index)
         incident[b].append(index)
-
-    book = _LinkLoads(grid)
-    for a, b in edges:
-        book.add(pe[a], pe[b])
 
     def reroute(i: int, j: int, moved: List[Tuple[int, int]]) -> None:
         """Swap the PEs of slots ``i`` and ``j``, re-routing ``moved``."""
         for a, b in moved:
-            book.remove(pe[a], pe[b])
+            mesh.remove(pe[a], pe[b])
         pe[i], pe[j] = pe[j], pe[i]
         for a, b in moved:
-            book.add(pe[a], pe[b])
+            mesh.add(pe[a], pe[b])
 
-    current = book.objective()
+    current = (mesh.congestion_ii(), mesh.wirelength)
     for _ in range(_SWAP_ROUNDS):
         improved = False
         for i in range(len(nodes)):
             for j in range(i + 1, len(nodes)):
                 if pe[i] == pe[j] or nonlinear[i] != nonlinear[j]:
                     continue
-                moved = [edges[e] for e in
+                moved = [pairs[e] for e in
                          dict.fromkeys(incident[i] + incident[j])]
                 reroute(i, j, moved)
-                candidate = book.objective()
+                candidate = (mesh.congestion_ii(), mesh.wirelength)
                 if candidate < current:
                     current = candidate
                     improved = True
@@ -284,6 +197,6 @@ def _improve(assignment: Dict[NodeId, Coord], block: BasicBlock,
         if not improved:
             break
 
-    coords = list(grid)
+    coords = list(mesh.grid)
     for node_id, index in zip(nodes, pe):
         assignment[node_id] = coords[index]

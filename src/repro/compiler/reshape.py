@@ -52,10 +52,7 @@ def reshape_placement(
         raise CompilationError("reshape target region is empty")
     ops: List[NodeId] = sorted(original.assignment)
     if not ops:
-        return BBPlacement(
-            original.block, {}, ii=1, depth_cycles=original.depth_cycles,
-            time_extended=True,
-        )
+        return BBPlacement(original.block, {}, ii=1, time_extended=True)
     assignment: Dict[NodeId, Coord] = {}
     per_pe: Dict[Coord, int] = {c: 0 for c in targets}
     for index, node_id in enumerate(ops):
@@ -65,8 +62,7 @@ def reshape_placement(
     fold = max(per_pe.values())
     ii = max(original.ii, fold)
     return BBPlacement(
-        original.block, assignment, ii=ii,
-        depth_cycles=original.depth_cycles, time_extended=True,
+        original.block, assignment, ii=ii, time_extended=True,
         unroll=original.unroll,
     )
 
@@ -96,7 +92,6 @@ def unroll_placement(
             cursor += 1
     return BBPlacement(
         original.block, assignment, ii=original.ii,
-        depth_cycles=original.depth_cycles,
         time_extended=original.time_extended,
         unroll=original.unroll + copies,
     )

@@ -16,8 +16,9 @@ builds the array mapping active while that nest's level executes:
 The result is one mapping per loop level (paper Fig. 8: "Mapping 1..3");
 the execution models resolve a block's active placement through
 :meth:`~repro.compiler.mapping.Schedule.placement_of`, which prefers the
-deepest level — the same priority the Control Flow Scheduler's arbiter
-applies between nested pipelines.
+deepest level.  That models the paper's Control Flow Scheduler, whose
+arbiter favours deeper loop levels between nested pipelines (Section 4.3);
+the cycle-level simulator serves its control FIFO in arrival order.
 
 :meth:`MarionetteScheduler.schedule` is a lookup in one process-wide LRU
 memo, like :func:`~repro.compiler.place.place_block`.  The key is
@@ -41,11 +42,11 @@ from repro.arch.topology import Coord, Grid
 from repro.ir.cdfg import CDFG, LoopNest
 from repro.ir.cfg import BasicBlock, BlockId, BlockRole
 from repro.compiler.mapping import BBPlacement, LevelSchedule, Schedule
-from repro.compiler.place import place_block
+from repro.compiler.place import nonlinear_capable, place_block
 from repro.compiler.reshape import pe_waste, reshape_placement, unroll_placement
 
 #: Entries kept by the schedule memo (least recently used evicted first).
-#: A small-scale arch sweep schedules 69 distinct inputs.
+#: A small-scale arch sweep schedules 46 distinct inputs.
 _MEMO_SIZE = 512
 
 _MEMO: "OrderedDict[tuple, Schedule]" = OrderedDict()
@@ -152,8 +153,7 @@ class MarionetteScheduler:
         try:
             return place_block(block, self.params, region_list)
         except PlacementError:
-            coords = list(self.grid)
-            pool = coords[len(coords) - self.params.nonlinear_pes:]
+            pool = nonlinear_capable(self.grid, self.params.nonlinear_pes)
             widened = region_list + [c for c in pool if c not in region_list]
             return place_block(block, self.params, widened)
 
@@ -186,6 +186,5 @@ class MarionetteScheduler:
                 candidates.append((pe_waste(folded, original), folded))
         if not candidates:
             return
-        waste, chosen = min(candidates, key=lambda c: (c[0], c[1].block))
-        level.waste = waste
+        chosen = min(candidates, key=lambda c: (c[0], c[1].block))[1]
         level.placements[chosen.block] = chosen

@@ -353,7 +353,7 @@ class KernelBuilder:
 
     @contextlib.contextmanager
     def loop(self, var: str, start: Operand, stop: Operand,
-             step: Operand = 1, *, annotations: Optional[Dict] = None):
+             step: Operand = 1):
         """A counted loop ``for var in range(start, stop, step)``.
 
         ``step`` must be a positive compile-time constant; the loop condition
@@ -368,8 +368,6 @@ class KernelBuilder:
         self.set(var, start)
         header = self._cfg.new_block(f"loop_{tag}_head", BlockRole.LOOP_HEADER)
         header.loop_var = var
-        if annotations:
-            header.annotations.update(annotations)
         body = self._cfg.new_block(f"loop_{tag}_body", BlockRole.LOOP_BODY)
         after = self._cfg.new_block(f"loop_{tag}_after", BlockRole.MERGE)
         self._current.terminator = Jump(header.block_id)
@@ -388,21 +386,17 @@ class KernelBuilder:
             # Increment in whatever block the body ended in, then back-edge.
             self._check_open()
             self.set(var, self.get(var) + step)
-            self._current.annotations.setdefault("loop_latch_for", var)
             self._current.terminator = Jump(header.block_id)
             self._current = after
 
     @contextlib.contextmanager
-    def while_(self, cond_fn, *, name: str = "while",
-               annotations: Optional[Dict] = None):
+    def while_(self, cond_fn, *, name: str = "while"):
         """A while loop; ``cond_fn()`` is invoked to build the condition in
         the header block each time the builder lays it out."""
         self._check_open()
         self._loop_counter += 1
         tag = f"{name}{self._loop_counter}"
         header = self._cfg.new_block(f"{tag}_head", BlockRole.LOOP_HEADER)
-        if annotations:
-            header.annotations.update(annotations)
         body = self._cfg.new_block(f"{tag}_body", BlockRole.LOOP_BODY)
         after = self._cfg.new_block(f"{tag}_after", BlockRole.MERGE)
         self._current.terminator = Jump(header.block_id)
@@ -424,7 +418,6 @@ class KernelBuilder:
             yield
         finally:
             self._check_open()
-            self._current.annotations.setdefault("loop_latch_for", tag)
             self._current.terminator = Jump(header.block_id)
             self._current = after
 

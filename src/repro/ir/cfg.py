@@ -83,8 +83,6 @@ class BasicBlock:
     outputs: Dict[str, NodeId] = field(default_factory=dict)
     #: loop variable owned by this block's loop, if it is a header
     loop_var: Optional[str] = None
-    #: builder-level annotations (pragmas)
-    annotations: Dict[str, object] = field(default_factory=dict)
 
     def successors(self) -> Tuple[BlockId, ...]:
         term = self.terminator

@@ -15,8 +15,9 @@ Sender how to propagate control (paper Fig. 7(a)):
   ``exit_targets`` (Proactive Config / Remain Loop Config, Fig. 7(c));
 * ``NONE`` — leaf PE; no control propagation.
 
-``priority`` orders configurations in the Control Flow Scheduler's arbiter
-(deeper loop levels win, Section 4.3).
+``priority`` orders configurations in the paper's Control Flow Scheduler
+arbiter (deeper loop levels win, Section 4.3).  It is encoded, but the
+cycle-level simulator (:mod:`repro.sim.control_plane`) does not read it.
 """
 
 from __future__ import annotations

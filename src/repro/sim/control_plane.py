@@ -8,9 +8,10 @@ Section 4.1 / Fig. 5:
   configuration) and configuration phase (``t_config`` cycles to swap the
   live instruction);
 * **Control Flow Scheduler** — queues standing configuration requests in a
-  control FIFO and arbitrates by priority (deeper loop levels win), holding
-  them off while a LOOP-mode instruction is still iterating (Remain Loop
-  Config);
+  control FIFO and serves them in arrival order, holding them off while a
+  LOOP-mode instruction is still iterating (Remain Loop Config).  The
+  paper's arbiter favours deeper loop levels (Section 4.3); this model
+  does not read :attr:`~repro.isa.control.ControlDirective.priority`;
 * **Control Flow Sender** — on becoming configured in DFG mode, proactively
   forwards ``next_addr`` to the subsequent PEs (Proactive Emit); in BRANCH
   mode, converts each branch result into per-token steering messages; in

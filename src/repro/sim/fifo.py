@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Generic, List, Optional, TypeVar
+from typing import Deque, Generic, Optional, TypeVar
 
 from repro.errors import SimulationError
 
@@ -60,8 +60,3 @@ class Fifo(Generic[T]):
         if self.empty:
             raise SimulationError(f"peek at empty fifo {self.name!r}")
         return self.items[0]
-
-    def drain(self) -> List[T]:
-        out = list(self.items)
-        self.items.clear()
-        return out

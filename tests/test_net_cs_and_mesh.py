@@ -1,5 +1,7 @@
 """CS broadcast network, composed control network, and data mesh tests."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -142,14 +144,55 @@ class TestGridAndMesh:
         for u, v in zip(path, path[1:]):
             assert u.manhattan(v) == 1
 
-    def test_mesh_latency_zero_for_same_pe(self):
-        mesh = DataMesh(Grid(4, 4))
-        edge = mesh.route(Coord(1, 1), Coord(1, 1))
-        assert mesh.latency(edge) == 0
-
     def test_congestion_counts_shared_links(self):
-        mesh = DataMesh(Grid(4, 4))
+        grid = Grid(4, 4)
+        mesh = DataMesh(grid)
         for _ in range(3):
             mesh.route(Coord(0, 0), Coord(0, 3))
-        assert mesh.congestion_ii() == 3
-        assert DataMesh(Grid(4, 4)).congestion_ii() == 1
+        assert (mesh.congestion_ii(), mesh.wirelength) == (3, 9)
+        mesh.remove(grid.index(Coord(0, 0)), grid.index(Coord(0, 3)))
+        assert (mesh.congestion_ii(), mesh.wirelength) == (2, 6)
+        mesh.add(5, 5)  # same PE: register forwarding, no link
+        assert (mesh.congestion_ii(), mesh.wirelength) == (2, 6)
+        assert DataMesh(grid).congestion_ii() == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(4, 4), (8, 8)]), st.data())
+    def test_link_loads_match_a_fresh_route(self, shape, data):
+        """After any mix of ``route``, ``add`` and ``remove``, the mesh
+        reports what a fresh mesh routing only the live edges reports, and
+        what the edges' XY paths add up to."""
+        grid = Grid(*shape)
+        # Endpoints from a corner of the array, so routes overlap.
+        pe = st.integers(0, grid.size - 1).map(
+            lambda i: i if data.draw(st.booleans()) else i % 6
+        )
+        mesh = DataMesh(grid)
+        live = []
+        for _ in range(data.draw(st.integers(1, 40))):
+            action = data.draw(st.sampled_from(("route", "add", "remove")))
+            if action == "remove" and live:
+                mesh.remove(*live.pop(
+                    data.draw(st.integers(0, len(live) - 1))
+                ))
+            else:
+                src, dst = data.draw(pe), data.draw(pe)
+                live.append((src, dst))
+                if action == "add":
+                    mesh.add(src, dst)
+                else:
+                    mesh.route(grid.coord(src), grid.coord(dst))
+            fresh = DataMesh(grid)
+            paths = []
+            for a, b in live:
+                fresh.route(grid.coord(a), grid.coord(b))
+                paths.append(grid.xy_path(grid.coord(a), grid.coord(b)))
+            links = Counter(
+                link for path in paths for link in zip(path, path[1:])
+            )
+            assert mesh.congestion_ii() == fresh.congestion_ii() == max(
+                [1, *links.values()]
+            )
+            assert mesh.wirelength == fresh.wirelength == sum(
+                len(path) - 1 for path in paths
+            )

@@ -43,7 +43,8 @@ class TestFifo:
         fifo = Fifo()
         for item in items:
             fifo.push(item)
-        assert fifo.drain() == items
+        assert [fifo.pop() for _ in items] == items
+        assert fifo.empty
 
 
 class TestScratchpad:
