@@ -19,7 +19,9 @@ Timing defaults follow the paper's relative-cost assumptions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from functools import cached_property
+from typing import Dict
 
 from repro.errors import ConfigurationError
 
@@ -52,6 +54,36 @@ class PlacementInputs:
     rows: int
     cols: int
     nonlinear_pes: int
+
+
+@dataclass(frozen=True)
+class PricingInputs:
+    """The projection of :class:`ArchParams` that pricing reads: every
+    field an execution model's construction and ``simulate`` read,
+    placement and scheduling included.
+
+    It is the architecture half of a cycle record's cache key, so
+    variants that differ only in fields pricing does not read (the
+    memory system, the control FIFO depth, the physical parameters)
+    share their cycle records, and a field pricing reads always splits
+    them.
+    """
+
+    rows: int
+    cols: int
+    nonlinear_pes: int
+    t_config: int
+    t_execute: int
+    data_net_latency: int
+    ctrl_net_latency: int
+    mesh_hop_latency: int
+    control_topology: str
+
+    @cached_property
+    def token(self) -> Dict[str, object]:
+        """JSON-safe field table (the cache key's ``params``), built
+        once; callers copy it before changing it."""
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -115,6 +147,16 @@ class ArchParams:
     def placement_inputs(self) -> PlacementInputs:
         """The fields DFG placement reads (see :class:`PlacementInputs`)."""
         return PlacementInputs(self.rows, self.cols, self.nonlinear_pes)
+
+    @cached_property
+    def pricing_inputs(self) -> PricingInputs:
+        """The fields pricing reads (see :class:`PricingInputs`), built
+        once per instance."""
+        return PricingInputs(
+            self.rows, self.cols, self.nonlinear_pes, self.t_config,
+            self.t_execute, self.data_net_latency, self.ctrl_net_latency,
+            self.mesh_hop_latency, self.control_topology,
+        )
 
     @property
     def control_transfer_latency(self) -> int:

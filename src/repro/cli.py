@@ -272,8 +272,8 @@ def _bench_variant(args, engine=None) -> None:
     ``args.arch_desc`` (None = the default architecture) supplies the
     :class:`~repro.arch.params.ArchParams` every spec prices; the
     shard/stream/dispatch/profile machinery is completely arch-agnostic
-    — specs carry their parameters, so variants land on disjoint
-    fingerprints with no extra plumbing.
+    — specs carry their parameters, so variants land on the
+    fingerprints their pricing inputs name with no extra plumbing.
     """
     from repro.engine import (
         Engine,

@@ -2,9 +2,9 @@
 
 Every record is addressed by the SHA-256 of its canonical-JSON key — the
 key spells out everything the record depends on (workload name, scale,
-seed, architecture parameters, model identity, engine version), so a
-change to any input lands on a different address and stale records are
-simply never read again.  Records are JSON *envelopes*
+seed, the architecture parameters pricing reads, model identity, engine
+version), so a change to any input lands on a different address and
+stale records are simply never read again.  Records are JSON *envelopes*
 ``{"key": ..., "payload": ...}`` under ``<root>/<hh>/<hash>.json``
 (two-level fan-out), so each record is self-describing.  Writes go
 through a temp file + rename so concurrent worker processes can share
@@ -39,9 +39,8 @@ import hashlib
 import json
 import os
 import tempfile
-from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterator, Mapping, Optional
 
 from repro.arch.params import ArchParams
 from repro.errors import ConfigurationError
@@ -60,29 +59,11 @@ from repro.errors import ConfigurationError
 ENGINE_VERSION = 5
 
 
-#: ``id(params)`` -> ``(params, token)``, least recently used evicted
-#: first.  Keyed by identity, not equality: ``ArchParams(t_config=True)``
-#: equals ``ArchParams(t_config=1)`` but spells another token.  An entry
-#: holds its instance, so the id stays that instance's.
-_TOKENS: "OrderedDict[int, Tuple[ArchParams, Dict[str, object]]]" = \
-    OrderedDict()
-_TOKENS_SIZE = 64
-
-
 def params_token(params: ArchParams) -> Dict[str, object]:
-    """JSON-safe identity of an :class:`ArchParams` (cache key component).
-
-    ``ArchParams`` is frozen, so ``dataclasses.asdict`` runs once per
-    instance; each caller gets its own copy of the result."""
-    entry = _TOKENS.get(id(params))
-    if entry is None:
-        entry = (params, dataclasses.asdict(params))
-        _TOKENS[id(params)] = entry
-        if len(_TOKENS) > _TOKENS_SIZE:
-            _TOKENS.popitem(last=False)
-    else:
-        _TOKENS.move_to_end(id(params))
-    return dict(entry[1])
+    """JSON-safe table of every :class:`ArchParams` field (wire payloads
+    and shard exports; a cycle record's key holds only
+    :attr:`ArchParams.pricing_inputs`)."""
+    return dataclasses.asdict(params)
 
 
 def fingerprint(key: Mapping[str, object]) -> str:

@@ -11,9 +11,10 @@ deterministic lists of :class:`~repro.engine.spec.RunResult`:
   :class:`~repro.engine.cache.TraceCache`; every kernel is built from its
   trace payload by :func:`_kernel_from_payload`, in a worker or in
   :meth:`Engine.kernel`;
-* **cycle results** are cached under the full spec identity (params +
-  model + engine version), so re-running a report with a warm cache does
-  no model evaluation either;
+* **cycle results** are cached under the spec's priced identity (the
+  parameters pricing reads + model + engine version), so re-running a
+  report with a warm cache does no model evaluation either, and arch
+  variants that price alike share their records;
 * :meth:`Engine.stream` is the one pricing path: it yields ``(index,
   RunResult)`` pairs as results become available — cached specs first,
   then each spec the moment its own trace lands (with ``jobs > 1``,
@@ -275,7 +276,8 @@ class Engine:
     def _lookup_cycles(self, spec: RunSpec) -> Tuple[Optional[CycleResult],
                                                      bool]:
         """(cached result or None, whether it came from this engine's
-        memo rather than the cross-run cache)."""
+        memo of ``spec`` rather than the cache, which also serves a
+        record another spec with the same key wrote)."""
         cached = self._cycles.get(spec)
         if cached is not None:
             return cached, True

@@ -8,13 +8,19 @@ deduplicated, used as cache keys, and shipped to worker processes — the
 experiments enumerate specs, the :class:`~repro.engine.executor.Engine`
 decides where and whether each one actually runs.
 
-A spec's full identity is its :meth:`RunSpec.cache_key` — the canonical
-JSON mapping the content-addressed cache hashes — and
-:meth:`RunSpec.fingerprint` is that hash.  The fingerprint doubles as the
-sharding coordinate: :func:`shard_specs` partitions a batch into ``N``
-disjoint, covering subsets by fingerprint prefix, so independent CI jobs
-can each run ``repro bench --shard K/N`` against one shared cache and a
-merge step can reassemble the canonical report.
+A spec's priced identity is its :meth:`RunSpec.cache_key` — the
+canonical JSON mapping the content-addressed cache hashes — and
+:meth:`RunSpec.fingerprint` is that hash.  The key holds the
+:class:`~repro.arch.params.PricingInputs` projection of the parameters,
+not every :class:`~repro.arch.params.ArchParams` field, so specs that
+differ only in parameters pricing never reads share one cycle record;
+spec equality and :meth:`RunSpec.to_payload` keep the full parameters.
+
+The fingerprint doubles as the sharding coordinate: :func:`shard_specs`
+partitions a batch into ``N`` disjoint, covering subsets by fingerprint
+prefix, so independent CI jobs can each run ``repro bench --shard K/N``
+against one shared cache and a merge step can reassemble the canonical
+report.
 """
 
 from __future__ import annotations
@@ -143,15 +149,17 @@ class RunSpec:
         """Canonical-JSON identity of this spec's cycle result.
 
         Spells out every input the result depends on — any change to the
-        workload, scale, seed, model (key, options, or label), any
-        architecture parameter, or the engine version lands on a
-        different content address.
+        workload, scale, seed, model (key, options, or label), a field
+        of :attr:`ArchParams.pricing_inputs`, or the engine version
+        lands on a different content address.  Parameters pricing does
+        not read are left out, so specs that differ only there share
+        one record.
         """
         return {
             "kind": "cycles", "version": _cache.ENGINE_VERSION,
             "workload": self.workload, "scale": self.scale,
             "seed": self.seed, "model": self.model.token(),
-            "params": _cache.params_token(self.params),
+            "params": dict(self.params.pricing_inputs.token),
         }
 
     def fingerprint(self) -> str:

@@ -84,9 +84,10 @@ def all_specs(scale: str = "small", seed: int = 0,
     order).
 
     ``params`` is the architecture every spec prices (``repro bench
-    --arch`` threads a loaded description here) — the same sweep over a
-    different ``ArchParams`` lands on disjoint fingerprints, so arch
-    variants never collide in the cache or a shard partition.
+    --arch`` threads a loaded description here) — the same sweep over
+    different :attr:`~repro.arch.params.ArchParams.pricing_inputs`
+    lands on disjoint fingerprints, and variants that agree on them
+    share every cycle record.
 
     ``kernels`` (loaded :class:`~repro.kernels.package.KernelPackage`
     objects from ``repro bench --kernels``) appends the external-kernel

@@ -12,7 +12,8 @@ Four contracts live here:
   emits byte-identical reports to a flagless run in all three formats;
 * **sweep execution** — ``--arch DIR`` sections follow deterministic
   filename order, and the ``--shard`` composition emits one export per
-  variant keyed by that variant's own fingerprints.
+  variant keyed by that variant's own fingerprints; variants that price
+  alike share fingerprints but never merge.
 """
 
 from __future__ import annotations
@@ -323,15 +324,35 @@ class TestArchCli:
         expected = load_arch_sweep(EXAMPLES_DIR)
         assert [doc["arch"] for doc in documents] \
             == [desc.name for _path, desc in expected]
-        spec_sets = []
+        spec_sets = {}
         for doc, (_path, desc) in zip(documents, expected):
             prints = {spec.fingerprint()
                       for spec in all_specs("tiny", 0, desc.params)}
             # Every spec of this variant landed in this variant's
             # export (entries also hold shared functional traces).
             assert prints <= set(doc["entries"])
-            spec_sets.append(prints)
-        # Arch identity is in every fingerprint: no variant's cycle
-        # records can collide with another's.
-        union = set().union(*spec_sets)
-        assert len(union) == sum(len(s) for s in spec_sets)
+            spec_sets[desc.name] = prints
+        # Fingerprints carry the parameters pricing reads: deep-fifo
+        # differs from the default only elsewhere, so the two share
+        # every cycle record, and the other variants share none.
+        assert spec_sets["deep-fifo"] == spec_sets["marionette-default"]
+        union = set().union(*spec_sets.values())
+        assert len(union) == 3 * len(spec_sets["deep-fifo"]) == 345
+
+    def test_merge_refuses_shards_of_variants_that_price_alike(
+            self, tmp_path, capsys):
+        # deep-fifo shares every cycle record with the default, but its
+        # Table 4 differs: exports carry the full parameters, so shards of
+        # the two never merge into one report.
+        paths = []
+        for index, name in ((1, "deep_fifo"), (2, "marionette_default")):
+            assert main(["bench", "--scale", "tiny", "--shard",
+                         f"{index}/2", "--arch",
+                         str(EXAMPLES_DIR / f"{name}.json")]) == 0
+            path = tmp_path / f"{name}.json"
+            path.write_text(capsys.readouterr().out, encoding="utf-8")
+            paths.append(str(path))
+        assert main(["bench", "--merge-shards", *paths]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "disagree on architecture parameters" in captured.err

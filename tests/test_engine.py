@@ -9,25 +9,32 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from repro.arch.params import ArchParams, DEFAULT_PARAMS
+from repro.arch.spec import load_arch_sweep
 from repro.engine import (
     Engine,
     ModelSpec,
     RunSpec,
     TraceCache,
     fingerprint,
+    result_payload,
 )
 from repro.engine.spec import trace_cache_key
 from repro.errors import ConfigurationError
+from repro.experiments.report import run_all
 
 VN = ModelSpec.make("von_neumann")
 MARIONETTE = ModelSpec.make("marionette")
 MARIONETTE_PE = ModelSpec.make(
     "marionette", label="Marionette PE", control_network=False, agile=False
 )
+
+
+ARCH_DIR = Path(__file__).resolve().parents[1] / "examples" / "arch"
 
 
 def _specs(params: ArchParams = DEFAULT_PARAMS, scale: str = "tiny"):
@@ -147,6 +154,26 @@ class TestEngineCaching:
         assert any(
             a.cycles != b.cycles for a, b in zip(base, slower)
         )
+
+    def test_variants_that_price_alike_share_cycle_records(self, tmp_path):
+        # deep-fifo differs from marionette-default only in parameters
+        # pricing never reads, so the sweep prices and stores their 115
+        # specs once: 3 x 115 simulations and 13 traces + 345 records.
+        engine = Engine(cache_dir=tmp_path)
+        sections = {
+            desc.name: {result.experiment: result_payload(result)
+                        for result in run_all("tiny", 0, engine=engine,
+                                              params=desc.params)}
+            for _path, desc in load_arch_sweep(ARCH_DIR)
+        }
+        assert engine.stats.simulations == 345
+        assert engine.stats.sim_cache_hits == 115
+        assert len(list(tmp_path.glob("??/*.json"))) == 358
+        deep, default = sections["deep-fifo"], sections["marionette-default"]
+        assert list(deep) == list(default)
+        # Table 4 prices the scratchpad area, which deep-fifo doubles.
+        assert [name for name in default
+                if deep[name] != default[name]] == ["Table 4"]
 
     def test_kernel_run_from_warm_cache_skips_interpretation(self, tmp_path):
         Engine(cache_dir=tmp_path).execute(_specs())
